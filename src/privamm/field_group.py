@@ -1,5 +1,4 @@
-"""Prime-field arithmetic, a Schnorr-style commitment group, and Pedersen
-commitments.
+"""A Schnorr-style commitment group and Pedersen commitments.
 
 The group is the order-q subgroup of Z_p* with p = 2q + 1 a safe prime.
 Committed values and blinding factors live in Z_q (exponents); commitments
@@ -7,12 +6,27 @@ live in the subgroup. `commitment_combine` multiplies commitments, which
 adds the committed values and blinding factors — the homomorphism used to
 check share deliveries against an on-chain commitment.
 
+`group_setup` walks a seeded hash stream of candidates q. A combined sieve
+rejects q when q or 2q + 1 has an odd prime factor below 4000 (Wiener,
+"Safe prime generation with a combined sieve", eprint 2003/186), a base-2
+Fermat test filters both, and Miller–Rabin with bases hashed from the
+candidate decides. The filters only ever reject composites, so the first
+accepted candidate, and with it (p, q, g, h), depends on the seed alone.
+
+`pedersen_commit` uses fixed-base tables (Brickell–Gordon–McCurley–Wilson,
+EUROCRYPT '92; Lim–Lee, CRYPTO '94): row i of a base's table holds
+base^(d * 2^(6i)) mod p for the 64 digits d, and a commitment multiplies
+one entry per 6-bit window of x and of r. The tables are a pure function
+of the `GroupParams` they are cached under, so they change no output.
+
 No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 try:
@@ -24,8 +38,6 @@ try:
     from gmpy2 import is_prime as _is_prime
 except ImportError:  # pragma: no cover
     def _is_prime(n: int, _k: int = 40) -> bool:
-        import random
-
         if n < 2:
             return False
         for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -35,8 +47,11 @@ except ImportError:  # pragma: no cover
         while d % 2 == 0:
             d //= 2
             r += 1
-        for _ in range(_k):
-            a = random.randrange(2, n - 1)
+        n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
+        for i in range(_k):
+            # Bases in [2, n - 2], derived from n so the test never reads
+            # or advances the global `random` state.
+            a = _hash_stream(b"group/mr", n_bytes, i, 32) % (n - 3) + 2
             x = pow(a, d, n)
             if x in (1, n - 1):
                 continue
@@ -54,78 +69,7 @@ class ParameterError(ValueError):
 
 
 class RangeError(ValueError):
-    """Field or exponent operand out of range."""
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """An integer modulo a prime, with exact modular arithmetic."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.modulus:
-            raise RangeError(f"value {self.value} not in [0, {self.modulus})")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return FieldElement(other % self.modulus, self.modulus)
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise RangeError("mixed moduli in field arithmetic")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value + other.value) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement((self.value * other.value) % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, exponent: int):
-        return FieldElement(
-            int(_powmod(self.value, exponent, self.modulus)), self.modulus
-        )
-
-    def __int__(self) -> int:
-        return self.value
+    """Exponent operand out of range."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,13 +125,34 @@ def _hash_stream(label: bytes, seed: bytes, counter: int, nbytes: int) -> int:
     return int.from_bytes(digest[:nbytes], "big")
 
 
+#: (s, (s - 1) / 2) for each odd prime s < 4000. q % s == (s - 1) / 2 is
+#: exactly the case 2q + 1 ≡ 0 (mod s).
+_SIEVE = tuple(
+    (s, (s - 1) // 2)
+    for s in range(3, 4000, 2)
+    if all(s % f for f in range(3, math.isqrt(s) + 1, 2))
+)
+
+
+def _may_be_safe_prime(q: int) -> bool:
+    """Cheap filters that reject only q for which q or 2q + 1 is composite
+    (q is larger than every sieving prime)."""
+    for s, half in _SIEVE:
+        m = q % s
+        if m == 0 or m == half:
+            return False
+    p = 2 * q + 1
+    return pow(2, q - 1, q) == 1 and pow(2, p - 1, p) == 1
+
+
 def group_setup(security_bits: int, seed: bytes) -> GroupParams:
     """Deterministically derive commitment-group parameters from a seed.
 
     ``security_bits=16`` returns the fixed test group (23, 11, 2, 3);
     ``security_bits=256`` searches a seeded hash stream for a safe prime
     p = 2q + 1 with p of 256 bits, then picks generators by squaring hash
-    outputs (squares generate the order-q subgroup).
+    outputs (squares generate the order-q subgroup). Neither step reads
+    the global `random` state.
     """
     if isinstance(seed, str):
         seed = seed.encode()
@@ -206,7 +171,7 @@ def group_setup(security_bits: int, seed: bytes) -> GroupParams:
         q |= 1  # odd
         q &= (1 << qbits) - 1
         counter += 1
-        if _is_prime(q) and _is_prime(2 * q + 1):
+        if _may_be_safe_prime(q) and _is_prime(q) and _is_prime(2 * q + 1):
             break
     p = 2 * q + 1
 
@@ -228,17 +193,53 @@ def group_setup(security_bits: int, seed: bytes) -> GroupParams:
     return GroupParams(p=p, q=q, g=g, h=h)
 
 
+#: Window width of the fixed-base tables: 64 entries per row, 43 rows for
+#: a 255-bit q, about 0.37 MB for both bases.
+_WINDOW = 6
+_DIGIT = (1 << _WINDOW) - 1
+
+
+def _base_table(base: int, p: int, rows: int) -> tuple:
+    """Row i holds base^(d * 2^(6i)) mod p for d = 0 .. 63."""
+    table = []
+    for _ in range(rows):
+        row = [1]
+        for _ in range(_DIGIT):
+            row.append(row[-1] * base % p)
+        table.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=8)
+def _commit_tables(params: GroupParams) -> tuple:
+    """The (g, h) fixed-base tables, enough rows for any exponent < q."""
+    rows = -(-params.q.bit_length() // _WINDOW)
+    return (_base_table(params.g, params.p, rows),
+            _base_table(params.h, params.p, rows))
+
+
 def pedersen_commit(params: GroupParams, x: int, r: int) -> int:
-    """Comm(x, r) = g^x * h^r mod p, with exponents in [0, q)."""
+    """Comm(x, r) = g^x * h^r mod p, with exponents in [0, q).
+
+    Reads one entry per 6-bit window of x and of r from the fixed-base
+    tables of ``params`` (built on first use, cached per `GroupParams`):
+    row i, entry d is base^(d * 2^(6i)), so the product over all rows is
+    exactly g^x * h^r.
+    """
     x = int(x)
     r = int(r)
     if not 0 <= x < params.q:
         raise RangeError(f"committed value {x} not in [0, {params.q})")
     if not 0 <= r < params.q:
         raise RangeError(f"blinding factor {r} not in [0, {params.q})")
-    return (
-        int(_powmod(params.g, x, params.p)) * int(_powmod(params.h, r, params.p))
-    ) % params.p
+    p = params.p
+    acc = 1
+    for row_g, row_h in zip(*_commit_tables(params)):
+        acc = acc * row_g[x & _DIGIT] % p * row_h[r & _DIGIT] % p
+        x >>= _WINDOW
+        r >>= _WINDOW
+    return acc
 
 
 def pedersen_verify_opening(params: GroupParams, c: int, opening: Opening) -> bool:

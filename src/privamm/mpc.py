@@ -15,15 +15,13 @@ and party 1 alone adds the public constant M*E.
 Sessions log offline/online rounds and broadcast messages so round
 minimality (one online round per multiplication) is checkable. The triple
 dealer is a simulation role, standing in for a joint offline generation
-protocol. Party-local steps are pure module-level functions, so a session
-can run them inline or fan them out to a process pool with identical
-results.
+protocol. Party-local steps are pure module-level functions of explicit
+messages.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 #: Default share field: the Mersenne prime 2^127 - 1.
@@ -132,30 +130,22 @@ def reconstruct(shares, expected_n: int = None) -> int:
     return sum(s.value for s in shares) % modulus
 
 
-def _party_mask(args):
+def _party_mask(party_id, m_i, e_i, a_i, b_i, modulus):
     """Party-local step 1: masked differences (d_i, e'_i)."""
-    party_id, m_i, e_i, a_i, b_i, modulus = args
     return MaskBroadcast(
         party_id=party_id, d=(m_i - a_i) % modulus, e=(e_i - b_i) % modulus
     )
 
 
-def _party_assemble(args):
+def _party_assemble(c_i, a_i, b_i, d, e_prime, const_term, modulus):
     """Party-local step 2: assemble a product share from opened masks."""
-    party_id, c_i, a_i, b_i, d, e_prime, const_term, modulus = args
-    z = (c_i + d * b_i + e_prime * a_i + const_term) % modulus
-    return party_id, z
+    return (c_i + d * b_i + e_prime * a_i + const_term) % modulus
 
 
 class MpcSession:
-    """A committee session: owns the round log, transcript, and triples.
+    """A committee session: owns the round log, transcript, and triples."""
 
-    ``parallel=True`` runs party-local computation on a process pool; the
-    outputs are identical to the single-threaded path because every
-    party step is a pure function of explicit messages.
-    """
-
-    def __init__(self, n: int, modulus: int = P_MPC, seed=0, parallel: bool = False):
+    def __init__(self, n: int, modulus: int = P_MPC, seed=0):
         if n < 2:
             raise ConfigurationError("need at least 2 parties")
         if modulus <= n:
@@ -163,19 +153,12 @@ class MpcSession:
         self.n = n
         self.modulus = modulus
         self.rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        self.parallel = parallel
         self.log = RoundLog()
         self.events = []
         self._used_triples = set()
         self._triple_counter = 0
 
     # -- infrastructure -------------------------------------------------
-
-    def _map_parties(self, fn, tasks):
-        if self.parallel:
-            with ProcessPoolExecutor(max_workers=min(self.n, 8)) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(t) for t in tasks]
 
     def _check_shares(self, shares, what: str):
         if len(shares) != self.n:
@@ -227,13 +210,11 @@ class MpcSession:
         b = self._check_shares(list(triple.b_shares), "triple.b")
         c = self._check_shares(list(triple.c_shares), "triple.c")
 
-        masks = self._map_parties(
-            _party_mask,
-            [
-                (i + 1, m[i].value, e[i].value, a[i].value, b[i].value, self.modulus)
-                for i in range(self.n)
-            ],
-        )
+        masks = [
+            _party_mask(i + 1, m[i].value, e[i].value, a[i].value, b[i].value,
+                        self.modulus)
+            for i in range(self.n)
+        ]
         # One broadcast round: every party publishes its (d_i, e'_i).
         self.log.online_rounds += 1
         self.log.messages += self.n
@@ -244,23 +225,11 @@ class MpcSession:
         const_term = d * e_prime % self.modulus
         const_term = const_term * pow(self.n, -1, self.modulus) % self.modulus
 
-        assembled = self._map_parties(
-            _party_assemble,
-            [
-                (
-                    i + 1,
-                    c[i].value,
-                    a[i].value,
-                    b[i].value,
-                    d,
-                    e_prime,
-                    const_term,
-                    self.modulus,
-                )
-                for i in range(self.n)
-            ],
-        )
-        z = {pid: val for pid, val in assembled}
+        z = {
+            i + 1: _party_assemble(c[i].value, a[i].value, b[i].value, d,
+                                   e_prime, const_term, self.modulus)
+            for i in range(self.n)
+        }
         broadcast_log = [
             {"party": msg.party_id, "d": msg.d, "e": msg.e} for msg in masks
         ]

@@ -2,9 +2,10 @@
 
 A scenario is a single JSON object. Quantities (liquidity, trade sizes,
 deposits) are decimal strings parsed exactly; zone coordinates accept
-integers or decimal strings. Validation failures raise ScenarioError
-with the offending field path, which the command line maps to exit
-code 1.
+integers or decimal strings. Floats are rejected, since a binary float
+rarely holds the decimal the author wrote. Validation failures raise
+ScenarioError with the offending field path, which the command line maps
+to exit code 1.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ class ScenarioError(ValueError):
 
 
 def parse_quantity(value, where: str, require_grid: bool = True) -> Fraction:
+    if isinstance(value, float):
+        raise ScenarioError(where, f"float quantity {value!r}; use a decimal string")
     try:
-        if isinstance(value, float):
-            q = Fraction(str(value))
-        else:
-            q = Fraction(value)
+        q = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ScenarioError(where, f"not a rational quantity: {value!r}") from exc
     if require_grid and (q * SCALE).denominator != 1:

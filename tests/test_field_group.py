@@ -2,8 +2,13 @@
 
 The fixed test group (p=23, q=11, g=2, h=3) keeps the arithmetic small
 enough to check by hand; the 256-bit path is checked structurally
-(safe prime, generator orders, determinism).
+(safe prime, generator orders, determinism), against pinned parameter
+digests, and the fixed-base commit path against plain `pow`.
 """
+
+import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -127,3 +132,60 @@ def test_invalid_params_rejected():
         GroupParams(p=23, q=11, g=2, h=2)  # g == h breaks binding
     with pytest.raises(ParameterError):
         GroupParams(p=23, q=11, g=5, h=3)  # 5 has order 22, not 11
+
+
+# -- fixed-base commit path ----------------------------------------------------
+
+GROUP_256 = group_setup(256, seed="group:99")
+
+
+def _exponent_cases(q):
+    """0, 1, q - 1, both sides of every 6-bit window edge below q (up to
+    2^252, the first digit of the top table row, for a 255-bit q), and 200
+    seeded random exponents."""
+    edges = [v for k in range(1, q.bit_length() // 6 + 1)
+             for v in ((1 << (6 * k)) - 1, 1 << (6 * k)) if v < q]
+    rng = random.Random(f"commit-cases/{q}")
+    return [0, 1, q - 1] + edges, [rng.randrange(q) for _ in range(200)]
+
+
+@pytest.mark.parametrize("params", [TEST_GROUP, GROUP_256],
+                         ids=["test-group", "group:99"])
+def test_commit_matches_plain_modexp(params):
+    p, q, g, h = params.p, params.q, params.g, params.h
+    corners, randoms = _exponent_cases(q)
+    pairs = [(x, r) for x in corners for r in corners]
+    pairs += list(zip(randoms, reversed(randoms)))
+    for x, r in pairs:
+        assert pedersen_commit(params, x, r) == pow(g, x, p) * pow(h, r, p) % p
+
+
+# -- pinned group parameters ---------------------------------------------------
+
+#: SHA-256 of json.dumps(params.to_json(), sort_keys=True), recorded with the
+#: plain trial-division safe-prime search; the sieve must not move them.
+PINNED_GROUPS = {
+    "group:3": "f54d0c75559008ce9c800b25b3acf2555e41ce2f06c6dbe121c398d33a7f2c3f",
+    "group:17": "3762ca3b8efb989f13314c458c189be051623b681984a691f1d6d67870243f5d",
+    "group:99": "235e3f5f20a2a030122fa6a6b8453ca666517d1071797f1aa6a45d36365ce8a4",
+    "group:42": "8b2c50c67c59c333b73d4b7706b92ee5c6accbd55cb6f232f0d26105ae7e4b0e",
+    "group:2026": "c8c878256b896591e949332fc99f6516ad9737aab0e0675018c39ff401c93045",
+    "group:7": "3a5c6ae1f3b218af78f25efdc72c97d652ea2554203009f5f3c82b04ab9261fe",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_GROUPS))
+def test_group_setup_pinned(seed):
+    params = group_setup(256, seed=seed)
+    digest = hashlib.sha256(
+        json.dumps(params.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_GROUPS[seed]
+
+
+def test_group_setup_ignores_global_random_state():
+    random.seed(0)
+    state = random.getstate()
+    after_seed0 = group_setup(256, seed="group:17")
+    assert random.getstate() == state
+    random.seed(1)
+    assert group_setup(256, seed="group:17") == after_seed0

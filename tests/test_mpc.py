@@ -20,8 +20,8 @@ from privamm.mpc import (P_MPC, AdditiveShare, ConfigurationError,
 P_SMALL = 101
 
 
-def small_session(n=2, seed=7, parallel=False):
-    return MpcSession(n, modulus=P_SMALL, seed=seed, parallel=parallel)
+def small_session(n=2, seed=7):
+    return MpcSession(n, modulus=P_SMALL, seed=seed)
 
 
 def fixed_shares(values, modulus=P_SMALL, tag=b"t"):
@@ -233,18 +233,6 @@ def test_session_configuration_errors():
         MpcSession(1, modulus=P_SMALL)
     with pytest.raises(ConfigurationError):
         MpcSession(102, modulus=P_SMALL)
-
-
-def test_parallel_matches_serial():
-    results = []
-    for parallel in (False, True):
-        session = MpcSession(3, modulus=P_SMALL, seed=11, parallel=parallel)
-        rng = random.Random(11)
-        m = share_secret(6, 3, rng, P_SMALL, b"m")
-        e = share_secret(7, 3, rng, P_SMALL, b"e")
-        z = session.settle_product(m, e, 2, 3, session.dealer_gen_triple())
-        results.append(reconstruct(z, expected_n=3))
-    assert results[0] == results[1] == (2 + 6) * (3 + 7) % P_SMALL
 
 
 def test_transcript_redacts_share_values():

@@ -36,6 +36,15 @@ def test_quantities_parse_exactly():
     assert parse_quantity(5, "$") == Fraction(5)
 
 
+def test_float_quantity_rejected():
+    with pytest.raises(ScenarioError, match=r"\$\.x: float quantity 10\.5"):
+        parse_quantity(10.5, "$.x")
+    with pytest.raises(ScenarioError, match="float quantity"):
+        parse_quantity(1.0, "$.x", require_grid=False)
+    with pytest.raises(ScenarioError, match=r"\$\.m_deposit"):
+        parse_scenario(scenario(m_deposit=0.5))
+
+
 def test_off_grid_quantity_rejected():
     with pytest.raises(ScenarioError, match="1e-6 grid"):
         parse_quantity("0.0000001", "$.x")
