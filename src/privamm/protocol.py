@@ -143,8 +143,7 @@ def _fresh_account_proof(trie, chain, proof_header, address, confirmations,
     proof = trie_mod.prove_account(trie, address,
                                    block_height=proof_header.height,
                                    header_hash=proof_header.header_hash)
-    leaf = trie_mod.encode_account_leaf(trie.get(address))
-    return proof, leaf
+    return proof, proof.leaf_rlp
 
 
 def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof, field_group, sharding, trie as trie_mod
@@ -50,11 +51,13 @@ METRICS_FIELDS = ("tick", "shard_id", "tx_count", "blocks", "anchors",
                   "adversary_profit")
 
 
+@lru_cache(maxsize=4096)
 def peer_address(peer_id: str) -> bytes:
     """20-byte account address derived from the peer identity."""
     return keccak256(b"account:" + peer_id.encode())[:20]
 
 
+@lru_cache(maxsize=256)
 def _load_address(shard_id: str) -> bytes:
     return keccak256(b"load:" + shard_id.encode())[:20]
 
@@ -466,6 +469,11 @@ class Simulator:
                     if header is not None:
                         self._log_block(tick, sid, header)
                         rt.trie_history[header.height] = rt.trie
+                        # Proofs read tip - confirmations; older heights
+                        # are never read again.
+                        rt.trie_history.pop(
+                            header.height - self.config.confirmations - 1,
+                            None)
                         rt.shard.load_window.append(tx_count)
                         rt.shard.mempool.clear()
                         rt.txs_total += tx_count

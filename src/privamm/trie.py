@@ -12,15 +12,20 @@ header, 1-byte nonce, three 33-byte hash/balance items, and a 10-byte
 reserved trailer. The balance item starts at byte offset 3, which the
 threshold circuit relies on.
 
-The trie is persistent: updates return a new handle sharing an
-append-only node store, so old roots remain readable.
+Nodes are immutable objects: a leaf, an extension, or a branch with a
+16-tuple of children. An update path-copies the nodes from the root to
+the changed leaf and hashes nothing. Each node computes its RLP encoding
+and digest the first time `root` or `prove` asks for them and keeps them,
+so a block's updates hash each node they touched once, when the block
+reads its state root. Since no node changes after it is built, the trie
+is persistent: an old handle keeps its root and its proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .keccak import keccak256
 from .rlp import RlpError, rlp_decode, rlp_encode
@@ -122,9 +127,10 @@ def _nibbles(data: bytes) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _address_path(address: bytes) -> Tuple[int, ...]:
-    """Trie path of ``address``: pure, and an immutable tuple, so safe to cache."""
-    return _nibbles(keccak256(address))
+def _address_path(address: bytes) -> bytes:
+    """Trie path of ``address``, one nibble per byte: pure and immutable, so
+    safe to cache, and its slices are the compact node paths."""
+    return bytes(_nibbles(keccak256(address)))
 
 
 def hp_encode(nibbles, is_leaf: bool) -> bytes:
@@ -167,153 +173,139 @@ def _common_prefix(a, b) -> int:
     return i
 
 
+class _Node:
+    """Immutable trie node; its encoding and digest are computed on first use."""
+
+    __slots__ = ("_encoding", "_digest")
+
+    def encoding(self) -> bytes:
+        if self._encoding is None:
+            self._encoding = rlp_encode(self._items())
+        return self._encoding
+
+    def digest(self) -> bytes:
+        if self._digest is None:
+            self._digest = keccak256(self.encoding())
+        return self._digest
+
+
+class _Leaf(_Node):
+    __slots__ = ("path", "value")
+
+    def __init__(self, path, value: bytes):
+        self.path = path
+        self.value = value
+        self._encoding = self._digest = None
+
+    def _items(self):
+        return [hp_encode(self.path, True), self.value]
+
+
+class _Extension(_Node):
+    __slots__ = ("path", "child")
+
+    def __init__(self, path, child: _Node):
+        self.path = path
+        self.child = child
+        self._encoding = self._digest = None
+
+    def _items(self):
+        return [hp_encode(self.path, False), self.child.digest()]
+
+
+class _Branch(_Node):
+    """16 children, one per nibble; the value slot is always empty, because
+    every key is a full 64-nibble path and so never ends at a branch."""
+
+    __slots__ = ("children",)
+
+    def __init__(self, children: Tuple[Optional[_Node], ...]):
+        self.children = children
+        self._encoding = self._digest = None
+
+    def _items(self):
+        return [b"" if c is None else c.digest() for c in self.children] + [b""]
+
+
+def _insert(node: Optional[_Node], path, value: bytes) -> _Node:
+    """Path-copy ``node`` with ``value`` stored under ``path``; hashes nothing."""
+    if node is None:
+        return _Leaf(path, value)
+    if isinstance(node, _Branch):
+        children = list(node.children)
+        children[path[0]] = _insert(children[path[0]], path[1:], value)
+        return _Branch(tuple(children))
+    split = _common_prefix(node.path, path)
+    if isinstance(node, _Leaf):
+        if split == len(path):
+            return _Leaf(path, value)
+        old = _Leaf(node.path[split + 1:], node.value)
+    else:
+        if split == len(node.path):
+            return _Extension(node.path, _insert(node.child, path[split:], value))
+        ext_rest = node.path[split + 1:]
+        old = _Extension(ext_rest, node.child) if ext_rest else node.child
+    children = [None] * 16
+    children[node.path[split]] = old
+    children[path[split]] = _Leaf(path[split + 1:], value)
+    branch = _Branch(tuple(children))
+    return _Extension(path[:split], branch) if split else branch
+
+
 class Trie:
-    """Persistent account trie handle: (shared node store, root hash)."""
+    """Persistent account trie handle over immutable, lazily hashed nodes."""
 
-    __slots__ = ("_store", "root_hash")
+    __slots__ = ("_root",)
 
-    def __init__(self, store=None, root_hash: Optional[bytes] = None):
-        self._store = {} if store is None else store
-        self.root_hash = root_hash
-
-    def _put_node(self, node) -> bytes:
-        encoded = rlp_encode(node)
-        h = keccak256(encoded)
-        self._store[h] = encoded
-        return h
-
-    def _get_node(self, h: bytes):
-        return rlp_decode(self._store[h])
+    def __init__(self, root: Optional[_Node] = None):
+        self._root = root
 
     def root(self) -> bytes:
-        if self.root_hash is None:
+        """State root; hashes only the nodes no earlier call has hashed."""
+        if self._root is None:
             return EMPTY_ROOT
-        return self.root_hash
-
-    # -- update ----------------------------------------------------------
+        return self._root.digest()
 
     def update(self, address: bytes, acct: AccountLeaf) -> "Trie":
         """Insert or overwrite an account; returns a new trie handle."""
         if len(address) != 20:
             raise ValueError("address must be 20 bytes")
-        path = _address_path(address)
         value = encode_account_leaf(acct)
-        new_root = self._insert(self.root_hash, path, value)
-        return Trie(store=self._store, root_hash=new_root)
-
-    def _insert(self, node_hash: Optional[bytes], path, value: bytes) -> bytes:
-        if node_hash is None:
-            return self._put_node([hp_encode(path, True), value])
-        node = self._get_node(node_hash)
-        if len(node) == 17:
-            return self._insert_branch(node, path, value)
-        node_path, is_leaf = hp_decode(node[0])
-        if is_leaf:
-            return self._insert_at_leaf(node_path, node[1], path, value)
-        return self._insert_at_extension(node_path, node[1], path, value)
-
-    def _insert_branch(self, node, path, value: bytes) -> bytes:
-        node = list(node)
-        if not path:
-            node[16] = value
-        else:
-            child = node[path[0]] or None
-            node[path[0]] = self._insert(child, path[1:], value)
-        return self._put_node(node)
-
-    def _branch_with(self, entries, stored_value: bytes = b"") -> bytes:
-        """Build a branch node from {first_nibble: child_hash} entries."""
-        node = [b""] * 16 + [stored_value]
-        for nib, child in entries.items():
-            node[nib] = child
-        return self._put_node(node)
-
-    def _insert_at_leaf(self, old_path, old_value, path, value) -> bytes:
-        if old_path == path:
-            return self._put_node([hp_encode(path, True), value])
-        split = _common_prefix(old_path, path)
-        entries = {}
-        stored = b""
-        for sub_path, sub_value in ((old_path, old_value), (path, value)):
-            rest = sub_path[split:]
-            if not rest:
-                stored = sub_value
-            else:
-                entries[rest[0]] = self._put_node(
-                    [hp_encode(rest[1:], True), sub_value]
-                )
-        branch = self._branch_with(entries, stored)
-        if split:
-            return self._put_node([hp_encode(path[:split], False), branch])
-        return branch
-
-    def _insert_at_extension(self, ext_path, child_hash, path, value) -> bytes:
-        split = _common_prefix(ext_path, path)
-        if split == len(ext_path):
-            new_child = self._insert(child_hash, path[split:], value)
-            return self._put_node([hp_encode(ext_path, False), new_child])
-        # Split the extension at the divergence point.
-        entries = {}
-        ext_rest = ext_path[split:]
-        if len(ext_rest) == 1:
-            entries[ext_rest[0]] = child_hash
-        else:
-            entries[ext_rest[0]] = self._put_node(
-                [hp_encode(ext_rest[1:], False), child_hash]
-            )
-        new_rest = path[split:]
-        stored = b""
-        if not new_rest:
-            stored = value
-        else:
-            entries[new_rest[0]] = self._put_node(
-                [hp_encode(new_rest[1:], True), value]
-            )
-        branch = self._branch_with(entries, stored)
-        if split:
-            return self._put_node([hp_encode(path[:split], False), branch])
-        return branch
+        return Trie(_insert(self._root, _address_path(address), value))
 
     # -- lookup / proofs ---------------------------------------------------
 
-    def _walk(self, address: bytes):
-        """Follow an address path; yields the raw node encodings visited."""
-        if self.root_hash is None:
+    def _walk(self, address: bytes) -> List[_Node]:
+        """Follow an address path; returns the nodes from root to leaf."""
+        node = self._root
+        if node is None:
             raise NotFoundError(f"address {address.hex()} not in empty trie")
         path = _address_path(address)
-        node_hash = self.root_hash
         idx = 0
-        stack = []
-        while True:
-            encoded = self._store[node_hash]
-            stack.append(encoded)
-            node = rlp_decode(encoded)
-            if len(node) == 17:
-                if idx == len(path):
-                    raise NotFoundError("path exhausted at branch")
-                ref = node[path[idx]]
-                if not ref:
+        stack = [node]
+        while not isinstance(node, _Leaf):
+            if isinstance(node, _Branch):
+                node = node.children[path[idx]]
+                if node is None:
                     raise NotFoundError(f"address {address.hex()} not present")
-                node_hash = ref
                 idx += 1
-                continue
-            node_path, is_leaf = hp_decode(node[0])
-            if tuple(path[idx : idx + len(node_path)]) != node_path:
-                raise NotFoundError(f"address {address.hex()} not present")
-            idx += len(node_path)
-            if is_leaf:
-                if idx != len(path):
-                    raise NotFoundError("leaf path too short")
-                return stack, node[1]
-            node_hash = node[1]
+            else:
+                if path[idx:idx + len(node.path)] != node.path:
+                    raise NotFoundError(f"address {address.hex()} not present")
+                idx += len(node.path)
+                node = node.child
+            stack.append(node)
+        if path[idx:] != node.path:
+            raise NotFoundError(f"address {address.hex()} not present")
+        return stack
 
     def get(self, address: bytes) -> AccountLeaf:
-        _, payload = self._walk(address)
-        return decode_account_leaf(payload)
+        return decode_account_leaf(self._walk(address)[-1].value)
 
     def prove(self, address: bytes) -> "MptProof":
-        stack, _ = self._walk(address)
-        return MptProof(address=address, node_stack=tuple(stack))
+        stack = self._walk(address)
+        return MptProof(address=address,
+                        node_stack=tuple(n.encoding() for n in stack))
 
 
 def trie_update(trie: Trie, address: bytes, acct: AccountLeaf) -> Trie:
@@ -355,6 +347,12 @@ class MptProof:
             "nodes": ["0x" + n.hex() for n in self.node_stack],
         }
 
+    @property
+    def leaf_rlp(self) -> bytes:
+        """The account leaf the stack ends in, unverified: every trie value
+        is a 112-byte leaf, and it is the last item of the last node."""
+        return self.node_stack[-1][-LEAF_LEN:]
+
     @classmethod
     def from_json(cls, obj: dict) -> "MptProof":
         return cls(
@@ -368,12 +366,20 @@ class MptProof:
 
 
 def verify_account_proof(state_root: bytes, address: bytes,
-                         proof: MptProof) -> AccountLeaf:
+                         proof: MptProof,
+                         digests: Optional[Dict[bytes, bytes]] = None
+                         ) -> AccountLeaf:
     """Re-hash and re-walk a proof; returns the proven account or raises.
 
     Any altered byte in the nodes, address, or claimed root flips a hash
     or diverts the nibble path, and is reported with its cause.
+
+    ``digests`` memoizes keccak256 by node encoding; a verifier checking
+    many proofs passes one dict to all of them, so a node they share (a
+    root, an unchanged subtree) is hashed once. It caches a pure function:
+    every node is still compared with the hash its parent names.
     """
+    memo = {} if digests is None else digests
     if len(address) != 20:
         raise VerificationError("address must be 20 bytes")
     if proof.address != address:
@@ -384,7 +390,10 @@ def verify_account_proof(state_root: bytes, address: bytes,
     expected_hash = state_root
     idx = 0
     for depth, encoded in enumerate(proof.node_stack):
-        if keccak256(encoded) != expected_hash:
+        digest = memo.get(encoded)
+        if digest is None:
+            digest = memo[encoded] = keccak256(encoded)
+        if digest != expected_hash:
             cause = "root hash mismatch" if depth == 0 else "hash mismatch"
             raise VerificationError(f"{cause} at node {depth}")
         try:
@@ -433,8 +442,12 @@ def _int_rlp(i: int) -> bytes:
     return i.to_bytes((i.bit_length() + 7) // 8, "big")
 
 
+@lru_cache(maxsize=16)
 def header_digest(height: int, parent_hash: bytes, timestamp: int,
                   state_root: bytes) -> bytes:
+    """Keccak of the RLP header. A proposal is hashed by its votes, by the
+    block producer and by the chain it is appended to, one call after the
+    other, so a small cache makes that one hash."""
     return keccak256(
         rlp_encode([_int_rlp(height), parent_hash, _int_rlp(timestamp), state_root])
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privamm.trie as trie_mod
 from privamm.keccak import keccak256
 from privamm.rlp import rlp_encode
 from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, ChainError,
@@ -174,6 +175,91 @@ def test_proof_json_round_trip():
     proof = prove_account(t, addr(2), block_height=9, header_hash=b"\xab" * 32)
     restored = type(proof).from_json(proof.to_json())
     assert restored == proof
+
+
+# -- lazily hashed nodes ------------------------------------------------------------
+
+def test_old_handle_root_and_proofs_survive_later_updates():
+    hashed = build_populated(16)
+    root = trie_root(hashed)
+    proofs = {i: prove_account(hashed, addr(i)) for i in range(1, 17)}
+    unhashed = trie_update(hashed, addr(2), leaf(1))  # root not read yet
+    later = unhashed
+    for i in range(1, 17, 3):
+        later = trie_update(later, addr(i), leaf(i, nonce=1))
+    later = trie_update(later, addr(99), leaf(5))
+    trie_root(later)
+    assert trie_root(hashed) == root
+    for i, proof in proofs.items():
+        assert prove_account(hashed, addr(i)) == proof
+        assert verify_account_proof(root, addr(i), proof).balance == i * 1000
+    with pytest.raises(NotFoundError):
+        hashed.get(addr(99))
+    rebuilt = trie_update(build_populated(16), addr(2), leaf(1))
+    assert trie_root(unhashed) == trie_root(rebuilt)
+    assert unhashed.prove(addr(2)) == rebuilt.prove(addr(2))
+
+
+def test_batch_of_updates_matches_fresh_build_in_other_order():
+    rng = random.Random(7)
+    accounts = {addr(i): leaf(rng.randrange(1, 2**64)) for i in range(1, 41)}
+    t = Trie()
+    for a, acct in accounts.items():
+        t = trie_update(t, a, acct)
+    trie_root(t)
+    for i in rng.sample(range(1, 61), 15):
+        accounts[addr(i)] = leaf(rng.randrange(1, 2**64), nonce=1)
+        t = trie_update(t, addr(i), accounts[addr(i)])
+    order = list(accounts)
+    rng.shuffle(order)
+    fresh = Trie()
+    for a in order:
+        fresh = trie_update(fresh, a, accounts[a])
+    assert trie_root(t) == trie_root(fresh)
+    for a in accounts:
+        assert t.prove(a) == fresh.prove(a)
+
+
+def test_root_hashes_each_dirty_node_once(monkeypatch):
+    t = build_populated(200)
+    trie_root(t)
+    targets = [addr(i) for i in (3, 50, 51, 120, 199)]
+    for n, a in enumerate(targets):
+        t = trie_update(t, a, leaf(7 + n, nonce=1))
+    hashed = []
+    real = trie_mod.keccak256
+    monkeypatch.setattr(trie_mod, "keccak256",
+                        lambda data: hashed.append(data) or real(data))
+    root = trie_root(t)
+    monkeypatch.undo()
+    on_paths = {node for a in targets for node in t.prove(a).node_stack}
+    assert sorted(hashed) == sorted(on_paths)
+    assert root == keccak256(t.prove(targets[0]).node_stack[0])
+
+
+def test_proof_leaf_is_the_encoded_account():
+    t = build_populated(12)
+    for i in range(1, 13):
+        assert t.prove(addr(i)).leaf_rlp == encode_account_leaf(t.get(addr(i)))
+
+
+def test_shared_digest_memo_still_rejects_every_tamper():
+    t = build_populated(8)
+    root = trie_root(t)
+    digests = {}
+    verify_account_proof(root, addr(5), prove_account(t, addr(5)), digests)
+    assert digests
+    proof = prove_account(t, addr(3))
+    for node_idx, node in enumerate(proof.node_stack):
+        for byte_idx in range(len(node)):
+            mutated = bytearray(node)
+            mutated[byte_idx] ^= 0x01
+            stack = list(proof.node_stack)
+            stack[node_idx] = bytes(mutated)
+            bad = type(proof)(address=proof.address, node_stack=tuple(stack))
+            with pytest.raises(VerificationError):
+                verify_account_proof(root, addr(3), bad, digests)
+    assert verify_account_proof(root, addr(3), proof, digests).balance == 3000
 
 
 # -- header chain -----------------------------------------------------------------
