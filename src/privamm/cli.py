@@ -176,7 +176,6 @@ class _Verifier:
         return roots
 
     def _verify_proofs(self, events, vk, roots) -> None:
-        digests: dict = {}  # node encoding -> keccak256, shared by all proofs
         ok = True
         bad = ""
         count = 0
@@ -199,7 +198,7 @@ class _Verifier:
                 break
             try:
                 leaf = trie_mod.verify_account_proof(
-                    roots[mpt.header_hash], mpt.address, mpt, digests
+                    roots[mpt.header_hash], mpt.address, mpt
                 )
             except trie_mod.VerificationError as exc:
                 ok, bad = False, f"account proof for {ev['actor']}: {exc}"

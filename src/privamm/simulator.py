@@ -57,7 +57,6 @@ def peer_address(peer_id: str) -> bytes:
     return keccak256(b"account:" + peer_id.encode())[:20]
 
 
-@lru_cache(maxsize=256)
 def _load_address(shard_id: str) -> bytes:
     return keccak256(b"load:" + shard_id.encode())[:20]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .keccak import keccak256
 from .rlp import RlpError, rlp_decode, rlp_encode
@@ -365,21 +365,21 @@ class MptProof:
         )
 
 
+@lru_cache(maxsize=4096)
+def _node_digest(encoded: bytes) -> bytes:
+    """Keccak of a proof node's encoding. Proofs checked one after another
+    share nodes (the root at a height, unchanged subtrees), so a bounded
+    cache of this pure function hashes each of those once."""
+    return keccak256(encoded)
+
+
 def verify_account_proof(state_root: bytes, address: bytes,
-                         proof: MptProof,
-                         digests: Optional[Dict[bytes, bytes]] = None
-                         ) -> AccountLeaf:
+                         proof: MptProof) -> AccountLeaf:
     """Re-hash and re-walk a proof; returns the proven account or raises.
 
     Any altered byte in the nodes, address, or claimed root flips a hash
     or diverts the nibble path, and is reported with its cause.
-
-    ``digests`` memoizes keccak256 by node encoding; a verifier checking
-    many proofs passes one dict to all of them, so a node they share (a
-    root, an unchanged subtree) is hashed once. It caches a pure function:
-    every node is still compared with the hash its parent names.
     """
-    memo = {} if digests is None else digests
     if len(address) != 20:
         raise VerificationError("address must be 20 bytes")
     if proof.address != address:
@@ -390,10 +390,7 @@ def verify_account_proof(state_root: bytes, address: bytes,
     expected_hash = state_root
     idx = 0
     for depth, encoded in enumerate(proof.node_stack):
-        digest = memo.get(encoded)
-        if digest is None:
-            digest = memo[encoded] = keccak256(encoded)
-        if digest != expected_hash:
+        if _node_digest(encoded) != expected_hash:
             cause = "root hash mismatch" if depth == 0 else "hash mismatch"
             raise VerificationError(f"{cause} at node {depth}")
         try:

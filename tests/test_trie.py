@@ -243,12 +243,12 @@ def test_proof_leaf_is_the_encoded_account():
         assert t.prove(addr(i)).leaf_rlp == encode_account_leaf(t.get(addr(i)))
 
 
-def test_shared_digest_memo_still_rejects_every_tamper():
+def test_warm_node_digest_cache_still_rejects_every_tamper():
     t = build_populated(8)
     root = trie_root(t)
-    digests = {}
-    verify_account_proof(root, addr(5), prove_account(t, addr(5)), digests)
-    assert digests
+    trie_mod._node_digest.cache_clear()
+    verify_account_proof(root, addr(5), prove_account(t, addr(5)))
+    assert trie_mod._node_digest.cache_info().currsize > 0
     proof = prove_account(t, addr(3))
     for node_idx, node in enumerate(proof.node_stack):
         for byte_idx in range(len(node)):
@@ -258,8 +258,8 @@ def test_shared_digest_memo_still_rejects_every_tamper():
             stack[node_idx] = bytes(mutated)
             bad = type(proof)(address=proof.address, node_stack=tuple(stack))
             with pytest.raises(VerificationError):
-                verify_account_proof(root, addr(3), bad, digests)
-    assert verify_account_proof(root, addr(3), proof, digests).balance == 3000
+                verify_account_proof(root, addr(3), bad)
+    assert verify_account_proof(root, addr(3), proof).balance == 3000
 
 
 # -- header chain -----------------------------------------------------------------
