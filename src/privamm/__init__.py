@@ -27,7 +27,7 @@ from .mpc import (SCALE, AdditiveShare, BeaverTriple, MpcSession, P_MPC,
 from .rlp import rlp_decode, rlp_encode
 from .trie import (AccountLeaf, BlockHeader, HeaderChain, MptProof, Trie,
                    check_freshness, encode_account_leaf, prove_account,
-                   trie_root, trie_update, verify_account_proof)
+                   verify_account_proof)
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,5 @@ __all__ = [
     "encode_account_leaf", "group_setup", "keccak256", "pedersen_commit",
     "pedersen_verify_opening", "pool_init", "price_impact", "prove_account",
     "quote_buy", "quote_sell", "reconstruct", "rlp_decode", "rlp_encode",
-    "share_secret", "spot_price", "trie_root", "trie_update",
-    "verify_account_proof",
+    "share_secret", "spot_price", "verify_account_proof",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .amm import LiquidityError, Order, PoolState, quote_buy, quote_sell, spot_price
+from .amm import LiquidityError, Order, PoolState, spot_price, swap
 from .mpc import SCALE
 
 _BUY = "buy"
@@ -76,32 +76,16 @@ class AttackReport:
         }
 
 
-def _exec_buy(pool: PoolState, e: Fraction) -> Tuple[PoolState, Fraction]:
-    """Execute a buy of e; returns (new pool, money paid)."""
-    quote = quote_buy(pool, e)
-    new_e = pool.E - e
-    return PoolState(E=new_e, M=pool.C / new_e, C=pool.C), quote.amount_in
-
-
-def _exec_sell(pool: PoolState, e: Fraction) -> Tuple[PoolState, Fraction]:
-    """Execute a sell of e; returns (new pool, money received)."""
-    quote = quote_sell(pool, e)
-    new_e = pool.E + e
-    return PoolState(E=new_e, M=pool.C / new_e, C=pool.C), quote.amount_out
-
-
 def _run_sequence(pool: PoolState, sequence) -> Fraction:
     """Execute (who, side, size) steps in order; attacker money delta."""
     attacker_money = Fraction(0)
     for who, side, size in sequence:
-        if side == _BUY:
-            pool, paid = _exec_buy(pool, size)
-            if who == "attacker":
-                attacker_money -= paid
-        else:
-            pool, received = _exec_sell(pool, size)
-            if who == "attacker":
-                attacker_money += received
+        pool, quote = swap(pool, side, size)
+        if who == "attacker":
+            if side == _BUY:
+                attacker_money -= quote.amount_in
+            else:
+                attacker_money += quote.amount_out
     return attacker_money
 
 
@@ -291,8 +275,8 @@ def run_arbitrage(pool_a: PoolState, pool_b: PoolState,
                    if spot_price(pool_a) < spot_price(pool_b)
                    else (pool_b, pool_a))
     e_star = optimal_arbitrage_size(cheap, rich)
-    _, cost = _exec_buy(cheap, e_star)
-    _, proceeds = _exec_sell(rich, e_star)
-    profit = proceeds - cost
+    _, buy = swap(cheap, _BUY, e_star)
+    _, sell = swap(rich, _SELL, e_star)
+    profit = sell.amount_out - buy.amount_in
     return AttackReport(strategy="arbitrage", mode=mode, trials=1,
                         mean_profit=profit, profit_samples=(profit,))

@@ -164,6 +164,20 @@ def price_impact(pool: PoolState, e) -> Fraction:
     return impact
 
 
+def swap(pool: PoolState, side: str, e) -> Tuple[PoolState, Quote]:
+    """Trade e energy tokens with no limit: the next pool and the quote.
+
+    A buy moves the reserves to (E-e, C/(E-e)), a sell to (E+e, C/(E+e)).
+    """
+    if side == "buy":
+        quote = quote_buy(pool, e)
+        new_e = pool.E - quote.amount_out
+    else:
+        quote = quote_sell(pool, e)
+        new_e = pool.E + quote.amount_in
+    return PoolState(E=new_e, M=pool.C / new_e, C=pool.C), quote
+
+
 def apply_trade(pool: PoolState, order: Order) -> Tuple[PoolState, Quote]:
     """Execute an order, returning the new pool state and the filled quote.
 
@@ -171,21 +185,15 @@ def apply_trade(pool: PoolState, order: Order) -> Tuple[PoolState, Quote]:
     effective_price >= limit_rate. A violated limit raises OrderRejected
     and leaves the pool untouched.
     """
-    if order.side == "buy":
-        quote = quote_buy(pool, order.quantity_e)
-        if quote.effective_price > order.limit_rate:
-            raise OrderRejected(
-                f"buy limit {order.limit_rate} below effective price "
-                f"{quote.effective_price}"
-            )
-        new_e = pool.E - order.quantity_e
-    else:
-        quote = quote_sell(pool, order.quantity_e)
-        if quote.effective_price < order.limit_rate:
-            raise OrderRejected(
-                f"sell limit {order.limit_rate} above effective price "
-                f"{quote.effective_price}"
-            )
-        new_e = pool.E + order.quantity_e
-    new_state = PoolState(E=new_e, M=pool.C / new_e, C=pool.C)
+    new_state, quote = swap(pool, order.side, order.quantity_e)
+    if order.side == "buy" and quote.effective_price > order.limit_rate:
+        raise OrderRejected(
+            f"buy limit {order.limit_rate} below effective price "
+            f"{quote.effective_price}"
+        )
+    if order.side == "sell" and quote.effective_price < order.limit_rate:
+        raise OrderRejected(
+            f"sell limit {order.limit_rate} above effective price "
+            f"{quote.effective_price}"
+        )
     return new_state, quote

@@ -29,40 +29,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-try:
-    from gmpy2 import powmod as _powmod
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _powmod = pow
-
-try:
-    from gmpy2 import is_prime as _is_prime
-except ImportError:  # pragma: no cover
-    def _is_prime(n: int, _k: int = 40) -> bool:
-        if n < 2:
-            return False
-        for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            if n % small == 0:
-                return n == small
-        d, r = n - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            r += 1
-        n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
-        for i in range(_k):
-            # Bases in [2, n - 2], derived from n so the test never reads
-            # or advances the global `random` state.
-            a = _hash_stream(b"group/mr", n_bytes, i, 32) % (n - 3) + 2
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(r - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-
 
 class ParameterError(ValueError):
     """Unsupported or inconsistent group parameters."""
@@ -89,7 +55,7 @@ class GroupParams:
         if (self.p - 1) % self.q != 0:
             raise ParameterError("q must divide p - 1")
         for name, gen in (("g", self.g), ("h", self.h)):
-            if gen in (0, 1) or int(_powmod(gen, self.q, self.p)) != 1:
+            if gen in (0, 1) or pow(gen, self.q, self.p) != 1:
                 raise ParameterError(f"{name} is not an order-q subgroup element")
         if self.g == self.h:
             raise ParameterError("g and h must be distinct")
@@ -145,6 +111,34 @@ def _may_be_safe_prime(q: int) -> bool:
     return pow(2, q - 1, q) == 1 and pow(2, p - 1, p) == 1
 
 
+def _is_prime(n: int, _k: int = 40) -> bool:
+    """Miller–Rabin with 40 bases hashed from n (never the global
+    `random` state), after trial division by the primes below 40."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    n_bytes = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    for i in range(_k):
+        # Bases in [2, n - 2], derived from n.
+        a = _hash_stream(b"group/mr", n_bytes, i, 32) % (n - 3) + 2
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def group_setup(security_bits: int, seed: bytes) -> GroupParams:
     """Deterministically derive commitment-group parameters from a seed.
 
@@ -178,7 +172,7 @@ def group_setup(security_bits: int, seed: bytes) -> GroupParams:
     g_counter = 0
     while True:
         u = _hash_stream(b"group/g", seed, g_counter, 32) % p
-        g = int(_powmod(u, 2, p))
+        g = pow(u, 2, p)
         g_counter += 1
         if g != 1:
             break
@@ -186,7 +180,7 @@ def group_setup(security_bits: int, seed: bytes) -> GroupParams:
     g_bytes = g.to_bytes(32, "big")
     while True:
         u = _hash_stream(b"group/h", g_bytes, h_counter, 32) % p
-        h = int(_powmod(u, 2, p))
+        h = pow(u, 2, p)
         h_counter += 1
         if h not in (1, g):
             break

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import balance_proof, field_group, mpc, trie as trie_mod
-from .amm import Order
+from .amm import Order, PoolState
 from .field_group import GroupParams, Opening
 from .mpc import SCALE, MpcSession, P_MPC
 
@@ -89,6 +89,13 @@ class ScaledPool:
     M_s: int
     C2: int
 
+    def exact(self) -> PoolState:
+        """The exact rational curve: E = E_s/SCALE, M = C2/(SCALE*E_s),
+        C = C2/SCALE^2."""
+        return PoolState(E=Fraction(self.E_s, SCALE),
+                         M=Fraction(self.C2, SCALE * self.E_s),
+                         C=Fraction(self.C2, SCALE * SCALE))
+
     def to_json(self) -> dict:
         return {"Es": str(self.E_s), "Ms": str(self.M_s), "C2": str(self.C2)}
 
@@ -121,17 +128,16 @@ def check_share_commitment_consistency(params: GroupParams, commitment: int,
                                        x_shares, r_shares) -> bool:
     """Do the delivered shares open the on-chain commitment?
 
-    Each committee member commits to its own (x_i, r_i) pair; the
-    homomorphic product of those per-share commitments must equal the
-    commitment published on-chain. A trader or LP whose shares disagree
-    with its commitment is caught here without revealing any share.
+    Pedersen commitments are additively homomorphic, so the product of
+    per-share commitments equals one commitment to the summed shares:
+    committing to (sum x_i, sum r_i) mod q and comparing it with the
+    on-chain commitment gives the same verdict with a single commit. A
+    trader or LP whose shares disagree with its commitment is caught here
+    without revealing any share.
     """
-    per_share = [
-        field_group.pedersen_commit(params, x.value % params.q,
-                                    r.value % params.q)
-        for x, r in zip(x_shares, r_shares)
-    ]
-    return field_group.commitment_combine_many(params, per_share) == commitment
+    x = sum(share.value for share in x_shares) % params.q
+    r = sum(share.value for share in r_shares) % params.q
+    return field_group.pedersen_commit(params, x, r) == commitment
 
 
 def _fresh_account_proof(trie, chain, proof_header, address, confirmations,

@@ -5,9 +5,10 @@ register into the unique shard whose zone contains their coordinates
 (half-open rectangles: west and south edges inclusive), so sibling zones
 always tile their parent exactly. A shard that sustains mean load above
 split_tps divides along its zone's longer axis at the median peer
-coordinate, carrying pool liquidity in proportion to the reassigned
-liquidity providers; sibling shards that both fall below merge_tps fuse
-back. The masterchain records every shard head in an anchor table and
+coordinate, handing each peer and each liquidity provider's deposit to
+the child whose zone covers it; sibling shards that both fall below
+merge_tps fuse back. Pool reserves are not kept here: the simulator
+divides and sums them by the LP deposits each child carries. The masterchain records every shard head in an anchor table and
 hashes that table into its own header chain.
 
 Block production is a vote-counting abstraction of BFT consensus: a
@@ -28,7 +29,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
-from .amm import PoolState
 from .keccak import keccak256
 from .trie import BlockHeader, HeaderChain, header_digest
 
@@ -196,7 +196,7 @@ class MempoolEntry:
 
 
 class Shard:
-    """One workchain shard: chain, mempool, pool, and load history."""
+    """One workchain shard: chain, mempool, LP deposits, and load history."""
 
     def __init__(self, shard_id: str, workchain_id: int, zone: Zone,
                  genesis_timestamp: int = 0,
@@ -207,7 +207,6 @@ class Shard:
         self.zone = zone
         self.chain = HeaderChain(genesis_timestamp=genesis_timestamp)
         self.mempool: List[MempoolEntry] = []
-        self.pool: Optional[PoolState] = None
         self.lp_liquidity: Dict[str, Fraction] = {}
         self.peers: List[str] = []
         self.failed = False
@@ -393,13 +392,6 @@ def seal_anchors(master: Masterchain, timestamp: int) -> BlockHeader:
     return master.chain.append(master.anchor_root(), timestamp)
 
 
-def anchor_to_masterchain(master: Masterchain, shard: Shard,
-                          timestamp: int = 0) -> BlockHeader:
-    """Anchor a single shard head and seal it in a masterchain block."""
-    update_anchor(master, shard)
-    return seal_anchors(master, timestamp)
-
-
 def drop_anchor(master: Masterchain, shard_id: str) -> None:
     """Remove a retired shard's entry (used after splits and merges)."""
     master.anchor_table.pop(shard_id, None)
@@ -408,9 +400,8 @@ def drop_anchor(master: Masterchain, shard_id: str) -> None:
 def split_shard(workchain: Workchain, shard: Shard, peer_records,
                 genesis_timestamp: int = 0) -> Tuple[Shard, Shard]:
     """Split a shard's zone along its longer axis at the median peer
-    coordinate, reassigning peers and dividing pool liquidity in
-    proportion to each side's reassigned LP deposits (even halves when
-    no LP information exists)."""
+    coordinate, reassigning peers and LP deposits to the child whose zone
+    covers them (an LP with no peer record goes to the first child)."""
     zone = shard.zone
     lon_span = zone.east - zone.west
     lat_span = zone.north - zone.south
@@ -458,20 +449,6 @@ def split_shard(workchain: Workchain, shard: Shard, peer_records,
             target = child_a
         target.lp_liquidity[lp_id] = liquidity
 
-    if shard.pool is not None:
-        w_a = sum(child_a.lp_liquidity.values(), Fraction(0))
-        w_b = sum(child_b.lp_liquidity.values(), Fraction(0))
-        total = w_a + w_b
-        frac_a = w_a / total if total > 0 else Fraction(1, 2)
-        e_a = shard.pool.E * frac_a
-        m_a = shard.pool.M * frac_a
-        e_b = shard.pool.E - e_a
-        m_b = shard.pool.M - m_a
-        if e_a > 0 and m_a > 0:
-            child_a.pool = PoolState(E=e_a, M=m_a, C=e_a * m_a)
-        if e_b > 0 and m_b > 0:
-            child_b.pool = PoolState(E=e_b, M=m_b, C=e_b * m_b)
-
     idx = workchain.shards.index(shard)
     workchain.shards[idx : idx + 1] = [child_a, child_b]
     return child_a, child_b
@@ -490,11 +467,6 @@ def merge_shards(workchain: Workchain, child_a: Shard, child_b: Shard,
     )
     merged.peers = sorted(set(child_a.peers) | set(child_b.peers))
     merged.lp_liquidity = {**child_a.lp_liquidity, **child_b.lp_liquidity}
-    pools = [s.pool for s in (child_a, child_b) if s.pool is not None]
-    if pools:
-        e = sum((p.E for p in pools), Fraction(0))
-        m = sum((p.M for p in pools), Fraction(0))
-        merged.pool = PoolState(E=e, M=m, C=e * m)
     merged.mempool = child_a.mempool + child_b.mempool
     positions = [workchain.shards.index(child_a), workchain.shards.index(child_b)]
     for pos in sorted(positions, reverse=True):

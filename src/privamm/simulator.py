@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof, field_group, sharding, trie as trie_mod
 from .adversary import AttackReport, run_arbitrage, run_frontrun, run_sandwich
-from .amm import (LiquidityError, Order, PoolState, apply_trade,
-                  pool_init, quote_buy, quote_sell)
+from .amm import (LiquidityError, Order, OrderRejected, PoolState,
+                  apply_trade, pool_init)
 from .keccak import keccak256
 from .mpc import SCALE, MpcSession, P_MPC
 from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
@@ -61,6 +61,41 @@ def _load_address(shard_id: str) -> bytes:
     return keccak256(b"load:" + shard_id.encode())[:20]
 
 
+def _open_pool(e_s: int, m_s: int) -> Optional[ScaledPool]:
+    """A fresh curve through (e_s, m_s); None when a reserve is empty."""
+    if e_s > 0 and m_s > 0:
+        return ScaledPool(E_s=e_s, M_s=m_s, C2=e_s * m_s)
+    return None
+
+
+def split_pool(pool: Optional[ScaledPool], child_a: Shard, child_b: Shard
+               ) -> Tuple[Optional[ScaledPool], Optional[ScaledPool]]:
+    """Divide a fixed-point pool between two children by LP weight.
+
+    Each child's weight is the LP deposits it carries (even halves when
+    there are none). Child reserves are rounded to the quantity grid and
+    the second child takes the remainder, so the scaled totals equal the
+    parent's exactly: a split creates or destroys no liquidity.
+    """
+    if pool is None:
+        return None, None
+    w_a = sum(child_a.lp_liquidity.values(), Fraction(0))
+    w_b = sum(child_b.lp_liquidity.values(), Fraction(0))
+    total = w_a + w_b
+    frac_a = w_a / total if total > 0 else Fraction(1, 2)
+    e_a = round_fraction(pool.E_s * frac_a)
+    m_a = round_fraction(pool.M_s * frac_a)
+    return _open_pool(e_a, m_a), _open_pool(pool.E_s - e_a, pool.M_s - m_a)
+
+
+def merge_pools(pools) -> Optional[ScaledPool]:
+    """Sum the reserves of merging siblings' pools into one fresh curve."""
+    pools = [p for p in pools if p is not None]
+    if not pools:
+        return None
+    return _open_pool(sum(p.E_s for p in pools), sum(p.M_s for p in pools))
+
+
 @dataclass(slots=True)
 class ShardRuntime:
     """Mutable per-shard execution state beside the Shard record itself."""
@@ -69,8 +104,7 @@ class ShardRuntime:
     trie: Trie
     rng: random.Random
     session: Optional[MpcSession] = None
-    pool_pub: Optional[ScaledPool] = None
-    pool_ref: Optional[PoolState] = None
+    pool: Optional[ScaledPool] = None
     queue: List[Tuple[int, int, TradeSpec]] = dc_field(default_factory=list)
     load_proof: Optional[balance_proof.Proof] = None
     # Trie handle as of each block height; proofs are built against the
@@ -242,10 +276,7 @@ class Simulator:
             )
             if result.pool is None:
                 continue
-            rt.pool_pub = result.pool
-            rt.pool_ref = pool_init(Fraction(result.pool.E_s, SCALE),
-                                    Fraction(result.pool.M_s, SCALE))
-            rt.shard.pool = rt.pool_ref
+            rt.pool = result.pool
             for record, lp in zip(result.records, resident):
                 if record.included_in_X:
                     rt.shard.lp_liquidity[lp.lp_id] = lp.liquidity_e
@@ -353,7 +384,7 @@ class Simulator:
                       reason=reason)
 
     def _settle_one(self, rt: ShardRuntime, spec: TradeSpec, tick: int) -> bool:
-        if rt.pool_pub is None or rt.pool_ref is None:
+        if rt.pool is None:
             self._reject(tick, spec, "no pool on this shard")
             return False
         if rt.session is None:
@@ -362,29 +393,24 @@ class Simulator:
         order = Order(side=spec.side, quantity_e=spec.quantity_e,
                       limit_rate=spec.limit_rate, trader_id=spec.trader_id)
 
-        # Public-side sanity: quote against the exact reference pool. A
-        # drained reserve is a run-breaking liquidity error, a violated
+        # Public-side sanity: trade the exact curve of the published pool.
+        # A drained reserve is a run-breaking liquidity error, a violated
         # limit is an ordinary whole-order rejection.
+        pool_before = rt.pool.exact()
         try:
-            if order.side == "buy":
-                quote = quote_buy(rt.pool_ref, order.quantity_e)
-                limit_ok = quote.effective_price <= order.limit_rate
-            else:
-                quote = quote_sell(rt.pool_ref, order.quantity_e)
-                limit_ok = quote.effective_price >= order.limit_rate
+            exact_after, _ = apply_trade(pool_before, order)
         except LiquidityError as exc:
             raise SimulationError(str(exc)) from exc
-        if not limit_ok:
+        except OrderRejected:
             self._reject(tick, spec, "limit rate violated")
             return False
 
         proof_header = rt.shard.chain.header_at(
             rt.shard.chain.tip.height - self.config.confirmations
         )
-        pool_before_ref = rt.pool_ref
         try:
             trade = run_trading_phase(
-                order, peer_address(spec.trader_id), rt.pool_pub, rt.session,
+                order, peer_address(spec.trader_id), rt.pool, rt.session,
                 self.params, rt.trie_history[proof_header.height],
                 rt.shard.chain, proof_header,
                 self.pk, self.vk, confirmations=self.config.confirmations,
@@ -399,11 +425,8 @@ class Simulator:
         if not trade.finalized:
             raise SimulationError("trade neither voided nor finalized")
 
-        new_ref, _ = apply_trade(rt.pool_ref, order)
-        self._check_drift(rt.shard_id, new_ref, trade.pool_after)
-        rt.pool_ref = new_ref
-        rt.pool_pub = trade.pool_after
-        rt.shard.pool = new_ref
+        self._check_drift(rt.shard_id, exact_after, trade.pool_after)
+        rt.pool = trade.pool_after
         reveal_and_settle(trade, self.log, tick,
                           reveal_commitment=self.config.reveal_after_trade)
         self._debit_trader(rt, spec.trader_id,
@@ -413,8 +436,8 @@ class Simulator:
 
         if self.config.shadow_adversary:
             report = run_sandwich(
-                pool_before_ref, order,
-                attacker_size=pool_before_ref.E / 20,
+                pool_before, order,
+                attacker_size=pool_before.E / 20,
                 mode="committed", trials=1,
                 rng=random.Random(f"{self.seed}/shadow/{rt.shard_id}/{tick}"),
             )
@@ -422,7 +445,7 @@ class Simulator:
         return True
 
     def _check_drift(self, shard_id: str, ref: PoolState, pub: ScaledPool):
-        """The published fixed-point pool must track the exact rational one."""
+        """The MPC's published pool must sit on the exact rational curve."""
         if ref.E * SCALE != pub.E_s:
             raise SimulationError(
                 f"conservation drift on {shard_id}: energy reserve "
@@ -527,43 +550,6 @@ class Simulator:
                 self.log.emit(tick, "system", f"shard_{event['event']}",
                               **payload)
 
-    def _split_pool(self, parent: ShardRuntime, child_a: Shard,
-                    child_b: Shard) -> Dict[str, Optional[ScaledPool]]:
-        """Divide the parent's fixed-point pool by LP weight, exactly.
-
-        Child reserves are re-snapped to the quantity grid; the scaled
-        totals across both children equal the parent's exactly, so no
-        liquidity is created or destroyed by a split.
-        """
-        if parent.pool_pub is None:
-            return {child_a.shard_id: None, child_b.shard_id: None}
-        w_a = sum(child_a.lp_liquidity.values(), Fraction(0))
-        w_b = sum(child_b.lp_liquidity.values(), Fraction(0))
-        total = w_a + w_b
-        frac_a = w_a / total if total > 0 else Fraction(1, 2)
-        e_a = round_fraction(parent.pool_pub.E_s * frac_a)
-        m_a = round_fraction(parent.pool_pub.M_s * frac_a)
-        e_b = parent.pool_pub.E_s - e_a
-        m_b = parent.pool_pub.M_s - m_a
-        pools = {}
-        for child, e_s, m_s in ((child_a, e_a, m_a), (child_b, e_b, m_b)):
-            if e_s > 0 and m_s > 0:
-                pools[child.shard_id] = ScaledPool(E_s=e_s, M_s=m_s,
-                                                   C2=e_s * m_s)
-            else:
-                pools[child.shard_id] = None
-        return pools
-
-    def _adopt_pool(self, rt: ShardRuntime, pool: Optional[ScaledPool]):
-        rt.pool_pub = pool
-        if pool is None:
-            rt.pool_ref = None
-            rt.shard.pool = None
-        else:
-            rt.pool_ref = pool_init(Fraction(pool.E_s, SCALE),
-                                    Fraction(pool.M_s, SCALE))
-            rt.shard.pool = rt.pool_ref
-
     def _retire_runtime(self, shard_id: str) -> ShardRuntime:
         rt = self.runtimes.pop(shard_id)
         if rt.session is not None:
@@ -585,12 +571,11 @@ class Simulator:
         parent_rt = self._retire_runtime(event["parent"])
         child_a = self.topology.shard_by_id(event["children"][0])
         child_b = self.topology.shard_by_id(event["children"][1])
-        pools = self._split_pool(parent_rt, child_a, child_b)
-        for child in (child_a, child_b):
+        pools = split_pool(parent_rt.pool, child_a, child_b)
+        for child, pool in zip((child_a, child_b), pools):
             rt = self._build_runtime(child, tick)
             self.runtimes[child.shard_id] = rt
-            self._adopt_pool(rt, pools[child.shard_id])
-            rt.txs_total = 0
+            rt.pool = pool
         self._route_queue(parent_rt.queue)
 
     def _apply_merge(self, event: dict, tick: int):
@@ -598,11 +583,7 @@ class Simulator:
         merged = self.topology.shard_by_id(event["merged"])
         rt = self._build_runtime(merged, tick)
         self.runtimes[merged.shard_id] = rt
-        pools = [r.pool_pub for r in retired if r.pool_pub is not None]
-        if pools:
-            e_s = sum(p.E_s for p in pools)
-            m_s = sum(p.M_s for p in pools)
-            self._adopt_pool(rt, ScaledPool(E_s=e_s, M_s=m_s, C2=e_s * m_s))
+        rt.pool = merge_pools(r.pool for r in retired)
         self._route_queue([item for r in retired for item in r.queue])
 
     # -- adversary experiments -------------------------------------------------
@@ -666,7 +647,7 @@ class Simulator:
                 "anchorRounds": rt.anchor_rounds,
                 "txs": rt.txs_total,
                 "tradesSettled": rt.trades_settled,
-                "pool": rt.pool_pub.to_json() if rt.pool_pub else None,
+                "pool": rt.pool.to_json() if rt.pool else None,
             })
         master = self.topology.master
         return {

@@ -308,14 +308,6 @@ class Trie:
                         node_stack=tuple(n.encoding() for n in stack))
 
 
-def trie_update(trie: Trie, address: bytes, acct: AccountLeaf) -> Trie:
-    return trie.update(address, acct)
-
-
-def trie_root(trie: Trie) -> bytes:
-    return trie.root()
-
-
 def prove_account(trie: Trie, address: bytes,
                   block_height: Optional[int] = None,
                   header_hash: Optional[bytes] = None) -> "MptProof":
@@ -523,11 +515,6 @@ class HeaderChain:
         if not 0 <= height < len(self.headers):
             raise ChainError(f"no header at height {height}")
         return self.headers[height]
-
-
-def append_block(chain: HeaderChain, state_root: bytes,
-                 timestamp: int) -> BlockHeader:
-    return chain.append(state_root, timestamp)
 
 
 def check_freshness(chain: HeaderChain, proof_header: BlockHeader,

@@ -31,9 +31,9 @@ from privamm.scenario import load_scenario
 from privamm.sharding import Zone, zones_tile
 from privamm.simulator import Simulator
 from privamm.trie import (AccountLeaf, BlockHeader, HeaderChain, Trie,
-                          UnforgeabilityError, VerificationError, append_block,
+                          UnforgeabilityError, VerificationError,
                           check_freshness, encode_account_leaf, prove_account,
-                          trie_update, verify_account_proof)
+                          verify_account_proof)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -149,11 +149,11 @@ def test_c3_liquidity_totals_reveal_no_individual_deposit():
             address = f"lp{case}-{j}".encode().ljust(20, b"\x00")
             lps.append(LpDeposit(f"lp{j}", address, Fraction(s, SCALE)))
             balance = s + rng.randint(10**12, 10**13)
-            trie = trie_update(trie, address, AccountLeaf(nonce=0,
-                                                          balance=balance))
+            trie = trie.update(address, AccountLeaf(nonce=0,
+                                                    balance=balance))
         chain = HeaderChain(genesis_state_root=trie.root())
         for h in range(1, 3):
-            append_block(chain, trie.root(), h)
+            chain.append(trie.root(), h)
         session = MpcSession(4, GROUP.q, seed=rng.randrange(2**63))
         log = RunLog()
         result = run_init_phase(
@@ -336,7 +336,7 @@ def test_c6_state_proofs_and_freshness_are_sound():
                      rng.sample(items, 64), rng.sample(items, 64)):
         trie = Trie()
         for address, leaf in ordering:
-            trie = trie_update(trie, address, leaf)
+            trie = trie.update(address, leaf)
         roots.add(trie.root())
     assert len(roots) == 1
     base_trie, (root,) = trie, roots
@@ -362,7 +362,7 @@ def test_c6_state_proofs_and_freshness_are_sound():
     # Freshness boundaries are exact in both dimensions.
     chain = HeaderChain(genesis_state_root=root)
     for h in range(1, 13):
-        append_block(chain, root, h * 10)
+        chain.append(root, h * 10)
     header = chain.header_at(6)  # timestamp 60, six blocks on top
     assert check_freshness(chain, header, confirmations=6, window=40, now=100)
     assert not check_freshness(chain, header, confirmations=7, window=40,

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from privamm import balance_proof
+from privamm import balance_proof, mpc
 from privamm.amm import Order, apply_trade, pool_init
-from privamm.field_group import Opening, group_setup, pedersen_verify_opening
+from privamm.field_group import (Opening, commitment_combine_many,
+                                 group_setup, pedersen_commit,
+                                 pedersen_verify_opening)
 from privamm.mpc import P_MPC, SCALE, MpcSession
 from privamm.protocol import (LpDeposit, PhaseError, RevealError, RunLog,
-                              ScaledPool, reveal_and_settle, round_fraction,
+                              ScaledPool, check_share_commitment_consistency,
+                              reveal_and_settle, round_fraction,
                               run_init_phase, run_trading_phase,
                               scale_quantity)
-from privamm.trie import (AccountLeaf, HeaderChain, Trie, append_block,
-                          trie_update)
+from privamm.trie import AccountLeaf, HeaderChain, Trie
 
 PARAMS = group_setup(256, seed="protocol-tests")
 PK, VK = balance_proof.setup(balance_proof.circuit_build(), b"protocol-tests")
@@ -35,10 +37,10 @@ def addr(name: str) -> bytes:
 def build_ledger(balances, confirmations=CONFIRMATIONS):
     trie = Trie()
     for name, bal in balances.items():
-        trie = trie_update(trie, addr(name), AccountLeaf(nonce=0, balance=bal))
+        trie = trie.update(addr(name), AccountLeaf(nonce=0, balance=bal))
     chain = HeaderChain(genesis_state_root=trie.root(), genesis_timestamp=0)
     for i in range(1, confirmations + 1):
-        append_block(chain, trie.root(), i)
+        chain.append(trie.root(), i)
     return trie, chain, chain.header_at(0)
 
 
@@ -81,6 +83,41 @@ def test_round_fraction_ties_to_even():
 def test_scaled_pool_json_keys():
     pool = ScaledPool(E_s=1, M_s=2, C2=2)
     assert pool.to_json() == {"Es": "1", "Ms": "2", "C2": "2"}
+
+
+def test_scaled_pool_exact_curve():
+    opened = ScaledPool(E_s=300 * SCALE, M_s=600 * SCALE,
+                        C2=300 * SCALE * 600 * SCALE)
+    assert opened.exact() == pool_init(300, 600)
+    # After a trade M_s is rounded, but the exact curve runs through C2.
+    traded = ScaledPool(E_s=270 * SCALE, M_s=666_666_667, C2=opened.C2)
+    assert traded.exact().M == Fraction(2000, 3)
+    order = Order(side="buy", quantity_e=Fraction(30), limit_rate=Fraction(100))
+    assert apply_trade(opened.exact(), order)[0] == traded.exact()
+
+
+# -- share checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_share_check_matches_per_share_commitments(n):
+    rng = random.Random(f"share-check/{n}")
+    q = PARAMS.q
+    for trial in range(20):
+        x, r = rng.randrange(q), rng.randrange(q)
+        commitment = pedersen_commit(PARAMS, x, r)
+        x_shares = mpc.share_secret(x, n, rng, q)
+        r_shares = mpc.share_secret(r, n, rng, q)
+        if trial % 2:
+            k = rng.randrange(n)
+            bad = x_shares[k]
+            x_shares[k] = mpc.AdditiveShare(bad.party_id,
+                                            (bad.value + 1 + trial) % q, q)
+        per_share = [pedersen_commit(PARAMS, xs.value, rs.value)
+                     for xs, rs in zip(x_shares, r_shares)]
+        reference = commitment_combine_many(PARAMS, per_share) == commitment
+        assert reference == (trial % 2 == 0)
+        assert check_share_commitment_consistency(
+            PARAMS, commitment, x_shares, r_shares) is reference
 
 
 # -- init phase ---------------------------------------------------------------

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privamm import balance_proof
-from privamm.amm import PoolState
 from privamm.keccak import keccak256
 from privamm.sharding import (AnchorError, Committee, CommitteeError,
                               MempoolEntry, PeerRecord, RegistrationError,
                               Topology, Vote, Workchain, Zone,
-                              ZoneError, anchor_to_masterchain, drop_anchor,
+                              ZoneError, drop_anchor,
                               fail_region, honest_votes, merge_shards,
                               produce_block, rebalance_shards, recover_region,
                               register_peer, seal_anchors, select_committee,
@@ -249,7 +248,8 @@ def test_anchor_records_head_and_seals_block():
     root = keccak256(b"state-1")
     votes = honest_votes(committee, shard, root, timestamp=10)
     produce_block(shard, committee, votes, root, timestamp=10)
-    header = anchor_to_masterchain(topo.master, shard, timestamp=10)
+    update_anchor(topo.master, shard)
+    header = seal_anchors(topo.master, timestamp=10)
     entry = topo.master.anchor_table["shard-0"]
     assert entry["height"] == 1
     assert entry["hash"] == "0x" + shard.chain.tip.header_hash.hex()
@@ -340,22 +340,18 @@ def test_split_midpoint_fallback_without_interior_peers():
     assert child_a.zone.east == Fraction(5)
 
 
-def test_split_divides_pool_by_lp_weight():
+def test_split_hands_each_lp_deposit_to_its_child():
     topo = make_topology()
     wc = topo.workchains[0]
     shard = wc.shards[0]
     locations = {"a": (5, 1), "b": (5, 9)}
     shard.peers = list(locations)
-    shard.lp_liquidity = {"a": Fraction(100), "b": Fraction(300)}
-    shard.pool = PoolState(E=Fraction(100), M=Fraction(1000),
-                           C=Fraction(100000))
+    shard.lp_liquidity = {"a": Fraction(100), "b": Fraction(300),
+                          "gone": Fraction(7)}
     child_a, child_b = split_shard(wc, shard, records_for(locations))
-    assert child_a.pool.E == Fraction(25) and child_a.pool.M == Fraction(250)
-    assert child_b.pool.E == Fraction(75) and child_b.pool.M == Fraction(750)
-    # Reserve totals conserved exactly; each child curve is consistent.
-    assert child_a.pool.E + child_b.pool.E == Fraction(100)
-    assert child_a.pool.M + child_b.pool.M == Fraction(1000)
-    assert child_a.pool.C == child_a.pool.E * child_a.pool.M
+    # An LP without a peer record stays with the first child.
+    assert child_a.lp_liquidity == {"a": Fraction(100), "gone": Fraction(7)}
+    assert child_b.lp_liquidity == {"b": Fraction(300)}
 
 
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
@@ -377,21 +373,18 @@ def test_split_assigns_every_peer_to_exactly_one_child(points):
         assert pid in (child_a.peers if in_a else child_b.peers)
 
 
-def test_merge_restores_parent_and_sums_pools():
+def test_merge_restores_parent():
     topo = make_topology()
     wc = topo.workchains[0]
     shard = wc.shards[0]
     locations = {"a": (5, 1), "b": (5, 9)}
     shard.peers = list(locations)
     shard.lp_liquidity = {"a": Fraction(100), "b": Fraction(100)}
-    shard.pool = PoolState(E=Fraction(100), M=Fraction(1000),
-                           C=Fraction(100000))
     child_a, child_b = split_shard(wc, shard, records_for(locations))
     merged = merge_shards(wc, child_a, child_b)
     assert merged.shard_id == "shard-0"
     assert merged.zone == Zone(0, 10, 0, 10)
-    assert merged.pool.E == Fraction(100)
-    assert merged.pool.M == Fraction(1000)
+    assert merged.lp_liquidity == shard.lp_liquidity
     assert merged.peers == ["a", "b"]
     assert wc.shards == [merged]
 

@@ -12,9 +12,9 @@ from privamm.rlp import rlp_encode
 from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, ChainError,
                           HeaderChain, MalformedLeafError, NotFoundError,
                           Trie, UnforgeabilityError, VerificationError,
-                          append_block, check_freshness, decode_account_leaf,
+                          check_freshness, decode_account_leaf,
                           encode_account_leaf, header_digest, prove_account,
-                          trie_root, trie_update, verify_account_proof)
+                          verify_account_proof)
 
 
 def addr(i: int) -> bytes:
@@ -76,37 +76,37 @@ def test_decode_rejects_damaged_markers():
 # -- trie --------------------------------------------------------------------
 
 def test_empty_root_is_keccak_of_rlp_empty():
-    assert trie_root(Trie()) == keccak256(rlp_encode(b"")) == EMPTY_ROOT
+    assert Trie().root() == keccak256(rlp_encode(b"")) == EMPTY_ROOT
 
 
 def test_single_leaf_root():
-    t = trie_update(Trie(), addr(1), leaf(10))
+    t = Trie().update(addr(1), leaf(10))
     # One account: the root node is the leaf itself.
     proof = t.prove(addr(1))
     assert len(proof.node_stack) == 1
-    assert trie_root(t) == keccak256(proof.node_stack[0])
+    assert t.root() == keccak256(proof.node_stack[0])
 
 
 def test_get_round_trip():
     t = Trie()
     for i in range(1, 20):
-        t = trie_update(t, addr(i), leaf(i * 100))
+        t = t.update(addr(i), leaf(i * 100))
     for i in range(1, 20):
         assert t.get(addr(i)).balance == i * 100
 
 
 def test_get_missing_raises():
-    t = trie_update(Trie(), addr(1), leaf(10))
+    t = Trie().update(addr(1), leaf(10))
     with pytest.raises(NotFoundError):
         t.get(addr(2))
 
 
 def test_update_is_persistent():
-    t1 = trie_update(Trie(), addr(1), leaf(10))
-    t2 = trie_update(t1, addr(1), leaf(20))
+    t1 = Trie().update(addr(1), leaf(10))
+    t2 = t1.update(addr(1), leaf(20))
     assert t1.get(addr(1)).balance == 10
     assert t2.get(addr(1)).balance == 20
-    assert trie_root(t1) != trie_root(t2)
+    assert t1.root() != t2.root()
 
 
 @given(st.integers(0, 2**32))
@@ -119,10 +119,10 @@ def test_root_insertion_order_independent(seed):
     rng.shuffle(order_b)
     t_a, t_b = Trie(), Trie()
     for a in order_a:
-        t_a = trie_update(t_a, a, accounts[a])
+        t_a = t_a.update(a, accounts[a])
     for a in order_b:
-        t_b = trie_update(t_b, a, accounts[a])
-    assert trie_root(t_a) == trie_root(t_b)
+        t_b = t_b.update(a, accounts[a])
+    assert t_a.root() == t_b.root()
 
 
 # -- proofs --------------------------------------------------------------------
@@ -130,14 +130,14 @@ def test_root_insertion_order_independent(seed):
 def build_populated(n=24):
     t = Trie()
     for i in range(1, n + 1):
-        t = trie_update(t, addr(i), leaf(i * 1000))
+        t = t.update(addr(i), leaf(i * 1000))
     return t
 
 
 def test_proof_verifies_and_decodes():
     t = build_populated()
     proof = prove_account(t, addr(7))
-    account = verify_account_proof(trie_root(t), addr(7), proof)
+    account = verify_account_proof(t.root(), addr(7), proof)
     assert account.balance == 7000
 
 
@@ -152,13 +152,13 @@ def test_proof_rejects_wrong_address():
     t = build_populated()
     proof = prove_account(t, addr(7))
     with pytest.raises(VerificationError):
-        verify_account_proof(trie_root(t), addr(8), proof)
+        verify_account_proof(t.root(), addr(8), proof)
 
 
 def test_every_single_byte_tamper_detected():
     t = build_populated(8)
     proof = prove_account(t, addr(3))
-    root = trie_root(t)
+    root = t.root()
     for node_idx, node in enumerate(proof.node_stack):
         for byte_idx in range(len(node)):
             mutated = bytearray(node)
@@ -181,22 +181,22 @@ def test_proof_json_round_trip():
 
 def test_old_handle_root_and_proofs_survive_later_updates():
     hashed = build_populated(16)
-    root = trie_root(hashed)
+    root = hashed.root()
     proofs = {i: prove_account(hashed, addr(i)) for i in range(1, 17)}
-    unhashed = trie_update(hashed, addr(2), leaf(1))  # root not read yet
+    unhashed = hashed.update(addr(2), leaf(1))  # root not read yet
     later = unhashed
     for i in range(1, 17, 3):
-        later = trie_update(later, addr(i), leaf(i, nonce=1))
-    later = trie_update(later, addr(99), leaf(5))
-    trie_root(later)
-    assert trie_root(hashed) == root
+        later = later.update(addr(i), leaf(i, nonce=1))
+    later = later.update(addr(99), leaf(5))
+    later.root()
+    assert hashed.root() == root
     for i, proof in proofs.items():
         assert prove_account(hashed, addr(i)) == proof
         assert verify_account_proof(root, addr(i), proof).balance == i * 1000
     with pytest.raises(NotFoundError):
         hashed.get(addr(99))
-    rebuilt = trie_update(build_populated(16), addr(2), leaf(1))
-    assert trie_root(unhashed) == trie_root(rebuilt)
+    rebuilt = build_populated(16).update(addr(2), leaf(1))
+    assert unhashed.root() == rebuilt.root()
     assert unhashed.prove(addr(2)) == rebuilt.prove(addr(2))
 
 
@@ -205,32 +205,32 @@ def test_batch_of_updates_matches_fresh_build_in_other_order():
     accounts = {addr(i): leaf(rng.randrange(1, 2**64)) for i in range(1, 41)}
     t = Trie()
     for a, acct in accounts.items():
-        t = trie_update(t, a, acct)
-    trie_root(t)
+        t = t.update(a, acct)
+    t.root()
     for i in rng.sample(range(1, 61), 15):
         accounts[addr(i)] = leaf(rng.randrange(1, 2**64), nonce=1)
-        t = trie_update(t, addr(i), accounts[addr(i)])
+        t = t.update(addr(i), accounts[addr(i)])
     order = list(accounts)
     rng.shuffle(order)
     fresh = Trie()
     for a in order:
-        fresh = trie_update(fresh, a, accounts[a])
-    assert trie_root(t) == trie_root(fresh)
+        fresh = fresh.update(a, accounts[a])
+    assert t.root() == fresh.root()
     for a in accounts:
         assert t.prove(a) == fresh.prove(a)
 
 
 def test_root_hashes_each_dirty_node_once(monkeypatch):
     t = build_populated(200)
-    trie_root(t)
+    t.root()
     targets = [addr(i) for i in (3, 50, 51, 120, 199)]
     for n, a in enumerate(targets):
-        t = trie_update(t, a, leaf(7 + n, nonce=1))
+        t = t.update(a, leaf(7 + n, nonce=1))
     hashed = []
     real = trie_mod.keccak256
     monkeypatch.setattr(trie_mod, "keccak256",
                         lambda data: hashed.append(data) or real(data))
-    root = trie_root(t)
+    root = t.root()
     monkeypatch.undo()
     on_paths = {node for a in targets for node in t.prove(a).node_stack}
     assert sorted(hashed) == sorted(on_paths)
@@ -245,7 +245,7 @@ def test_proof_leaf_is_the_encoded_account():
 
 def test_warm_node_digest_cache_still_rejects_every_tamper():
     t = build_populated(8)
-    root = trie_root(t)
+    root = t.root()
     trie_mod._node_digest.cache_clear()
     verify_account_proof(root, addr(5), prove_account(t, addr(5)))
     assert trie_mod._node_digest.cache_info().currsize > 0
@@ -274,8 +274,8 @@ def test_genesis_shape():
 
 def test_append_links_parents():
     chain = HeaderChain()
-    h1 = append_block(chain, b"\x01" * 32, 10)
-    h2 = append_block(chain, b"\x02" * 32, 20)
+    h1 = chain.append(b"\x01" * 32, 10)
+    h2 = chain.append(b"\x02" * 32, 20)
     assert h1.parent_hash == chain.headers[0].header_hash
     assert h2.parent_hash == h1.header_hash
     assert chain.validate() is None
@@ -283,15 +283,15 @@ def test_append_links_parents():
 
 def test_timestamp_regression_rejected():
     chain = HeaderChain()
-    append_block(chain, b"\x01" * 32, 10)
+    chain.append(b"\x01" * 32, 10)
     with pytest.raises(ChainError):
-        append_block(chain, b"\x02" * 32, 9)
+        chain.append(b"\x02" * 32, 9)
 
 
 def test_historic_mutation_detected_at_first_descendant():
     chain = HeaderChain()
     for i in range(1, 6):
-        append_block(chain, bytes([i]) * 32, i * 10)
+        chain.append(bytes([i]) * 32, i * 10)
     # Tamper with the header at height 2; its own digest no longer matches.
     victim = chain.headers[2]
     forged = type(victim).make(victim.height, victim.parent_hash,
@@ -307,7 +307,7 @@ def test_historic_mutation_detected_at_first_descendant():
 def test_parent_break_detected_at_descendant():
     chain = HeaderChain()
     for i in range(1, 6):
-        append_block(chain, bytes([i]) * 32, i * 10)
+        chain.append(bytes([i]) * 32, i * 10)
     # Replace height 2 with a self-consistent header not linked to height 3.
     victim = chain.headers[2]
     replacement = type(victim).make(victim.height, victim.parent_hash,
@@ -321,7 +321,7 @@ def test_parent_break_detected_at_descendant():
 def chain_of(heights=10, step=10):
     chain = HeaderChain(genesis_timestamp=0)
     for i in range(1, heights + 1):
-        append_block(chain, bytes([i % 256]) * 32, i * step)
+        chain.append(bytes([i % 256]) * 32, i * step)
     return chain
 
 
