@@ -9,7 +9,7 @@ Layer map (each module stands alone and composes upward):
 - ``mpc``                  -- additive shares, Beaver triples, settlement
 - ``amm``                  -- exact-rational constant-product pricing
 - ``trie``                 -- account trie, proofs, header chains, freshness
-- ``balance_proof``        -- balance-at-least statements over trie leaves
+- ``balance_proof``        -- balance >= threshold, proven by an account proof
 - ``sharding``             -- zones, committees, anchors, splits and merges
 - ``protocol``             -- init and trading phases end to end
 - ``adversary``            -- sandwich / front-run / arbitrage harness

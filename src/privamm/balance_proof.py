@@ -1,22 +1,13 @@
-"""Balance-at-Least: prove an account's balance meets a public threshold.
+"""Balance-at-least: prove that an account's balance covers a public threshold.
 
-The statement is over a canonical 112-byte account encoding. Public
-inputs are the threshold (as two 128-bit limbs k_hi, k_lo) and the
-Keccak-256 hash of the leaf (as four big-endian 64-bit limbs); the
-private witness is the leaf itself. Two constraints:
+A proof is the account's Merkle proof against a named block header, plus
+the public threshold. The verifier walks the node stack to the state root
+of that header, so the balance it reads is the one the chain committed to,
+and then checks balance >= threshold. A leaf the chain did not commit to
+fails the walk, so no proof can be built from public data alone.
 
-  1. "leaf integrity"           — Keccak-256(leaf) equals the public hash;
-  2. "balance meets threshold"  — (bal_hi > k_hi) or
-                                  (bal_hi = k_hi and bal_lo >= k_lo).
-
-The proof system follows the familiar four-algorithm shape — setup,
-key generation, prove, verify — but the backend here is a deterministic
-attestation, not a SNARK: the proof is a digest binding the verification
-key and the public inputs, emitted only after the prover checks the
-constraints. It is witness-independent by construction (two witnesses
-with the same publics yield byte-identical proofs), which serves as the
-zero-knowledge surrogate at simulation scale. A pairing-based backend
-could replace it behind the same interface.
+The proof discloses the leaf. The init threshold is a system constant, and
+a trade's proof is published only after the pool update reveals its size.
 """
 
 from __future__ import annotations
@@ -24,238 +15,86 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import lru_cache
 
-from .keccak import keccak256
-from .trie import MalformedLeafError
-
-_ATTEST_DOMAIN = b"balance-at-least/attest/v1"
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
+from .trie import (AccountLeaf, MalformedLeafError, MptProof,
+                   VerificationError, decode_account_leaf,
+                   verify_account_proof)
 
 
 class ProvingError(Exception):
-    """Constraints unsatisfied; names the first failing constraint."""
-
-
-def hash_limbs(digest: bytes) -> Tuple[int, int, int, int]:
-    """Split a 32-byte digest into four big-endian 64-bit limbs (limb 0 most
-    significant)."""
-    if len(digest) != 32:
-        raise ValueError("digest must be 32 bytes")
-    return tuple(int.from_bytes(digest[i : i + 8], "big") for i in range(0, 32, 8))
-
-
-@dataclass(frozen=True, slots=True)
-class PublicInputs:
-    k_hi: int
-    k_lo: int
-    leaf_hash: Tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if not (0 <= self.k_hi <= _MASK128 and 0 <= self.k_lo <= _MASK128):
-            raise ValueError("threshold limbs must be 128-bit unsigned")
-        if len(self.leaf_hash) != 4 or any(
-            not 0 <= limb <= _MASK64 for limb in self.leaf_hash
-        ):
-            raise ValueError("leaf_hash must be four 64-bit limbs")
-
-    @classmethod
-    def for_leaf(cls, threshold: int, leaf_rlp: bytes) -> "PublicInputs":
-        """Build publics for a given 256-bit threshold and leaf encoding."""
-        if not 0 <= threshold < 1 << 256:
-            raise ValueError("threshold must be a 256-bit unsigned integer")
-        return cls(
-            k_hi=threshold >> 128,
-            k_lo=threshold & _MASK128,
-            leaf_hash=hash_limbs(keccak256(leaf_rlp)),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "kHi": str(self.k_hi),
-            "kLo": str(self.k_lo),
-            "leafHash": [str(l) for l in self.leaf_hash],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PublicInputs":
-        return cls(
-            k_hi=int(obj["kHi"]),
-            k_lo=int(obj["kLo"]),
-            leaf_hash=tuple(int(l) for l in obj["leafHash"]),
-        )
-
-    def digest(self) -> bytes:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).digest()
-
-
-@dataclass(frozen=True, slots=True)
-class PrivateWitness:
-    leaf_rlp: bytes
-
-    def __post_init__(self):
-        if len(self.leaf_rlp) != 112:
-            raise ValueError("witness must be exactly 112 bytes")
-
-
-def decode_balance(leaf_rlp: bytes) -> Tuple[int, int]:
-    """Read the 32-byte balance at offset 3 as (high, low) 128-bit limbs."""
-    if len(leaf_rlp) != 112:
-        raise MalformedLeafError("leaf must be 112 bytes")
-    if leaf_rlp[3] != 0xA0:
-        raise MalformedLeafError("missing balance item marker at offset 3")
-    bal_hi = int.from_bytes(leaf_rlp[4:20], "big")
-    bal_lo = int.from_bytes(leaf_rlp[20:36], "big")
-    return bal_hi, bal_lo
-
-
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    name: str
-    predicate: Callable[[PrivateWitness, PublicInputs], bool]
-
-    def holds(self, witness: PrivateWitness, publics: PublicInputs) -> bool:
-        try:
-            return bool(self.predicate(witness, publics))
-        except (MalformedLeafError, ValueError):
-            return False
-
-
-@dataclass(frozen=True, slots=True)
-class ConstraintSystem:
-    name: str
-    version: int
-    constraints: Tuple[Constraint, ...]
-
-    def first_failure(self, witness: PrivateWitness,
-                      publics: PublicInputs) -> Optional[str]:
-        for c in self.constraints:
-            if not c.holds(witness, publics):
-                return c.name
-        return None
-
-    def satisfied(self, witness: PrivateWitness, publics: PublicInputs) -> bool:
-        return self.first_failure(witness, publics) is None
-
-    def digest(self) -> bytes:
-        desc = {
-            "name": self.name,
-            "version": self.version,
-            "constraints": [c.name for c in self.constraints],
-        }
-        blob = json.dumps(desc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).digest()
-
-
-def _leaf_integrity(witness: PrivateWitness, publics: PublicInputs) -> bool:
-    return hash_limbs(keccak256(witness.leaf_rlp)) == tuple(publics.leaf_hash)
-
-
-def _balance_meets_threshold(witness: PrivateWitness,
-                             publics: PublicInputs) -> bool:
-    bal_hi, bal_lo = decode_balance(witness.leaf_rlp)
-    return bal_hi > publics.k_hi or (
-        bal_hi == publics.k_hi and bal_lo >= publics.k_lo
-    )
-
-
-def circuit_build() -> ConstraintSystem:
-    """The two-constraint threshold circuit over a 112-byte account leaf."""
-    return ConstraintSystem(
-        name="balance-at-least",
-        version=1,
-        constraints=(
-            Constraint("leaf integrity", _leaf_integrity),
-            Constraint("balance meets threshold", _balance_meets_threshold),
-        ),
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class ProvingKey:
-    circuit_digest: bytes
-    salt: bytes
-    system: "ConstraintSystem"
+    """The account's balance does not cover the threshold."""
 
 
 @dataclass(frozen=True, slots=True)
 class VerificationKey:
-    circuit_digest: bytes
+    """Tag of the statement a proof claims."""
+
+    digest: bytes
 
     def to_json(self) -> dict:
-        return {"vk": "0x" + self.circuit_digest.hex()}
+        return {"vk": "0x" + self.digest.hex()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationKey":
-        return cls(circuit_digest=bytes.fromhex(obj["vk"][2:]))
+        return cls(digest=bytes.fromhex(obj["vk"][2:]))
 
 
 @dataclass(frozen=True, slots=True)
 class Proof:
-    vk_digest: bytes
-    publics: PublicInputs
-    attestation: bytes
+    vk: VerificationKey
+    threshold: int
+    account: MptProof
 
     def to_json(self) -> dict:
-        return {
-            "vk": "0x" + self.vk_digest.hex(),
-            "publics": self.publics.to_json(),
-            "attestation": "0x" + self.attestation.hex(),
-        }
+        return {**self.vk.to_json(), "threshold": str(self.threshold),
+                "account": self.account.to_json()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proof":
-        return cls(
-            vk_digest=bytes.fromhex(obj["vk"][2:]),
-            publics=PublicInputs.from_json(obj["publics"]),
-            attestation=bytes.fromhex(obj["attestation"][2:]),
-        )
+        return cls(vk=VerificationKey.from_json(obj),
+                   threshold=int(obj["threshold"]),
+                   account=MptProof.from_json(obj["account"]))
 
 
-def setup(cs: ConstraintSystem, seed: bytes) -> Tuple[ProvingKey, VerificationKey]:
-    """Derive (pk, vk) for a circuit; deterministic in (circuit, seed)."""
-    if isinstance(seed, str):
-        seed = seed.encode()
-    digest = cs.digest()
-    salt = hashlib.sha256(b"balance-at-least/setup" + seed + digest).digest()
-    pk = ProvingKey(circuit_digest=digest, salt=salt, system=cs)
-    return pk, VerificationKey(circuit_digest=digest)
+def setup() -> VerificationKey:
+    """The statement's key: a digest of its name and version."""
+    desc = {"name": "balance-at-least", "version": 2}
+    blob = json.dumps(desc, sort_keys=True, separators=(",", ":"))
+    return VerificationKey(digest=hashlib.sha256(blob.encode()).digest())
 
 
-def _attest(vk_digest: bytes, publics_digest: bytes) -> bytes:
-    return hashlib.sha256(_ATTEST_DOMAIN + vk_digest + publics_digest).digest()
+def prove(vk: VerificationKey, account: MptProof, threshold: int) -> Proof:
+    """Refuse a balance below ``threshold``; otherwise wrap the account proof.
 
-
-def prove(pk: ProvingKey, witness: PrivateWitness,
-          publics: PublicInputs) -> Proof:
-    """Check the constraints and emit a publics-bound attestation.
-
-    The output depends only on (vk, publics) — never on the witness — so
-    it carries no information beyond what the publics already state.
+    Reads the leaf the node stack ends in and hashes nothing: the prover
+    built ``account`` from its own trie, and every verifier walks it.
     """
-    if pk.circuit_digest != pk.system.digest():
-        raise ProvingError("proving key does not match its circuit")
-    failed = pk.system.first_failure(witness, publics)
-    if failed is not None:
-        raise ProvingError(f"constraint unsatisfied: {failed}")
-    return Proof(
-        vk_digest=pk.circuit_digest,
-        publics=publics,
-        attestation=_attest(pk.circuit_digest, publics.digest()),
-    )
-
-
-def verify(vk: VerificationKey, publics: PublicInputs, proof: Proof) -> bool:
-    """True iff the proof binds exactly this vk and these publics."""
+    if not 0 <= threshold < 1 << 256:
+        raise ValueError("threshold must be a 256-bit unsigned integer")
     try:
-        if proof.vk_digest != vk.circuit_digest:
-            return False
-        if proof.publics != publics:
-            return False
-        if len(proof.attestation) != 32:
-            return False
-        return proof.attestation == _attest(vk.circuit_digest, publics.digest())
-    except (AttributeError, TypeError, ValueError):
-        return False
+        balance = decode_account_leaf(account.leaf_rlp).balance
+    except MalformedLeafError as exc:
+        raise ProvingError(f"malformed leaf: {exc}") from exc
+    if balance < threshold:
+        raise ProvingError("balance below threshold")
+    return Proof(vk=vk, threshold=threshold, account=account)
+
+
+@lru_cache(maxsize=64)
+def _check(state_root: bytes, proof: Proof) -> AccountLeaf:
+    """Walk the proof to ``state_root`` and compare the proven balance with
+    the threshold. Pure, so a small cache walks a proof that many mempool
+    entries reuse once; a rejection raises, and is not cached."""
+    account = proof.account
+    leaf = verify_account_proof(state_root, account.address, account)
+    if leaf.balance < proof.threshold:
+        raise VerificationError("balance below threshold")
+    return leaf
+
+
+def verify(vk: VerificationKey, proof: Proof, state_root: bytes) -> AccountLeaf:
+    """Return the proven account, or raise VerificationError naming the cause."""
+    if proof.vk != vk:
+        raise VerificationError("proof is for another statement")
+    return _check(state_root, proof)

@@ -7,9 +7,9 @@ experiment statistics), and ``summary.json`` (group parameters,
 verification key, final shard states, and a digest of the event log).
 
 ``privamm verify DIR`` re-checks the artifacts from scratch: every block
-header digest and parent link, every balance proof against the recorded
-verification key, every account proof against the state root of the
-block it names, anchor-table completeness and its binding into the
+header digest and parent link, every balance proof (its statement tag,
+its account proof walked to the state root of the block it names, and
+balance >= threshold), anchor-table completeness and its binding into the
 masterchain, constant-product bounds on published pools, and every
 commitment opening. Exit codes: 0 success, 1 configuration or usage
 error, 2 runtime invariant or verification failure.
@@ -25,12 +25,12 @@ import os
 import sys
 from typing import List, Tuple
 
-from . import balance_proof, trie as trie_mod
+from . import balance_proof
 from .field_group import GroupParams, Opening, pedersen_verify_opening
 from .keccak import keccak256
 from .scenario import ScenarioError, load_scenario
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
-from .trie import GENESIS_PARENT, MptProof, header_digest
+from .trie import GENESIS_PARENT, header_digest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -186,31 +186,17 @@ class _Verifier:
             count += 1
             try:
                 proof = balance_proof.Proof.from_json(ev["proof"])
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 ok, bad = False, f"malformed proof: {exc}"
                 break
-            if not balance_proof.verify(vk, proof.publics, proof):
-                ok, bad = False, f"balance proof rejected for {ev['actor']}"
-                break
-            mpt = MptProof.from_json(ev["accountProof"])
-            if mpt.header_hash not in roots:
+            header_hash = proof.account.header_hash
+            if header_hash not in roots:
                 ok, bad = False, f"account proof for {ev['actor']} names an unknown header"
                 break
             try:
-                leaf = trie_mod.verify_account_proof(
-                    roots[mpt.header_hash], mpt.address, mpt
-                )
-            except trie_mod.VerificationError as exc:
-                ok, bad = False, f"account proof for {ev['actor']}: {exc}"
-                break
-            leaf_rlp = trie_mod.encode_account_leaf(leaf)
-            if balance_proof.hash_limbs(keccak256(leaf_rlp)) != proof.publics.leaf_hash:
-                ok, bad = False, f"proof leaf differs from account state for {ev['actor']}"
-                break
-            threshold = (proof.publics.k_hi << 128) | proof.publics.k_lo
-            bal_hi, bal_lo = balance_proof.decode_balance(leaf_rlp)
-            if (bal_hi << 128) | bal_lo < threshold:
-                ok, bad = False, f"balance below proven threshold for {ev['actor']}"
+                balance_proof.verify(vk, proof, roots[header_hash])
+            except balance_proof.VerificationError as exc:
+                ok, bad = False, f"balance proof for {ev['actor']}: {exc}"
                 break
         self.check(ok, f"balance and account proofs replay ({count} proofs)", bad)
 

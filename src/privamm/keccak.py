@@ -145,6 +145,3 @@ def keccak256(data: bytes) -> bytes:
         _keccak_f(lanes)
     return b"".join(lanes[i].to_bytes(8, "little") for i in range(4))
 
-
-def keccak256_hex(data: bytes) -> str:
-    return keccak256(data).hex()

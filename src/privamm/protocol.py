@@ -2,7 +2,7 @@
 
 Init: each liquidity provider publishes a Pedersen commitment to its
 deposit, proves its on-chain balance meets the public admission
-threshold (threshold circuit over a fresh account proof), and privately
+threshold (its account's Merkle proof at a fresh header), and privately
 delivers additive shares of the deposit and blinding factor to the
 committee. The deposit itself stays hidden: the proof threshold is a
 system constant, never the deposit, so no public record carries it. The
@@ -145,15 +145,14 @@ def _fresh_account_proof(trie, chain, proof_header, address, confirmations,
     """Prove the account and bind the proof to a fresh enough header."""
     if not trie_mod.check_freshness(chain, proof_header, confirmations,
                                     window, now):
-        return None, None
-    proof = trie_mod.prove_account(trie, address,
-                                   block_height=proof_header.height,
-                                   header_hash=proof_header.header_hash)
-    return proof, proof.leaf_rlp
+        return None
+    return trie_mod.prove_account(trie, address,
+                                  block_height=proof_header.height,
+                                  header_hash=proof_header.header_hash)
 
 
 def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
-                   chain, proof_header, pk, vk, confirmations: int,
+                   chain, proof_header, vk, confirmations: int,
                    window: int, now: int, m_deposit: Fraction,
                    rng: random.Random, log: RunLog, tick: int = 0,
                    threshold_e: Fraction = Fraction(1, SCALE)) -> InitResult:
@@ -187,7 +186,7 @@ def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
             log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
             continue
 
-        mpt_proof, leaf = _fresh_account_proof(
+        mpt_proof = _fresh_account_proof(
             trie, chain, proof_header, lp.address, confirmations, window, now
         )
         if mpt_proof is None:
@@ -195,23 +194,14 @@ def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
             log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
             continue
 
-        publics = balance_proof.PublicInputs.for_leaf(threshold_scaled, leaf)
         try:
-            proof = balance_proof.prove(
-                pk, balance_proof.PrivateWitness(leaf), publics
-            )
+            proof = balance_proof.prove(vk, mpt_proof, threshold_scaled)
         except balance_proof.ProvingError as exc:
             record.reason = f"balance proof failed: {exc}"
             log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
             continue
         record.proof = proof
-        verified = balance_proof.verify(vk, publics, proof)
-        log.emit(tick, lp.lp_id, "init_balance_proof",
-                 proof=proof.to_json(), verified=verified,
-                 accountProof=mpt_proof.to_json())
-        if not verified:
-            record.reason = "balance proof rejected"
-            continue
+        log.emit(tick, lp.lp_id, "init_balance_proof", proof=proof.to_json())
 
         r = rng.randrange(params.q)
         commitment = field_group.pedersen_commit(params, x_scaled % params.q, r)
@@ -250,7 +240,6 @@ class TradeSession:
     side: str
     commitment: int
     proof: balance_proof.Proof
-    account_proof: Optional[trie_mod.MptProof]
     triple_id: str
     pool_before: ScaledPool
     pool_after: Optional[ScaledPool] = None
@@ -265,7 +254,7 @@ class TradeSession:
 def run_trading_phase(order: Order, trader_address: bytes,
                       pool_pub: ScaledPool, session: MpcSession,
                       params: GroupParams, trie, chain, proof_header,
-                      pk, vk, confirmations: int, window: int, now: int,
+                      vk, confirmations: int, window: int, now: int,
                       rng: random.Random, log: RunLog, tick: int,
                       poison: bool = False) -> TradeSession:
     """Settle one committed order through the MPC path.
@@ -284,15 +273,12 @@ def run_trading_phase(order: Order, trader_address: bytes,
     if not 0 < y_locked < params.q:
         raise PhaseError("locked amount outside the exponent field")
 
-    mpt_proof, leaf = _fresh_account_proof(
+    mpt_proof = _fresh_account_proof(
         trie, chain, proof_header, trader_address, confirmations, window, now
     )
     if mpt_proof is None:
         raise PhaseError("account proof not fresh")
-    publics = balance_proof.PublicInputs.for_leaf(y_locked, leaf)
-    proof = balance_proof.prove(pk, balance_proof.PrivateWitness(leaf), publics)
-    if not balance_proof.verify(vk, publics, proof):
-        raise PhaseError("balance proof rejected")
+    proof = balance_proof.prove(vk, mpt_proof, y_locked)
 
     r_prime = rng.randrange(params.q)
     commitment = field_group.pedersen_commit(params, y_locked % params.q,
@@ -319,7 +305,6 @@ def run_trading_phase(order: Order, trader_address: bytes,
         side=order.side,
         commitment=commitment,
         proof=proof,
-        account_proof=mpt_proof,
         triple_id=triple.triple_id,
         pool_before=pool_pub,
         opening=Opening(x=y_locked % params.q, r=r_prime),
@@ -393,10 +378,8 @@ def reveal_and_settle(trade: TradeSession, log: RunLog, tick: int,
     log.emit(tick, "committee", "pool_published", **pool.to_json())
     # The pool delta already exposes the net trade size, so the proof
     # (threshold = locked amount) becomes publishable only now.
-    if trade.account_proof is not None:
-        log.emit(tick, trade.trader_id, "trade_proof_published",
-                 proof=trade.proof.to_json(),
-                 accountProof=trade.account_proof.to_json())
+    log.emit(tick, trade.trader_id, "trade_proof_published",
+             proof=trade.proof.to_json())
     if reveal_commitment and trade.opening is not None:
         log.emit(tick, trade.trader_id, "commitment_opened",
                  y=str(trade.opening.x), r=str(trade.opening.r))

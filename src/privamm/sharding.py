@@ -14,7 +14,9 @@ hashes that table into its own header chain.
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
 members vote for its exact header digest. Mempool entries carry only a
-commitment and a balance proof — never a plaintext amount.
+commitment and a balance proof — never a plaintext amount — and a proof
+is admitted only if it walks to the state root of a header on the
+shard's own chain.
 
 Zone coordinates are exact rationals so partition audits have zero
 tolerance.
@@ -49,12 +51,6 @@ class ZoneError(ValueError):
     """Zone lookup failed."""
 
 
-def _coord(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary expansion
-    return Fraction(x)
-
-
 @dataclass(frozen=True, slots=True)
 class Zone:
     """Half-open lat/lon rectangle: [west, east) x [south, north)."""
@@ -65,15 +61,15 @@ class Zone:
     north: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "west", _coord(self.west))
-        object.__setattr__(self, "east", _coord(self.east))
-        object.__setattr__(self, "south", _coord(self.south))
-        object.__setattr__(self, "north", _coord(self.north))
+        object.__setattr__(self, "west", Fraction(self.west))
+        object.__setattr__(self, "east", Fraction(self.east))
+        object.__setattr__(self, "south", Fraction(self.south))
+        object.__setattr__(self, "north", Fraction(self.north))
         if self.west >= self.east or self.south >= self.north:
             raise ZoneError("zone rectangle must have positive extent")
 
     def contains(self, lat, lon) -> bool:
-        lat, lon = _coord(lat), _coord(lon)
+        lat, lon = Fraction(lat), Fraction(lon)
         return self.west <= lon < self.east and self.south <= lat < self.north
 
     def area(self) -> Fraction:
@@ -294,7 +290,7 @@ def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
         raise RegistrationError(f"peer id {peer_id!r} already registered")
     if key in master.keys:
         raise RegistrationError(f"key {key!r} already registered")
-    lat, lon = _coord(lat), _coord(lon)
+    lat, lon = Fraction(lat), Fraction(lon)
     for wc in topology.workchains:
         shard = wc.shard_for(lat, lon)
         if shard is not None:
@@ -323,11 +319,21 @@ def submit_tx(shard: Shard, entry: MempoolEntry,
               vk: balance_proof.VerificationKey) -> dict:
     """Queue a committed order after checking its balance proof.
 
-    An invalid proof never reaches the mempool — the committee cannot be
-    poisoned into accepting a trade larger than the prover's balance.
+    The proof must name a header on this shard's chain and walk to that
+    header's state root. An invalid proof never reaches the mempool — the
+    committee cannot be poisoned into accepting a trade larger than the
+    prover's balance.
     """
-    if not balance_proof.verify(vk, entry.proof.publics, entry.proof):
-        return {"accepted": False, "reason": "invalid balance proof"}
+    account = entry.proof.account
+    headers = shard.chain.headers
+    height = account.block_height
+    if not (isinstance(height, int) and 0 <= height < len(headers)
+            and headers[height].header_hash == account.header_hash):
+        return {"accepted": False, "reason": "proof names a header off the chain"}
+    try:
+        balance_proof.verify(vk, entry.proof, headers[height].state_root)
+    except balance_proof.VerificationError as exc:
+        return {"accepted": False, "reason": f"invalid balance proof: {exc}"}
     shard.mempool.append(entry)
     return {"accepted": True, "position": len(shard.mempool) - 1}
 

@@ -138,8 +138,7 @@ class Simulator:
             "load_txs": 0,
         }
         self.params: Optional[field_group.GroupParams] = None
-        self.pk = None
-        self.vk = None
+        self.vk: Optional[balance_proof.VerificationKey] = None
         self.topology: Optional[Topology] = None
         self.runtimes: Dict[str, ShardRuntime] = {}
         # Account registry is the single source of truth; shard tries are
@@ -157,8 +156,7 @@ class Simulator:
         self.params = field_group.group_setup(
             self.config.group_bits, seed=f"group:{self.seed}"
         )
-        cs = balance_proof.circuit_build()
-        self.pk, self.vk = balance_proof.setup(cs, seed=f"setup:{self.seed}")
+        self.vk = balance_proof.setup()
         self.log.emit(0, "system", "parameters",
                       group=self.params.to_json(), vk=self.vk.to_json())
 
@@ -213,11 +211,13 @@ class Simulator:
             session = MpcSession(3 * f + 1, modulus=P_MPC,
                                  seed=f"{self.seed}/mpc/{shard.shard_id}")
 
-        leaf = trie.get(load_addr)
-        leaf_rlp = trie_mod.encode_account_leaf(leaf)
-        publics = balance_proof.PublicInputs.for_leaf(1, leaf_rlp)
+        # One proof against genesis covers every load transaction.
+        genesis = shard.chain.headers[0]
         load_proof = balance_proof.prove(
-            self.pk, balance_proof.PrivateWitness(leaf_rlp), publics
+            self.vk,
+            trie_mod.prove_account(trie, load_addr, block_height=0,
+                                   header_hash=genesis.header_hash),
+            1,
         )
 
         return ShardRuntime(
@@ -269,7 +269,7 @@ class Simulator:
             result = run_init_phase(
                 deposits, session, self.params,
                 rt.trie_history[proof_header.height], rt.shard.chain,
-                proof_header, self.pk, self.vk,
+                proof_header, self.vk,
                 confirmations=self.config.confirmations,
                 window=self.config.window, now=0,
                 m_deposit=self.config.m_deposit, rng=rng, log=self.log, tick=0,
@@ -413,7 +413,7 @@ class Simulator:
                 order, peer_address(spec.trader_id), rt.pool, rt.session,
                 self.params, rt.trie_history[proof_header.height],
                 rt.shard.chain, proof_header,
-                self.pk, self.vk, confirmations=self.config.confirmations,
+                self.vk, confirmations=self.config.confirmations,
                 window=self.config.window, now=tick, rng=rt.rng,
                 log=self.log, tick=tick,
             )

@@ -9,8 +9,7 @@ reproduces the claimed state root or exposes the first tampered byte.
 
 Account leaves use a fixed canonical 112-byte encoding: a 2-byte list
 header, 1-byte nonce, three 33-byte hash/balance items, and a 10-byte
-reserved trailer. The balance item starts at byte offset 3, which the
-threshold circuit relies on.
+reserved trailer. The balance item starts at byte offset 3.
 
 Nodes are immutable objects: a leaf, an extension, or a branch with a
 16-tuple of children. An update path-copies the nodes from the root to

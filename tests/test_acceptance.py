@@ -16,11 +16,10 @@ from pathlib import Path
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from privamm import balance_proof
 from privamm.adversary import run_sandwich
 from privamm.amm import Order, apply_trade, pool_init
-from privamm.balance_proof import (PrivateWitness, ProvingError, PublicInputs,
-                                   circuit_build, prove, setup, verify)
+from privamm.balance_proof import (Proof, ProvingError, VerificationKey,
+                                   prove, setup, verify)
 from privamm.cli import main
 from privamm.field_group import (commitment_combine, group_setup,
                                  pedersen_commit)
@@ -30,16 +29,15 @@ from privamm.protocol import LpDeposit, RunLog, run_init_phase
 from privamm.scenario import load_scenario
 from privamm.sharding import Zone, zones_tile
 from privamm.simulator import Simulator
-from privamm.trie import (AccountLeaf, BlockHeader, HeaderChain, Trie,
-                          UnforgeabilityError, VerificationError,
-                          check_freshness, encode_account_leaf, prove_account,
+from privamm.trie import (AccountLeaf, BlockHeader, HeaderChain, MptProof,
+                          Trie, UnforgeabilityError, VerificationError,
+                          check_freshness, prove_account,
                           verify_account_proof)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GROUP = group_setup(256, seed="acceptance")
-CS = circuit_build()
-PK, VK = setup(CS, b"acceptance")
+VK = setup()
 
 
 def _verdict(criterion: str, detail: str):
@@ -157,7 +155,7 @@ def test_c3_liquidity_totals_reveal_no_individual_deposit():
         session = MpcSession(4, GROUP.q, seed=rng.randrange(2**63))
         log = RunLog()
         result = run_init_phase(
-            lps, session, GROUP, trie, chain, chain.header_at(0), PK, VK,
+            lps, session, GROUP, trie, chain, chain.header_at(0), VK,
             confirmations=2, window=10**9, now=chain.tip.timestamp,
             m_deposit=Fraction(rng.randint(10**6, 10**9)),
             rng=random.Random(rng.randrange(2**63)), log=log,
@@ -226,8 +224,28 @@ def test_c4_commitments_homomorphic_hiding_binding():
 
 # -- 5: balance threshold proofs --------------------------------------------------
 
-def _leaf(balance: int) -> bytes:
-    return encode_account_leaf(AccountLeaf(nonce=0, balance=balance))
+_C5_ADDRESS = b"acceptance-c5".ljust(20, b"\x00")
+
+
+def _account(balance: int):
+    """Root of a one-account trie holding ``balance``, and its proof."""
+    trie = Trie().update(_C5_ADDRESS, AccountLeaf(nonce=0, balance=balance))
+    return trie.root(), prove_account(trie, _C5_ADDRESS)
+
+
+def _accepts(root: bytes, account, k: int) -> bool:
+    """Outcome of prove and verify on (account, k); they must agree."""
+    try:
+        proof = prove(VK, account, k)
+    except ProvingError:
+        proof = None
+    try:
+        verify(VK, Proof(VK, k, account), root)
+    except VerificationError:
+        assert proof is None
+        return False
+    assert proof is not None and verify(VK, proof, root)
+    return True
 
 
 def test_c5_balance_proofs_accept_at_threshold_and_reject_tampering():
@@ -239,85 +257,78 @@ def test_c5_balance_proofs_accept_at_threshold_and_reject_tampering():
         k = rng.randrange(1, 1 << 256)
         relation = rng.randrange(3)
         balance = {0: k, 1: k - 1, 2: rng.randrange(k, 1 << 256)}[relation]
-        leaf = _leaf(balance)
-        publics = PublicInputs.for_leaf(k, leaf)
+        root, account = _account(balance)
         if relation == 1:
-            with pytest.raises(ProvingError, match="balance meets threshold"):
-                prove(PK, PrivateWitness(leaf), publics)
+            with pytest.raises(ProvingError, match="balance below threshold"):
+                prove(VK, account, k)
             rejected += 1
         else:
-            proof = prove(PK, PrivateWitness(leaf), publics)
-            assert verify(VK, publics, proof)
+            assert verify(VK, prove(VK, account, k), root).balance == balance
             accepted += 1
     assert accepted + rejected == 10**4 and min(accepted, rejected) > 3000
 
-    # The limb-pair comparison agrees with plain 256-bit comparison.
-    threshold_gate = next(c for c in CS.constraints
-                          if c.name == "balance meets threshold")
-    flat_hash = (0, 0, 0, 0)
+    # prove and verify agree with plain 256-bit comparison on 10^5 pairs.
+    # Balances come from a pool of accounts (hashing a fresh trie per pair
+    # would dominate); thresholds are drawn against each balance.
+    straddle = [(1 << 128) + d for d in range(-2, 3)]
+    pool = {b: _account(b)
+            for b in [rng.randrange(1, (1 << 256) - 1) for _ in range(64)]
+            + straddle}
+    randoms = list(pool)[:64]
     for _ in range(10**5):
         mode = rng.randrange(4)
-        if mode == 0:
-            b, k = rng.randrange(1 << 256), rng.randrange(1 << 256)
-        elif mode == 1:  # equal high limbs force the low-limb comparison
-            hi = rng.randrange(1 << 128) << 128
-            b, k = hi | rng.randrange(1 << 128), hi | rng.randrange(1 << 128)
-        elif mode == 2:  # adjacent values at the boundary
-            k = rng.randrange(1, 1 << 256)
-            b = k - rng.randrange(2)
-        else:  # straddle the limb boundary itself
-            k = 1 << 128
-            b = (1 << 128) + rng.randrange(-2, 3)
-        publics = PublicInputs(k_hi=k >> 128, k_lo=k & ((1 << 128) - 1),
-                               leaf_hash=flat_hash)
-        assert threshold_gate.holds(PrivateWitness(_leaf(b)), publics) \
-            == (b >= k)
+        if mode == 3:  # straddle the 128-bit boundary itself
+            b, k = rng.choice(straddle), 1 << 128
+        else:
+            b = rng.choice(randoms)
+            if mode == 0:
+                k = rng.randrange(1 << 256)
+            elif mode == 1:  # equal high 128 bits: the low bits decide
+                k = (b >> 128 << 128) | rng.randrange(1 << 128)
+            else:  # adjacent values at the boundary
+                k = b + rng.randrange(2)
+        assert _accepts(*pool[b], k) == (b >= k)
 
-    # Single-byte tamper of the leaf, the publics, or the proof.
+    # Single-byte tamper of the node stack, the address and the vk tag.
     k = rng.randrange(1, 1 << 255)
-    leaf = _leaf(k + rng.randrange(1 << 64))
-    publics = PublicInputs.for_leaf(k, leaf)
-    proof = prove(PK, PrivateWitness(leaf), publics)
+    balance = k + rng.randrange(1 << 64)
+    root, account = _account(balance)
+    proof = prove(VK, account, k)
+    assert verify(VK, proof, root).balance == balance
 
-    for pos in range(112):
-        bad = bytearray(leaf)
+    (node,) = account.node_stack
+    for pos in range(len(node)):
+        bad = bytearray(node)
         bad[pos] ^= 0xFF
-        with pytest.raises(ProvingError):
-            prove(PK, PrivateWitness(bytes(bad)), publics)
+        forged = Proof(VK, k, MptProof(_C5_ADDRESS, (bytes(bad),)))
+        with pytest.raises(VerificationError):
+            verify(VK, forged, root)
+    tampers = len(node)
+    for pos in range(20):
+        bad = bytearray(_C5_ADDRESS)
+        bad[pos] ^= 0xFF
+        forged = Proof(VK, k, MptProof(bytes(bad), account.node_stack))
+        with pytest.raises(VerificationError):
+            verify(VK, forged, root)
+    for pos in range(32):
+        bad = bytearray(VK.digest)
+        bad[pos] ^= 0xFF
+        forged = Proof(VerificationKey(bytes(bad)), k, account)
+        with pytest.raises(VerificationError, match="another statement"):
+            verify(VK, forged, root)
+    tampers += 20 + 32
 
-    forgeries = 0
+    # A threshold tamper is a new statement: true (accepted) at or below
+    # the balance, false (rejected) above it.
+    raised = 0
     for pos in range(32):  # each byte of the 256-bit threshold
         bad_k = k ^ (0xFF << (8 * pos))
-        bad_publics = PublicInputs(k_hi=bad_k >> 128,
-                                   k_lo=bad_k & ((1 << 128) - 1),
-                                   leaf_hash=publics.leaf_hash)
-        forged = balance_proof.Proof(proof.vk_digest, bad_publics,
-                                     proof.attestation)
-        assert not verify(VK, bad_publics, forged)
-        forgeries += 1
-    for limb in range(4):  # each byte of each published leaf-hash limb
-        for byte in range(8):
-            limbs = list(publics.leaf_hash)
-            limbs[limb] ^= 0xFF << (8 * byte)
-            bad_publics = PublicInputs(publics.k_hi, publics.k_lo,
-                                       tuple(limbs))
-            forged = balance_proof.Proof(proof.vk_digest, bad_publics,
-                                         proof.attestation)
-            assert not verify(VK, bad_publics, forged)
-            forgeries += 1
-    for pos in range(32):  # each byte of the attestation and of the vk tag
-        bad_att = bytearray(proof.attestation)
-        bad_att[pos] ^= 0xFF
-        assert not verify(VK, publics, balance_proof.Proof(
-            proof.vk_digest, publics, bytes(bad_att)))
-        bad_vk = bytearray(proof.vk_digest)
-        bad_vk[pos] ^= 0xFF
-        assert not verify(VK, publics, balance_proof.Proof(
-            bytes(bad_vk), publics, proof.attestation))
-        forgeries += 2
+        assert _accepts(root, account, bad_k) == (bad_k <= balance)
+        raised += bad_k > balance
+    assert 0 < raised < 32
     _verdict("acceptance 5/9 balance proofs",
-             f"boundary exact on 10^4 pairs, limb compare exact on 10^5, "
-             f"{112 + forgeries} tampers rejected")
+             f"boundary exact on 10^4 pairs, compare exact on 10^5, "
+             f"{tampers} tampers and {raised} raised thresholds rejected")
 
 
 # -- 6: state proofs and freshness -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Balance-threshold statement: constraints, attestation, tamper rejection."""
+"""Balance-at-least proofs: an account proof plus a public threshold."""
 
 import json
 
@@ -6,183 +6,209 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privamm.balance_proof import (PrivateWitness, Proof, ProvingError,
-                                   PublicInputs, VerificationKey,
-                                   circuit_build, decode_balance, hash_limbs,
+from privamm.balance_proof import (Proof, ProvingError, VerificationKey,
                                    prove, setup, verify)
-from privamm.keccak import keccak256
-from privamm.trie import AccountLeaf, MalformedLeafError, encode_account_leaf
+from privamm.trie import (LEAF_LEN, AccountLeaf, MptProof, Trie,
+                          VerificationError, encode_account_leaf,
+                          prove_account)
 
-CS = circuit_build()
-PK, VK = setup(CS, b"test")
-
-
-def leaf_bytes(balance: int, nonce: int = 0) -> bytes:
-    return encode_account_leaf(AccountLeaf(nonce=nonce, balance=balance))
+VK = setup()
+ADDRESS = bytes(range(20))
 
 
-def make_proof(balance: int, threshold: int) -> Proof:
-    data = leaf_bytes(balance)
-    publics = PublicInputs.for_leaf(threshold, data)
-    return prove(PK, PrivateWitness(data), publics)
+def addr(i: int) -> bytes:
+    return i.to_bytes(20, "big")
 
 
-# -- limb plumbing ------------------------------------------------------------
-
-def test_hash_limbs_big_endian():
-    digest = bytes(range(32))
-    limbs = hash_limbs(digest)
-    assert limbs[0] == int.from_bytes(bytes(range(8)), "big")
-    assert limbs[3] == int.from_bytes(bytes(range(24, 32)), "big")
+def one_account(balance: int):
+    """A one-account trie's root and the account's proof."""
+    trie = Trie().update(ADDRESS, AccountLeaf(nonce=0, balance=balance))
+    return trie.root(), prove_account(trie, ADDRESS)
 
 
-def test_hash_limbs_rejects_short_digest():
-    with pytest.raises(ValueError):
-        hash_limbs(b"\x00" * 31)
+def make_proof(balance: int, threshold: int):
+    root, account = one_account(balance)
+    return root, prove(VK, account, threshold)
 
+
+def populated():
+    """Root and proof of addr(3) in an eight-account trie: branch nodes and
+    a leaf on the stack."""
+    trie = Trie()
+    for i in range(1, 9):
+        trie = trie.update(addr(i), AccountLeaf(nonce=0, balance=i * 1000))
+    return trie.root(), prove(VK, prove_account(trie, addr(3)), 2500)
+
+
+def with_stack(proof: Proof, stack) -> Proof:
+    account = proof.account
+    return Proof(VK, proof.threshold,
+                 MptProof(account.address, tuple(stack), account.block_height,
+                          account.header_hash))
+
+
+# -- the balance read from the leaf ----------------------------------------------
 
 def test_decode_balance_offsets():
-    data = leaf_bytes((7 << 128) | 9)
-    assert decode_balance(data) == (7, 9)
+    """prove and verify compare the 32-byte balance at leaf offset 4."""
+    balance = (7 << 128) | 9
+    root, proof = make_proof(balance, balance)
+    assert int.from_bytes(proof.account.leaf_rlp[4:36], "big") == balance
+    assert verify(VK, proof, root).balance == balance
+    with pytest.raises(ProvingError):
+        prove(VK, proof.account, balance + 1)
 
 
 def test_decode_balance_rejects_wrong_marker():
-    data = bytearray(leaf_bytes(5))
-    data[3] = 0xA1
-    with pytest.raises(MalformedLeafError):
-        decode_balance(bytes(data))
+    root, proof = make_proof(5, 1)
+    node = bytearray(proof.account.node_stack[-1])
+    node[len(node) - LEAF_LEN + 3] = 0xA1
+    bad = with_stack(proof, [bytes(node)])
+    with pytest.raises(ProvingError, match="malformed leaf"):
+        prove(VK, bad.account, 1)
+    with pytest.raises(VerificationError, match="root hash mismatch"):
+        verify(VK, bad, root)
 
 
 @given(st.integers(0, 2**256 - 1))
 @settings(max_examples=200)
 def test_limb_comparison_matches_wide_integers(balance):
-    data = leaf_bytes(balance)
-    hi, lo = decode_balance(data)
-    assert (hi << 128) | lo == balance
+    """The compare is on whole 256-bit integers, across every limb split."""
+    root, proof = make_proof(balance, balance)
+    assert verify(VK, proof, root).balance == balance
+    if balance < 2**256 - 1:
+        with pytest.raises(ProvingError):
+            prove(VK, proof.account, balance + 1)
+        with pytest.raises(VerificationError, match="balance below threshold"):
+            verify(VK, Proof(VK, balance + 1, proof.account), root)
 
 
 # -- completeness and the threshold boundary ----------------------------------
 
 def test_prove_then_verify():
-    proof = make_proof(balance=1000, threshold=500)
-    assert verify(VK, proof.publics, proof)
+    root, proof = make_proof(balance=1000, threshold=500)
+    assert verify(VK, proof, root) == AccountLeaf(nonce=0, balance=1000)
 
 
 def test_threshold_is_inclusive():
-    proof = make_proof(balance=500, threshold=500)
-    assert verify(VK, proof.publics, proof)
+    root, proof = make_proof(balance=500, threshold=500)
+    assert verify(VK, proof, root).balance == 500
 
 
 def test_below_threshold_refused():
-    data = leaf_bytes(499)
-    publics = PublicInputs.for_leaf(500, data)
-    with pytest.raises(ProvingError, match="balance meets threshold"):
-        prove(PK, PrivateWitness(data), publics)
+    _, account = one_account(499)
+    with pytest.raises(ProvingError, match="balance below threshold"):
+        prove(VK, account, 500)
 
 
 def test_hash_mismatch_refused():
-    publics = PublicInputs.for_leaf(1, leaf_bytes(100))
-    with pytest.raises(ProvingError, match="leaf integrity"):
-        prove(PK, PrivateWitness(leaf_bytes(101)), publics)
+    """A leaf the root does not commit to fails the walk."""
+    root, proof = make_proof(100, 1)
+    richer = bytearray(proof.account.node_stack[-1])
+    richer[-LEAF_LEN:] = encode_account_leaf(AccountLeaf(nonce=0,
+                                                         balance=10**30))
+    forged = with_stack(proof, [bytes(richer)])
+    with pytest.raises(VerificationError, match="root hash mismatch"):
+        verify(VK, Proof(VK, 10**29, forged.account), root)
 
 
 def test_boundary_straddles_limb_split():
-    k = 1 << 128  # k_hi = 1, k_lo = 0
-    assert verify(VK, *_publics_and_proof(k, k))
+    k = 1 << 128
+    root, proof = make_proof(k, k)
+    assert verify(VK, proof, root).balance == k
     with pytest.raises(ProvingError):
         make_proof(balance=k - 1, threshold=k)
-
-
-def _publics_and_proof(balance, threshold):
-    proof = make_proof(balance, threshold)
-    return proof.publics, proof
 
 
 @given(st.integers(0, 2**200), st.integers(0, 2**200))
 @settings(max_examples=300)
 def test_accepts_iff_balance_at_least_threshold(balance, threshold):
-    data = leaf_bytes(balance)
-    publics = PublicInputs.for_leaf(threshold, data)
+    root, account = one_account(balance)
     if balance >= threshold:
-        proof = prove(PK, PrivateWitness(data), publics)
-        assert verify(VK, publics, proof)
+        assert verify(VK, prove(VK, account, threshold), root).balance == balance
     else:
         with pytest.raises(ProvingError):
-            prove(PK, PrivateWitness(data), publics)
+            prove(VK, account, threshold)
+        # The same statement assembled without prove is still refused.
+        with pytest.raises(VerificationError, match="balance below threshold"):
+            verify(VK, Proof(VK, threshold, account), root)
 
 
-# -- witness independence ------------------------------------------------------
+# -- what the proof binds --------------------------------------------------------
 
-def test_attestation_ignores_witness_details():
-    # Same leaf bytes -> same publics -> byte-identical proof, regardless of
-    # how the witness was produced.
-    data = leaf_bytes(900)
-    publics = PublicInputs.for_leaf(100, data)
-    p1 = prove(PK, PrivateWitness(data), publics)
-    p2 = prove(PK, PrivateWitness(bytes(bytearray(data))), publics)
-    assert p1 == p2
+def test_prove_is_deterministic():
+    root, account = one_account(900)
+    assert prove(VK, account, 100) == prove(VK, account, 100)
+    assert verify(VK, prove(VK, account, 100), root).balance == 900
 
 
-def test_attestation_binds_threshold():
-    a = make_proof(balance=1000, threshold=100)
-    b = make_proof(balance=1000, threshold=200)
-    assert a.attestation != b.attestation
+def test_proof_binds_threshold():
+    """Any threshold up to the balance is a true statement; above it, none."""
+    root, proof = make_proof(balance=1000, threshold=100)
+    for k in (0, 1, 999, 1000):
+        assert verify(VK, Proof(VK, k, proof.account), root).balance == 1000
+    for k in (1001, 2**255):
+        with pytest.raises(VerificationError, match="balance below threshold"):
+            verify(VK, Proof(VK, k, proof.account), root)
 
 
-def test_attestation_binds_leaf_hash():
-    a = make_proof(balance=1000, threshold=100)
-    b = make_proof(balance=1001, threshold=100)
-    assert a.attestation != b.attestation
+def test_proof_binds_leaf():
+    root_a, a = make_proof(balance=1000, threshold=100)
+    root_b, b = make_proof(balance=1001, threshold=100)
+    assert a.account.node_stack != b.account.node_stack
+    with pytest.raises(VerificationError, match="root hash mismatch"):
+        verify(VK, b, root_a)
 
 
 # -- tamper rejection -----------------------------------------------------------
 
-def test_any_single_byte_attestation_flip_rejected():
-    proof = make_proof(balance=1000, threshold=100)
-    for i in range(32):
-        forged = bytes(
-            b ^ (0x01 if j == i else 0x00)
-            for j, b in enumerate(proof.attestation)
-        )
-        bad = Proof(proof.vk_digest, proof.publics, forged)
-        assert not verify(VK, proof.publics, bad)
+def test_any_single_byte_node_flip_rejected():
+    root, proof = populated()
+    assert verify(VK, proof, root).balance == 3000
+    for depth, node in enumerate(proof.account.node_stack):
+        for pos in range(len(node)):
+            bad = bytearray(node)
+            bad[pos] ^= 0x01
+            stack = list(proof.account.node_stack)
+            stack[depth] = bytes(bad)
+            with pytest.raises(VerificationError):
+                verify(VK, with_stack(proof, stack), root)
 
 
 def test_swapped_publics_rejected():
-    proof = make_proof(balance=1000, threshold=100)
-    other = PublicInputs.for_leaf(100, leaf_bytes(999))
-    assert not verify(VK, other, proof)
-    assert not verify(VK, other, Proof(proof.vk_digest, other,
-                                       proof.attestation))
+    """A proof checked against another state root, or another account's
+    proof under this threshold, is rejected."""
+    root, proof = populated()
+    other_root, _ = one_account(3000)
+    with pytest.raises(VerificationError, match="root hash mismatch"):
+        verify(VK, proof, other_root)
+    trie = Trie().update(addr(9), AccountLeaf(nonce=0, balance=10**9))
+    with pytest.raises(VerificationError):
+        verify(VK, prove(VK, prove_account(trie, addr(9)), 2500), root)
 
 
 def test_wrong_verification_key_rejected():
-    proof = make_proof(balance=1000, threshold=100)
-    _, other_vk = setup(circuit_build(), b"different seed")
-    # Same circuit digest -> same vk; to get a different vk we need a
-    # different circuit description.
-    assert other_vk == VK
-    alien = VerificationKey(circuit_digest=b"\x07" * 32)
-    assert not verify(alien, proof.publics, proof)
+    root, proof = make_proof(balance=1000, threshold=100)
+    assert setup() == VK
+    alien = VerificationKey(digest=b"\x07" * 32)
+    with pytest.raises(VerificationError, match="another statement"):
+        verify(alien, proof, root)
+    with pytest.raises(VerificationError, match="another statement"):
+        verify(VK, Proof(alien, proof.threshold, proof.account), root)
 
 
 def test_json_round_trips():
-    proof = make_proof(balance=12345, threshold=12345)
+    root, proof = make_proof(balance=12345, threshold=12345)
     restored = Proof.from_json(json.loads(json.dumps(proof.to_json())))
     assert restored == proof
-    assert verify(VK, restored.publics, restored)
-    vk2 = VerificationKey.from_json(VK.to_json())
-    assert vk2 == VK
+    assert verify(VK, restored, root).balance == 12345
+    assert VerificationKey.from_json(VK.to_json()) == VK
 
 
 def test_publics_reject_out_of_range_limbs():
-    with pytest.raises(ValueError):
-        PublicInputs(k_hi=1 << 128, k_lo=0, leaf_hash=(0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        PublicInputs(k_hi=0, k_lo=0, leaf_hash=(1 << 64, 0, 0, 0))
-
-
-def test_publics_match_leaf_hash_limbs():
-    data = leaf_bytes(4)
-    publics = PublicInputs.for_leaf(2, data)
-    assert publics.leaf_hash == hash_limbs(keccak256(data))
+    """The threshold must be a 256-bit unsigned integer."""
+    _, account = one_account(2**256 - 1)
+    for bad in (-1, 1 << 256):
+        with pytest.raises(ValueError):
+            prove(VK, account, bad)
+    assert prove(VK, account, 2**256 - 1).threshold == 2**256 - 1

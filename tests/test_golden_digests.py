@@ -19,20 +19,20 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 #: SHA-256 of each artifact, and the ``logSha256`` that summary.json records.
 GOLDEN = {
     "smoke": {
-        "logSha256": "6423b80f06bcdffbb90ae553a25bec05d74f69384ff60d502efd1403e9864193",
-        "summary.json": "7832289771418a5168ef6fe7b1c0ef18214de3630a255991b65673ac615df740",
+        "logSha256": "c41dd4d5ffb8406c40afbf8ea096907c8aa4d6122c5c9ba8e8a8bcaa7fcf2a35",
+        "summary.json": "ee24ecc3bfcdceadfcfb7cdb2f8a63db890fec7baf4b5003cda673335525f325",
         "metrics.csv": "4a00eb8b061e998d8bc97179b94513a2f18d5a0440026322a3f6d61fea7e2ba8",
         "attack_report.csv": "31e8f7093217a9f1d182cde02745b95d24b5218f1f095f5dbbdf1eb42f038bc5",
     },
     "split": {
-        "logSha256": "0968d6def3487e47e5e6f900efb9f4c5eb72b827363fedbcae1afc543befabf7",
-        "summary.json": "972cdb659a4d475114e6f66c81ba386e042c93dedb4510c6961e347e75aba2e2",
+        "logSha256": "e1f094db644995195b1ea76b2b2a5d8d068964a624ebb08f2f262191b1e22edf",
+        "summary.json": "be1501e07b2445f7dbcbd54bbed431e7a05b865e02de830908148ac6840138c3",
         "metrics.csv": "3603f71bd0362f12bdf1fa1a833ac97ed7adcd60ce19813263809ffd38d4329e",
         "attack_report.csv": "ccf5874ef6693e798f58d8b1ad568f0b7ed81fecdbf80b3d23f4fe9ef7322cb2",
     },
     "failure": {
-        "logSha256": "d559ff4d9013ca8460709c2f081dccd3de50f8b7a910f11b0e90a31d05819db2",
-        "summary.json": "4675b4250ba53f4d64050300c2f1c347858d1f392aaf06dd315b417b1f60f8e2",
+        "logSha256": "ef63a7ec2af3afd836724f212aa90847d3dd188b3334b95cd3828f5f2c14b55e",
+        "summary.json": "2af6b0b998b7c6eb156e6be66c3dc0e7c7fdebba50737e4baa6430759ed1e77a",
         "metrics.csv": "40faa64eef499d77fd53eafae6ffa2710fccaad3c0119fc6f8432e547464d79b",
         "attack_report.csv": "ccf5874ef6693e798f58d8b1ad568f0b7ed81fecdbf80b3d23f4fe9ef7322cb2",
     },

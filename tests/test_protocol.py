@@ -19,7 +19,7 @@ from privamm.protocol import (LpDeposit, PhaseError, RevealError, RunLog,
 from privamm.trie import AccountLeaf, HeaderChain, Trie
 
 PARAMS = group_setup(256, seed="protocol-tests")
-PK, VK = balance_proof.setup(balance_proof.circuit_build(), b"protocol-tests")
+VK = balance_proof.setup()
 CONFIRMATIONS = 2
 WINDOW = 10**9
 
@@ -49,7 +49,7 @@ def run_init(lps, balances, n=4, m_deposit=Fraction(600), seed="init"):
     session = MpcSession(n, PARAMS.q)
     log = RunLog()
     result = run_init_phase(
-        lps, session, PARAMS, trie, chain, header, PK, VK,
+        lps, session, PARAMS, trie, chain, header, VK,
         confirmations=CONFIRMATIONS, window=WINDOW, now=chain.tip.timestamp,
         m_deposit=m_deposit, rng=random.Random(seed), log=log,
     )
@@ -175,15 +175,19 @@ def test_init_threshold_is_public_and_configurable():
     session = MpcSession(4, PARAMS.q)
     log = RunLog()
     result = run_init_phase(
-        STANDARD_LPS, session, PARAMS, trie, chain, header, PK, VK,
+        STANDARD_LPS, session, PARAMS, trie, chain, header, VK,
         confirmations=CONFIRMATIONS, window=WINDOW, now=chain.tip.timestamp,
         m_deposit=Fraction(600), rng=random.Random("x"), log=log,
         threshold_e=Fraction(120),
     )
     assert result.X_scaled == 500 * SCALE  # lp1's 100-unit balance is shy
     proofs = [e for e in log.events if e["event"] == "init_balance_proof"]
+    assert len(proofs) == 2
     for ev in proofs:
-        assert ev["proof"]["publics"]["kLo"] == str(120 * SCALE)
+        assert ev["proof"]["threshold"] == str(120 * SCALE)
+        proof = balance_proof.Proof.from_json(ev["proof"])
+        assert balance_proof.verify(VK, proof, header.state_root).balance \
+            >= 120 * SCALE
 
 
 def test_init_excludes_off_grid_deposit():
@@ -200,7 +204,7 @@ def test_init_requires_fresh_header():
     session = MpcSession(4, PARAMS.q)
     log = RunLog()
     result = run_init_phase(
-        STANDARD_LPS, session, PARAMS, trie, chain, header, PK, VK,
+        STANDARD_LPS, session, PARAMS, trie, chain, header, VK,
         confirmations=5, window=WINDOW, now=chain.tip.timestamp,
         m_deposit=Fraction(600), rng=random.Random("x"), log=log,
     )
@@ -214,7 +218,7 @@ def test_init_rejects_settlement_field_session():
     with pytest.raises(PhaseError, match="exponent field"):
         run_init_phase(
             STANDARD_LPS, MpcSession(4, P_MPC), PARAMS, trie, chain, header,
-            PK, VK, confirmations=CONFIRMATIONS, window=WINDOW,
+            VK, confirmations=CONFIRMATIONS, window=WINDOW,
             now=chain.tip.timestamp, m_deposit=Fraction(600),
             rng=random.Random("x"), log=RunLog(),
         )
@@ -242,7 +246,7 @@ def trade_once(order, balances=None, pool=None, poison=False, seed="trade",
     log = RunLog()
     trade = run_trading_phase(
         order, addr(order.trader_id), pool, session, PARAMS, trie, chain,
-        header, PK, VK, confirmations=CONFIRMATIONS, window=WINDOW,
+        header, VK, confirmations=CONFIRMATIONS, window=WINDOW,
         now=chain.tip.timestamp, rng=random.Random(seed), log=log, tick=tick,
         poison=poison,
     )
@@ -325,7 +329,7 @@ def test_trading_rejects_exponent_field_session():
         run_trading_phase(
             order, addr("t1"),
             ScaledPool(E_s=SCALE, M_s=SCALE, C2=SCALE * SCALE),
-            MpcSession(4, PARAMS.q), PARAMS, trie, chain, header, PK, VK,
+            MpcSession(4, PARAMS.q), PARAMS, trie, chain, header, VK,
             confirmations=CONFIRMATIONS, window=WINDOW,
             now=chain.tip.timestamp, rng=random.Random("x"), log=RunLog(),
             tick=0,
@@ -362,6 +366,14 @@ def test_reveal_publishes_pool_and_opening():
     opened = [e for e in log.events if e["event"] == "commitment_opened"]
     assert opened[0]["y"] == str(10 * SCALE)
     assert trade.revealed
+    # One proof object: the account proof at the proof header, threshold y.
+    (ev,) = [e for e in log.events if e["event"] == "trade_proof_published"]
+    assert set(ev) == {"tick", "actor", "event", "proof"}
+    proof = balance_proof.Proof.from_json(ev["proof"])
+    assert proof == trade.proof and proof.threshold == 10 * SCALE
+    _, _, header = build_ledger({"t1": 10**12})
+    assert proof.account.header_hash == header.header_hash
+    assert balance_proof.verify(VK, proof, header.state_root).balance == 10**12
 
 
 def test_order_amount_hidden_until_pool_update():

@@ -19,10 +19,11 @@ from privamm.sharding import (AnchorError, Committee, CommitteeError,
                               register_peer, seal_anchors, select_committee,
                               split_shard, submit_tx, tally_votes,
                               update_anchor, zones_tile)
-from privamm.trie import AccountLeaf, encode_account_leaf, header_digest
+from privamm.rlp import rlp_encode
+from privamm.trie import (AccountLeaf, MptProof, Trie, encode_account_leaf,
+                          header_digest, hp_encode, prove_account)
 
-CS = balance_proof.circuit_build()
-PK, VK = balance_proof.setup(CS, b"sharding-tests")
+VK = balance_proof.setup()
 
 
 def make_topology(zone=None):
@@ -30,12 +31,38 @@ def make_topology(zone=None):
     return Topology([Workchain(workchain_id=0, zone=zone)])
 
 
-def valid_entry(sender="alice", balance=1000, threshold=10, tick=0):
-    data = encode_account_leaf(AccountLeaf(nonce=0, balance=balance))
-    publics = balance_proof.PublicInputs.for_leaf(threshold, data)
-    proof = balance_proof.prove(PK, balance_proof.PrivateWitness(data), publics)
+def account_of(sender: str) -> bytes:
+    return keccak256(sender.encode())[:20]
+
+
+def valid_entry(shard, sender="alice", balance=1000, threshold=10, tick=0):
+    """An entry whose proof names a new block on ``shard``'s chain; four
+    neighbour accounts put a branch on the proof's node stack."""
+    trie = Trie()
+    for i in range(4):
+        trie = trie.update(account_of(f"neighbour-{i}"),
+                           AccountLeaf(nonce=0, balance=1))
+    trie = trie.update(account_of(sender), AccountLeaf(nonce=0, balance=balance))
+    header = shard.chain.append(trie.root(), timestamp=tick)
+    account = prove_account(trie, account_of(sender), block_height=header.height,
+                            header_hash=header.header_hash)
+    proof = balance_proof.prove(VK, account, threshold)
     return MempoolEntry(sender=sender, commitment=123456, proof=proof,
                         arrival_tick=tick)
+
+
+def with_proof(entry, threshold=None, **account_fields) -> MempoolEntry:
+    """``entry`` with its proof's threshold or account-proof fields replaced."""
+    proof = entry.proof
+    account = proof.account
+    fields = {"address": account.address, "node_stack": account.node_stack,
+              "block_height": account.block_height,
+              "header_hash": account.header_hash, **account_fields}
+    forged = balance_proof.Proof(
+        proof.vk, proof.threshold if threshold is None else threshold,
+        MptProof(**fields))
+    return MempoolEntry(sender=entry.sender, commitment=entry.commitment,
+                        proof=forged, arrival_tick=entry.arrival_tick)
 
 
 # -- zones ---------------------------------------------------------------------
@@ -214,26 +241,90 @@ def test_failed_shard_produces_nothing():
 
 def test_valid_proof_enters_mempool():
     _, shard, _ = build_shard()
-    result = submit_tx(shard, valid_entry(), VK)
+    result = submit_tx(shard, valid_entry(shard), VK)
     assert result == {"accepted": True, "position": 0}
     assert len(shard.mempool) == 1
 
 
 def test_invalid_proof_rejected_at_the_door():
+    """A real proof whose threshold is raised above the balance."""
     _, shard, _ = build_shard()
-    entry = valid_entry()
-    forged = balance_proof.Proof(entry.proof.vk_digest, entry.proof.publics,
-                                 b"\x00" * 32)
-    bad = MempoolEntry(sender=entry.sender, commitment=entry.commitment,
-                       proof=forged, arrival_tick=0)
+    bad = with_proof(valid_entry(shard, balance=1000), threshold=1001)
     result = submit_tx(shard, bad, VK)
-    assert result["accepted"] is False
+    assert result == {"accepted": False, "reason":
+                      "invalid balance proof: balance below threshold"}
     assert shard.mempool == []
+
+
+def test_public_data_forgery_rejected():
+    """A proof built from public data only: a fabricated leaf node claiming
+    a balance of 10^30 for the sender, naming a real header."""
+    _, shard, _ = build_shard()
+    entry = valid_entry(shard, sender="mallory", balance=5, threshold=5)
+    path = bytes(b >> s & 0x0F for b in keccak256(account_of("mallory"))
+                 for s in (4, 0))
+    leaf = encode_account_leaf(AccountLeaf(nonce=0, balance=10**30))
+    fabricated = rlp_encode([hp_encode(path, True), leaf])
+    bad = with_proof(entry, threshold=10**9, node_stack=(fabricated,))
+    assert balance_proof.prove(VK, bad.proof.account, 10**9).threshold == 10**9
+    result = submit_tx(shard, bad, VK)
+    assert result == {"accepted": False,
+                      "reason": "invalid balance proof: root hash mismatch at node 0"}
+    assert shard.mempool == []
+
+
+def test_proof_naming_a_header_off_the_chain_rejected():
+    _, shard, _ = build_shard()
+    entry = valid_entry(shard)
+    tip = shard.chain.tip
+    for fields in ({"header_hash": b"\x00" * 32},
+                   {"block_height": tip.height + 1},
+                   {"block_height": tip.height - 1},
+                   {"block_height": None, "header_hash": None}):
+        result = submit_tx(shard, with_proof(entry, **fields), VK)
+        assert result == {"accepted": False,
+                          "reason": "proof names a header off the chain"}
+    assert shard.mempool == []
+
+
+def test_warm_proof_cache_still_rejects_every_tamper():
+    """After an honest admission caches its walk, every single-byte tamper
+    of the node stack, the address or the header hash, and every threshold
+    above the balance, is still rejected."""
+    _, shard, _ = build_shard()
+    entry = valid_entry(shard, balance=1000)
+    balance_proof._check.cache_clear()
+    assert submit_tx(shard, entry, VK)["accepted"]
+    assert balance_proof._check.cache_info().currsize == 1
+    account = entry.proof.account
+    assert len(account.node_stack) >= 2
+
+    def flips(data: bytes):
+        for pos in range(len(data)):
+            bad = bytearray(data)
+            bad[pos] ^= 0x01
+            yield bytes(bad)
+
+    tampers = []
+    for depth, node in enumerate(account.node_stack):
+        for bad in flips(node):
+            stack = list(account.node_stack)
+            stack[depth] = bad
+            tampers.append(with_proof(entry, node_stack=tuple(stack)))
+    tampers += [with_proof(entry, address=a) for a in flips(account.address)]
+    tampers += [with_proof(entry, header_hash=h)
+                for h in flips(account.header_hash)]
+    tampers += [with_proof(entry, threshold=1000 + d)
+                for d in [1] + [1 << i for i in range(1, 255)]]
+    for bad in tampers:
+        assert submit_tx(shard, bad, VK)["accepted"] is False
+    assert len(shard.mempool) == 1
+    assert submit_tx(shard, entry, VK) == {"accepted": True, "position": 1}
 
 
 def test_mempool_view_exposes_no_order_details():
     _, shard, _ = build_shard()
-    submit_tx(shard, valid_entry(sender="observer-target"), VK)
+    submit_tx(shard, valid_entry(shard, sender="observer-target"), VK)
     (view,) = shard.mempool_view()
     assert set(view) == {"sender", "commitment", "arrivalTick"}
     # The commitment is the only amount-adjacent field and it is a group

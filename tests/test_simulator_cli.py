@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from privamm.cli import main, verify_artifacts
+from privamm.keccak import keccak256
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import Simulator
 
@@ -170,31 +171,57 @@ def test_verify_catches_log_edit(small_run, tmp_path):
     assert any("digest" in l for l in lines if l.startswith("FAIL"))
 
 
-def test_verify_catches_forged_proof(small_run, tmp_path):
+def forge_first_trade_proof(small_run, out, edit):
+    """Copy the artifacts, apply ``edit`` to the first published trade
+    proof, and re-pin the log digest so only the proof pass can fail."""
     def mutate(d):
         lines = (d / "run.jsonl").read_text().splitlines()
         for i, line in enumerate(lines):
             ev = json.loads(line)
             if ev["event"] == "trade_proof_published":
-                att = ev["proof"]["attestation"]
-                flipped = ("0" if att[2] != "0" else "1") + att[3:]
-                ev["proof"]["attestation"] = "0x" + flipped
+                edit(ev["proof"])
                 lines[i] = json.dumps(ev, sort_keys=True,
                                       separators=(",", ":"))
                 break
         blob = "\n".join(lines) + "\n"
         (d / "run.jsonl").write_bytes(blob.encode())
-        # Keep the digest consistent so only the proof check can fail.
         import hashlib
         summary = json.loads((d / "summary.json").read_text())
         summary["logSha256"] = hashlib.sha256(blob.encode()).hexdigest()
         (d / "summary.json").write_text(json.dumps(summary, indent=2,
                                                    sort_keys=True))
 
-    out = tampered_copy(small_run, tmp_path / "t", mutate)
-    code, lines = verify_artifacts(str(out))
+    code, lines = verify_artifacts(str(tampered_copy(small_run, out, mutate)))
     assert code == 2
-    assert any("proof" in l for l in lines if l.startswith("FAIL"))
+    return [l for l in lines if l.startswith("FAIL")]
+
+
+def test_verify_catches_forged_proof(small_run, tmp_path):
+    def raise_threshold(proof):
+        proof["threshold"] = str(2**255)
+
+    (fail,) = forge_first_trade_proof(small_run, tmp_path / "t",
+                                      raise_threshold)
+    assert fail.startswith("FAIL: balance and account proofs replay (")
+    assert fail.endswith("(balance proof for p3: balance below threshold)")
+
+
+def test_verify_rejects_public_data_forgery(small_run, tmp_path):
+    """A leaf node fabricated from public data, claiming a balance of
+    10^30 for the trader, under the header the proof names."""
+    from privamm.rlp import rlp_encode
+    from privamm.trie import AccountLeaf, encode_account_leaf, hp_encode
+
+    def fabricate(proof):
+        address = bytes.fromhex(proof["account"]["address"][2:])
+        path = bytes(b >> s & 0x0F for b in keccak256(address) for s in (4, 0))
+        leaf = encode_account_leaf(AccountLeaf(nonce=0, balance=10**30))
+        node = rlp_encode([hp_encode(path, True), leaf])
+        proof["account"]["nodes"] = ["0x" + node.hex()]
+        proof["threshold"] = str(10**29)
+
+    (fail,) = forge_first_trade_proof(small_run, tmp_path / "t", fabricate)
+    assert fail.endswith("(balance proof for p3: root hash mismatch at node 0)")
 
 
 def test_verify_catches_missing_anchor(small_run, tmp_path):
