@@ -141,8 +141,8 @@ def run_sandwich(pool: PoolState, victim_order: Optional[Order],
         front = ("attacker", _BUY, attacker_size)
         back = ("attacker", _SELL, attacker_size)
         steps = [front, victim, back] if victim else [front, back]
-        for _ in range(trials):
-            samples.append(_run_sequence(pool, steps))
+        # Deterministic: every trial would replay the same sequence.
+        samples = [_run_sequence(pool, steps)] * trials
     elif mode == "committed":
         for _ in range(trials):
             if victim_order is None:
@@ -192,8 +192,7 @@ def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
         front = ("attacker", _BUY, attacker_size)
         exit_ = ("attacker", _SELL, attacker_size)
         steps = [front, victim, exit_] if victim else [front, exit_]
-        for _ in range(trials):
-            samples.append(_run_sequence(pool, steps))
+        samples = [_run_sequence(pool, steps)] * trials
     elif mode == "committed":
         for _ in range(trials):
             if victim_order is None:

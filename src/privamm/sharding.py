@@ -7,16 +7,20 @@ always tile their parent exactly. A shard that sustains mean load above
 split_tps divides along its zone's longer axis at the median peer
 coordinate, handing each peer and each liquidity provider's deposit to
 the child whose zone covers it; sibling shards that both fall below
-merge_tps fuse back. Pool reserves are not kept here: the simulator
-divides and sums them by the LP deposits each child carries. The masterchain records every shard head in an anchor table and
-hashes that table into its own header chain.
+merge_tps fuse back into their parent. A Shard object owns its zone's
+state for its whole life: a child keeps a reference to its parent, and a
+merge hands back that same parent, whose header chain resumes where it
+stopped at the split. Pool reserves are not kept here: the simulator
+divides and sums them by the LP deposits each child carries. The
+masterchain records every shard head in an anchor table and hashes that
+table into its own header chain.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
 members vote for its exact header digest. Mempool entries carry only a
 commitment and a balance proof — never a plaintext amount — and a proof
-is admitted only if it walks to the state root of a header on the
-shard's own chain.
+is admitted only if it proves the sender's own account and walks to the
+state root of a header on the shard's own chain.
 
 Zone coordinates are exact rationals so partition audits have zero
 tolerance.
@@ -28,6 +32,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
@@ -133,22 +138,6 @@ class PeerRecord:
 
 
 @dataclass(frozen=True, slots=True)
-class ShardDescriptor:
-    shard_id: str
-    workchain_id: int
-    zone: Zone
-    validator_set: Tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "shardId": self.shard_id,
-            "workchainId": self.workchain_id,
-            "zone": self.zone.to_json(),
-            "validators": list(self.validator_set),
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class Committee:
     epoch: int
     members: Tuple[str, ...]
@@ -192,32 +181,21 @@ class MempoolEntry:
 
 
 class Shard:
-    """One workchain shard: chain, mempool, LP deposits, and load history."""
+    """One zone's shard for its whole life: chain, mempool, LP deposits,
+    load history, and the parent it split from (None for a root)."""
 
     def __init__(self, shard_id: str, workchain_id: int, zone: Zone,
-                 genesis_timestamp: int = 0,
-                 parent_id: Optional[str] = None,
-                 parent_zone: Optional[Zone] = None):
+                 parent: Optional["Shard"] = None):
         self.shard_id = shard_id
         self.workchain_id = workchain_id
         self.zone = zone
-        self.chain = HeaderChain(genesis_timestamp=genesis_timestamp)
+        self.chain = HeaderChain()
         self.mempool: List[MempoolEntry] = []
         self.lp_liquidity: Dict[str, Fraction] = {}
         self.peers: List[str] = []
         self.failed = False
         self.load_window: List[int] = []
-        self.parent_id = parent_id
-        self.parent_zone = parent_zone
-
-    @property
-    def descriptor(self) -> ShardDescriptor:
-        return ShardDescriptor(
-            shard_id=self.shard_id,
-            workchain_id=self.workchain_id,
-            zone=self.zone,
-            validator_set=tuple(sorted(self.peers)),
-        )
+        self.parent = parent
 
     def blocks_produced(self) -> int:
         return self.chain.tip.height
@@ -227,29 +205,20 @@ class Shard:
 
 
 class Workchain:
-    def __init__(self, workchain_id: int, zone: Zone, genesis_timestamp: int = 0):
+    def __init__(self, workchain_id: int, zone: Zone):
         self.workchain_id = workchain_id
         self.zone = zone
-        self.shards: List[Shard] = [
-            Shard(f"shard-{workchain_id}", workchain_id, zone,
-                  genesis_timestamp=genesis_timestamp)
-        ]
-
-    def shard_for(self, lat, lon) -> Optional[Shard]:
-        for shard in self.shards:
-            if shard.zone.contains(lat, lon):
-                return shard
-        return None
+        self.shards: List[Shard] = [Shard(f"shard-{workchain_id}", workchain_id, zone)]
 
 
 class Masterchain:
     """Backbone chain: validator registry plus the shard anchor table."""
 
-    def __init__(self, genesis_timestamp: int = 0):
+    def __init__(self):
         self.validators: Dict[str, PeerRecord] = {}
         self.keys: set = set()
         self.anchor_table: Dict[str, dict] = {}
-        self.chain = HeaderChain(genesis_timestamp=genesis_timestamp)
+        self.chain = HeaderChain()
 
     def anchor_root(self) -> bytes:
         blob = json.dumps(self.anchor_table, sort_keys=True,
@@ -260,12 +229,19 @@ class Masterchain:
 class Topology:
     """The full two-tier system: masterchain plus geographic workchains."""
 
-    def __init__(self, workchains: List[Workchain], genesis_timestamp: int = 0):
+    def __init__(self, workchains: List[Workchain]):
         self.workchains = workchains
-        self.master = Masterchain(genesis_timestamp=genesis_timestamp)
+        self.master = Masterchain()
 
     def all_shards(self) -> List[Shard]:
         return [s for wc in self.workchains for s in wc.shards]
+
+    def shard_for(self, lat, lon) -> Optional[Shard]:
+        """The live shard whose zone contains the location, if any."""
+        for shard in self.all_shards():
+            if shard.zone.contains(lat, lon):
+                return shard
+        return None
 
     def shard_by_id(self, shard_id: str) -> Shard:
         for shard in self.all_shards():
@@ -279,7 +255,7 @@ class Topology:
 # ---------------------------------------------------------------------------
 
 def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
-                  stake: int = 1) -> ShardDescriptor:
+                  stake: int = 1) -> Shard:
     """Admit a peer and place it in the shard covering its location.
 
     Duplicate peer ids or keys are rejected (one identity per key), and a
@@ -291,16 +267,14 @@ def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
     if key in master.keys:
         raise RegistrationError(f"key {key!r} already registered")
     lat, lon = Fraction(lat), Fraction(lon)
-    for wc in topology.workchains:
-        shard = wc.shard_for(lat, lon)
-        if shard is not None:
-            record = PeerRecord(peer_id=peer_id, lat=lat, lon=lon, key=key,
-                                stake=stake)
-            master.validators[peer_id] = record
-            master.keys.add(key)
-            shard.peers.append(peer_id)
-            return shard.descriptor
-    raise RegistrationError(f"location ({lat}, {lon}) outside all zones")
+    shard = topology.shard_for(lat, lon)
+    if shard is None:
+        raise RegistrationError(f"location ({lat}, {lon}) outside all zones")
+    master.validators[peer_id] = PeerRecord(peer_id=peer_id, lat=lat, lon=lon,
+                                            key=key, stake=stake)
+    master.keys.add(key)
+    shard.peers.append(peer_id)
+    return shard
 
 
 def select_committee(eligible, epoch: int, f: int, seed) -> Committee:
@@ -315,16 +289,25 @@ def select_committee(eligible, epoch: int, f: int, seed) -> Committee:
     return Committee(epoch=epoch, members=tuple(rng.sample(eligible, n)), f=f)
 
 
+@lru_cache(maxsize=4096)
+def sender_address(sender: str) -> bytes:
+    """20-byte account address whose balance a sender's proof must show."""
+    return keccak256(sender.encode())[:20]
+
+
 def submit_tx(shard: Shard, entry: MempoolEntry,
               vk: balance_proof.VerificationKey) -> dict:
     """Queue a committed order after checking its balance proof.
 
-    The proof must name a header on this shard's chain and walk to that
-    header's state root. An invalid proof never reaches the mempool — the
-    committee cannot be poisoned into accepting a trade larger than the
-    prover's balance.
+    The proof must be for the sender's own account, name a header on this
+    shard's chain and walk to that header's state root. An invalid proof
+    never reaches the mempool — the committee cannot be poisoned into
+    accepting a trade larger than the prover's balance, nor one backed by
+    a proof copied from somebody else.
     """
     account = entry.proof.account
+    if account.address != sender_address(entry.sender):
+        return {"accepted": False, "reason": "proof is for another account"}
     headers = shard.chain.headers
     height = account.block_height
     if not (isinstance(height, int) and 0 <= height < len(headers)
@@ -403,8 +386,8 @@ def drop_anchor(master: Masterchain, shard_id: str) -> None:
     master.anchor_table.pop(shard_id, None)
 
 
-def split_shard(workchain: Workchain, shard: Shard, peer_records,
-                genesis_timestamp: int = 0) -> Tuple[Shard, Shard]:
+def split_shard(workchain: Workchain, shard: Shard,
+                peer_records) -> Tuple[Shard, Shard]:
     """Split a shard's zone along its longer axis at the median peer
     coordinate, reassigning peers and LP deposits to the child whose zone
     covers them (an LP with no peer record goes to the first child)."""
@@ -430,18 +413,11 @@ def split_shard(workchain: Workchain, shard: Shard, peer_records,
         zone_a = Zone(west=zone.west, east=zone.east, south=zone.south, north=cut)
         zone_b = Zone(west=zone.west, east=zone.east, south=cut, north=zone.north)
 
-    children = []
-    for suffix, child_zone in (("0", zone_a), ("1", zone_b)):
-        child = Shard(
-            shard_id=f"{shard.shard_id}.{suffix}",
-            workchain_id=shard.workchain_id,
-            zone=child_zone,
-            genesis_timestamp=genesis_timestamp,
-            parent_id=shard.shard_id,
-            parent_zone=zone,
-        )
-        children.append(child)
-    child_a, child_b = children
+    child_a, child_b = (
+        Shard(f"{shard.shard_id}.{suffix}", shard.workchain_id, child_zone,
+              parent=shard)
+        for suffix, child_zone in (("0", zone_a), ("1", zone_b))
+    )
 
     for peer_id in shard.peers:
         rec = peer_records[peer_id]
@@ -460,29 +436,30 @@ def split_shard(workchain: Workchain, shard: Shard, peer_records,
     return child_a, child_b
 
 
-def merge_shards(workchain: Workchain, child_a: Shard, child_b: Shard,
-                 genesis_timestamp: int = 0) -> Shard:
-    """Fuse a sibling pair back into their parent zone."""
-    if child_a.parent_id is None or child_a.parent_id != child_b.parent_id:
+def merge_shards(workchain: Workchain, child_a: Shard, child_b: Shard) -> Shard:
+    """Fuse a sibling pair back into the parent they split from.
+
+    The parent is returned, not rebuilt: it gathers the children's peers,
+    LP deposits and mempool, starts a new load window, is live again, and
+    keeps its header chain, which the next block extends.
+    """
+    parent = child_a.parent
+    if parent is None or parent is not child_b.parent:
         raise ZoneError("only sibling shards from one split can merge")
-    merged = Shard(
-        shard_id=child_a.parent_id,
-        workchain_id=child_a.workchain_id,
-        zone=child_a.parent_zone,
-        genesis_timestamp=genesis_timestamp,
-    )
-    merged.peers = sorted(set(child_a.peers) | set(child_b.peers))
-    merged.lp_liquidity = {**child_a.lp_liquidity, **child_b.lp_liquidity}
-    merged.mempool = child_a.mempool + child_b.mempool
+    parent.peers = sorted(set(child_a.peers) | set(child_b.peers))
+    parent.lp_liquidity = {**child_a.lp_liquidity, **child_b.lp_liquidity}
+    parent.mempool = child_a.mempool + child_b.mempool
+    parent.load_window = []
+    parent.failed = False
     positions = [workchain.shards.index(child_a), workchain.shards.index(child_b)]
     for pos in sorted(positions, reverse=True):
         del workchain.shards[pos]
-    workchain.shards.insert(min(positions), merged)
-    return merged
+    workchain.shards.insert(min(positions), parent)
+    return parent
 
 
-def rebalance_shards(workchain: Workchain, thresholds: dict, peer_records,
-                     genesis_timestamp: int = 0) -> List[dict]:
+def rebalance_shards(workchain: Workchain, thresholds: dict,
+                     peer_records) -> List[dict]:
     """Apply split/merge rules to every shard; returns event records.
 
     A shard splits when its mean load over the last window_blocks blocks
@@ -503,8 +480,7 @@ def rebalance_shards(workchain: Workchain, thresholds: dict, peer_records,
     for shard in list(workchain.shards):
         load = mean_load(shard)
         if load is not None and load > split_tps and len(shard.peers) >= 2:
-            child_a, child_b = split_shard(workchain, shard, peer_records,
-                                           genesis_timestamp)
+            child_a, child_b = split_shard(workchain, shard, peer_records)
             events.append({
                 "event": "split",
                 "parent": shard.shard_id,
@@ -512,37 +488,19 @@ def rebalance_shards(workchain: Workchain, thresholds: dict, peer_records,
                 "mean_load": str(load),
             })
 
-    by_parent: Dict[str, List[Shard]] = {}
+    by_parent: Dict[Shard, List[Shard]] = {}
     for shard in workchain.shards:
-        if shard.parent_id is not None:
-            by_parent.setdefault(shard.parent_id, []).append(shard)
-    for parent_id, siblings in by_parent.items():
+        if shard.parent is not None:
+            by_parent.setdefault(shard.parent, []).append(shard)
+    for siblings in by_parent.values():
         if len(siblings) != 2:
             continue
         loads = [mean_load(s) for s in siblings]
         if all(l is not None and l < merge_tps for l in loads):
-            merged = merge_shards(workchain, siblings[0], siblings[1],
-                                  genesis_timestamp)
+            merged = merge_shards(workchain, siblings[0], siblings[1])
             events.append({
                 "event": "merge",
                 "children": sorted(s.shard_id for s in siblings),
                 "merged": merged.shard_id,
             })
     return events
-
-
-def fail_region(workchain: Workchain, zone: Zone) -> Shard:
-    """Silence the validators of the shard covering this zone."""
-    for shard in workchain.shards:
-        if shard.zone == zone:
-            shard.failed = True
-            return shard
-    raise ZoneError("no active shard matches the given zone")
-
-
-def recover_region(workchain: Workchain, zone: Zone) -> Shard:
-    for shard in workchain.shards:
-        if shard.zone == zone:
-            shard.failed = False
-            return shard
-    raise ZoneError("no active shard matches the given zone")

@@ -20,14 +20,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof, field_group, sharding, trie as trie_mod
 from .adversary import AttackReport, run_arbitrage, run_frontrun, run_sandwich
 from .amm import (LiquidityError, Order, OrderRejected, PoolState,
                   apply_trade, pool_init)
-from .keccak import keccak256
 from .mpc import SCALE, MpcSession, P_MPC
 from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
                        reveal_and_settle, run_init_phase, run_trading_phase,
@@ -35,8 +33,8 @@ from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
 from .scenario import AdversarySpec, ScenarioConfig, TradeSpec
 from .sharding import (MempoolEntry, Shard, Topology, Workchain, drop_anchor,
                        honest_votes, produce_block, register_peer,
-                       seal_anchors, select_committee, submit_tx,
-                       update_anchor)
+                       seal_anchors, select_committee, sender_address,
+                       submit_tx, update_anchor)
 from .trie import AccountLeaf, HeaderChain, Trie
 
 
@@ -51,14 +49,14 @@ METRICS_FIELDS = ("tick", "shard_id", "tx_count", "blocks", "anchors",
                   "adversary_profit")
 
 
-@lru_cache(maxsize=4096)
 def peer_address(peer_id: str) -> bytes:
-    """20-byte account address derived from the peer identity."""
-    return keccak256(b"account:" + peer_id.encode())[:20]
+    """A peer's account: the one its mempool sender ``account:<id>`` proves."""
+    return sender_address(f"account:{peer_id}")
 
 
 def _load_address(shard_id: str) -> bytes:
-    return keccak256(b"load:" + shard_id.encode())[:20]
+    """The account of a shard's load generator, sender ``load:<shard>``."""
+    return sender_address(f"load:{shard_id}")
 
 
 def _open_pool(e_s: int, m_s: int) -> Optional[ScaledPool]:
@@ -145,7 +143,6 @@ class Simulator:
         # projections of it onto the resident peer set.
         self.balances: Dict[str, int] = {}
         self.nonces: Dict[str, int] = {}
-        self.peer_locations: Dict[str, Tuple[Fraction, Fraction]] = {}
         self.pending: List[Tuple[int, int, TradeSpec]] = []
         self.init_sessions: List[MpcSession] = []
         self.retired_sessions: List[MpcSession] = []
@@ -166,15 +163,14 @@ class Simulator:
         )
         self._log_block(0, "master", self.topology.master.chain.headers[0])
         for peer in self.config.peers:
-            descriptor = register_peer(
+            shard = register_peer(
                 self.topology, peer.peer_id, peer.lat, peer.lon,
                 key=peer.key, stake=peer.stake,
             )
             self.balances[peer.peer_id] = peer.balance
             self.nonces[peer.peer_id] = 0
-            self.peer_locations[peer.peer_id] = (peer.lat, peer.lon)
             self.log.emit(0, peer.peer_id, "peer_registered",
-                          shard=descriptor.shard_id)
+                          shard=shard.shard_id)
         for shard in self.topology.all_shards():
             self.runtimes[shard.shard_id] = self._build_runtime(shard, tick=0)
 
@@ -198,9 +194,16 @@ class Simulator:
         load_addr = _load_address(shard.shard_id)
         trie = trie.update(load_addr, AccountLeaf(nonce=0, balance=_LOAD_BALANCE))
 
-        shard.chain = HeaderChain(genesis_state_root=trie.root(),
-                                  genesis_timestamp=tick)
-        self._log_block(tick, shard.shard_id, shard.chain.headers[0])
+        if shard.chain.tip.height == 0:
+            # A new shard: its chain opens at this trie. A shard that has
+            # run (a merged parent) always has blocks past genesis.
+            shard.chain = HeaderChain(genesis_state_root=trie.root(),
+                                      genesis_timestamp=tick)
+            first = shard.chain.tip
+        else:
+            # A merged parent resumes the chain it stopped at its split.
+            first = shard.chain.append(trie.root(), tick)
+        self._log_block(tick, shard.shard_id, first)
         for _ in range(self.config.confirmations):
             header = shard.chain.append(trie.root(), tick)
             self._log_block(tick, shard.shard_id, header)
@@ -211,12 +214,11 @@ class Simulator:
             session = MpcSession(3 * f + 1, modulus=P_MPC,
                                  seed=f"{self.seed}/mpc/{shard.shard_id}")
 
-        # One proof against genesis covers every load transaction.
-        genesis = shard.chain.headers[0]
+        # One proof against the first block covers every load transaction.
         load_proof = balance_proof.prove(
             self.vk,
-            trie_mod.prove_account(trie, load_addr, block_height=0,
-                                   header_hash=genesis.header_hash),
+            trie_mod.prove_account(trie, load_addr, block_height=first.height,
+                                   header_hash=first.header_hash),
             1,
         )
 
@@ -226,7 +228,7 @@ class Simulator:
             rng=random.Random(f"{self.seed}/shard/{shard.shard_id}"),
             session=session,
             load_proof=load_proof,
-            trie_history={h: trie
+            trie_history={first.height + h: trie
                           for h in range(self.config.confirmations + 1)},
         )
 
@@ -290,52 +292,35 @@ class Simulator:
             self.pending.append((spec.tick + delay, i, spec))
         self.pending.sort(key=lambda item: (item[0], item[1]))
 
-    def _shard_for_location(self, lat: Fraction, lon: Fraction) -> Optional[Shard]:
-        for wc in self.topology.workchains:
-            shard = wc.shard_for(lat, lon)
-            if shard is not None:
-                return shard
-        return None
-
-    def _deliver_arrivals(self, tick: int):
-        while self.pending and self.pending[0][0] <= tick:
-            arrival, seq, spec = self.pending.pop(0)
-            lat, lon = self.peer_locations[spec.trader_id]
-            shard = self._shard_for_location(lat, lon)
-            if shard is None:
-                raise SimulationError(
-                    f"trader {spec.trader_id} has no covering shard"
-                )
-            self.runtimes[shard.shard_id].queue.append((arrival, seq, spec))
+    def _route(self, items):
+        """Queue each order on the runtime of the shard covering its trader."""
+        validators = self.topology.master.validators
+        for item in items:
+            trader = item[2].trader_id
+            record = validators[trader]
+            shard = self.topology.shard_for(record.lat, record.lon)
+            if shard is None or shard.shard_id not in self.runtimes:
+                raise SimulationError(f"order from {trader} has no covering shard")
+            self.runtimes[shard.shard_id].queue.append(item)
 
     # -- failures ----------------------------------------------------------------
 
     def _apply_failures(self, tick: int):
         for fs in self.config.failures:
             if fs.tick == tick:
-                shard = self._find_shard(fs.shard_id)
-                sharding.fail_region(
-                    self._workchain_of(shard), shard.zone
-                )
+                self._find_shard(fs.shard_id).failed = True
                 self.log.emit(tick, "system", "region_failed",
-                              shard=shard.shard_id)
+                              shard=fs.shard_id)
             if fs.recover_tick is not None and fs.recover_tick == tick:
-                shard = self._find_shard(fs.shard_id)
-                sharding.recover_region(self._workchain_of(shard), shard.zone)
+                self._find_shard(fs.shard_id).failed = False
                 self.log.emit(tick, "system", "region_recovered",
-                              shard=shard.shard_id)
+                              shard=fs.shard_id)
 
     def _find_shard(self, shard_id: str) -> Shard:
         try:
             return self.topology.shard_by_id(shard_id)
         except sharding.ZoneError as exc:
             raise SimulationError(str(exc)) from exc
-
-    def _workchain_of(self, shard: Shard) -> Workchain:
-        for wc in self.topology.workchains:
-            if wc.workchain_id == shard.workchain_id:
-                return wc
-        raise SimulationError(f"shard {shard.shard_id} has no workchain")
 
     # -- block round -----------------------------------------------------------
 
@@ -535,10 +520,8 @@ class Simulator:
     def _rebalance(self, tick: int):
         master = self.topology.master
         for wc in self.topology.workchains:
-            events = sharding.rebalance_shards(
-                wc, self.config.thresholds, master.validators,
-                genesis_timestamp=tick,
-            )
+            events = sharding.rebalance_shards(wc, self.config.thresholds,
+                                               master.validators)
             for event in events:
                 if event["event"] == "split":
                     self._apply_split(event, tick)
@@ -557,16 +540,6 @@ class Simulator:
         drop_anchor(self.topology.master, shard_id)
         return rt
 
-    def _route_queue(self, items):
-        for arrival, seq, spec in items:
-            lat, lon = self.peer_locations[spec.trader_id]
-            shard = self._shard_for_location(lat, lon)
-            if shard is None or shard.shard_id not in self.runtimes:
-                raise SimulationError(
-                    f"pending order from {spec.trader_id} lost its shard"
-                )
-            self.runtimes[shard.shard_id].queue.append((arrival, seq, spec))
-
     def _apply_split(self, event: dict, tick: int):
         parent_rt = self._retire_runtime(event["parent"])
         child_a = self.topology.shard_by_id(event["children"][0])
@@ -576,7 +549,7 @@ class Simulator:
             rt = self._build_runtime(child, tick)
             self.runtimes[child.shard_id] = rt
             rt.pool = pool
-        self._route_queue(parent_rt.queue)
+        self._route(parent_rt.queue)
 
     def _apply_merge(self, event: dict, tick: int):
         retired = [self._retire_runtime(cid) for cid in event["children"]]
@@ -584,7 +557,7 @@ class Simulator:
         rt = self._build_runtime(merged, tick)
         self.runtimes[merged.shard_id] = rt
         rt.pool = merge_pools(r.pool for r in retired)
-        self._route_queue([item for r in retired for item in r.queue])
+        self._route([item for r in retired for item in r.queue])
 
     # -- adversary experiments -------------------------------------------------
 
@@ -677,7 +650,11 @@ class Simulator:
 
         for tick in range(self.config.ticks):
             self._apply_failures(tick)
-            self._deliver_arrivals(tick)
+            due = 0
+            while due < len(self.pending) and self.pending[due][0] <= tick:
+                due += 1
+            self._route(self.pending[:due])
+            del self.pending[:due]
             if tick > 0 and tick % self.config.block_interval == 0:
                 self._block_round(tick)
 

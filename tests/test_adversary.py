@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privamm import adversary
 from privamm.adversary import (AttackReport, optimal_arbitrage_size,
                                run_arbitrage, run_frontrun, run_sandwich)
-from privamm.amm import LiquidityError, Order, pool_init, quote_buy, quote_sell
+from privamm.amm import (LiquidityError, Order, pool_init, quote_buy,
+                         quote_sell, swap)
 
 POOL = pool_init(Fraction(1000), Fraction(1000))
 
@@ -108,6 +110,25 @@ def test_committed_sandwich_no_victim_zero():
                           rng=random.Random(3))
     assert report.mean_profit == 0
     assert report.t_stat() == 0.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_sandwich(POOL, victim_buy(100), attacker_size=Fraction(50),
+                         mode="plaintext", trials=7),
+    lambda: run_frontrun(POOL, victim_buy(100), mode="plaintext", trials=7),
+], ids=["sandwich", "frontrun"])
+def test_plaintext_sequence_runs_once_for_all_trials(monkeypatch, run):
+    calls = []
+
+    def counting_swap(pool, side, size):
+        calls.append(side)
+        return swap(pool, side, size)
+
+    monkeypatch.setattr(adversary, "swap", counting_swap)
+    report = run()
+    assert len(calls) == 3  # attacker, victim, attacker: once, not 7 times
+    assert report.trials == 7
+    assert report.profit_samples == (report.mean_profit,) * 7
 
 
 # -- frontrun ---------------------------------------------------------------------

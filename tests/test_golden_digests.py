@@ -24,6 +24,12 @@ GOLDEN = {
         "metrics.csv": "4a00eb8b061e998d8bc97179b94513a2f18d5a0440026322a3f6d61fea7e2ba8",
         "attack_report.csv": "31e8f7093217a9f1d182cde02745b95d24b5218f1f095f5dbbdf1eb42f038bc5",
     },
+    "merge": {
+        "logSha256": "e0b67df54595c9fdd1006a67c71f1cffea42f5dccd8436f72b74367df7821827",
+        "summary.json": "e9fdd35e5f5a11b1e9f88f41db6e0d82eadfc675f5cb0913b240ffae4f5ba765",
+        "metrics.csv": "2702a18b2855ee791f4fdf9966233697ffff7140de6b33dc930f3394f67059ba",
+        "attack_report.csv": "ccf5874ef6693e798f58d8b1ad568f0b7ed81fecdbf80b3d23f4fe9ef7322cb2",
+    },
     "split": {
         "logSha256": "e1f094db644995195b1ea76b2b2a5d8d068964a624ebb08f2f262191b1e22edf",
         "summary.json": "be1501e07b2445f7dbcbd54bbed431e7a05b865e02de830908148ac6840138c3",

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,17 +14,19 @@ from privamm.keccak import keccak256
 from privamm.sharding import (AnchorError, Committee, CommitteeError,
                               MempoolEntry, PeerRecord, RegistrationError,
                               Topology, Vote, Workchain, Zone,
-                              ZoneError, drop_anchor,
-                              fail_region, honest_votes, merge_shards,
-                              produce_block, rebalance_shards, recover_region,
+                              ZoneError, drop_anchor, honest_votes,
+                              merge_shards, produce_block, rebalance_shards,
                               register_peer, seal_anchors, select_committee,
-                              split_shard, submit_tx, tally_votes,
-                              update_anchor, zones_tile)
+                              sender_address, split_shard, submit_tx,
+                              tally_votes, update_anchor, zones_tile)
 from privamm.rlp import rlp_encode
+from privamm.scenario import load_scenario
+from privamm.simulator import Simulator, peer_address
 from privamm.trie import (AccountLeaf, MptProof, Trie, encode_account_leaf,
                           header_digest, hp_encode, prove_account)
 
 VK = balance_proof.setup()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_topology(zone=None):
@@ -108,9 +111,9 @@ def test_zone_json_round_trip():
 
 def test_register_places_peer_by_location():
     topo = make_topology()
-    desc = register_peer(topo, "p1", lat=5, lon=5, key="k1")
-    assert desc.shard_id == "shard-0"
-    assert topo.shard_by_id("shard-0").peers == ["p1"]
+    shard = register_peer(topo, "p1", lat=5, lon=5, key="k1")
+    assert shard is topo.shard_by_id("shard-0")
+    assert shard.peers == ["p1"]
     assert topo.master.validators["p1"].key == "k1"
 
 
@@ -273,6 +276,28 @@ def test_public_data_forgery_rejected():
     assert shard.mempool == []
 
 
+def test_replayed_proof_rejected_for_another_sender():
+    """Mallory copies p4's trade proof from a smoke run's public log; it
+    proves p4's account, so it admits only p4's own sender name."""
+    sim = Simulator(load_scenario(str(SCENARIOS / "smoke.json")))
+    sim.run()
+    published = next(ev for ev in sim.log.events
+                     if ev["event"] == "trade_proof_published"
+                     and ev["actor"] == "p4")
+    proof = balance_proof.Proof.from_json(published["proof"])
+    assert proof.account.address == peer_address("p4")
+    shard = sim.topology.shard_by_id("shard-0")
+    replay = MempoolEntry(sender="mallory", commitment=123456, proof=proof,
+                          arrival_tick=0)
+    assert submit_tx(shard, replay, sim.vk) == {
+        "accepted": False, "reason": "proof is for another account"}
+    assert shard.mempool == []
+    own = MempoolEntry(sender="account:p4", commitment=123456, proof=proof,
+                       arrival_tick=0)
+    assert sender_address("account:p4") == account_of("account:p4")
+    assert submit_tx(shard, own, sim.vk) == {"accepted": True, "position": 0}
+
+
 def test_proof_naming_a_header_off_the_chain_rejected():
     _, shard, _ = build_shard()
     entry = valid_entry(shard)
@@ -410,7 +435,7 @@ def test_split_partitions_zone_and_peers():
     assert sorted(child_a.peers) == ["a", "b"]
     assert sorted(child_b.peers) == ["c", "d"]
     assert wc.shards == [child_a, child_b]
-    assert child_a.parent_id == child_b.parent_id == "shard-0"
+    assert child_a.parent is shard and child_b.parent is shard
 
 
 def test_split_along_latitude_when_taller():
@@ -471,13 +496,39 @@ def test_merge_restores_parent():
     locations = {"a": (5, 1), "b": (5, 9)}
     shard.peers = list(locations)
     shard.lp_liquidity = {"a": Fraction(100), "b": Fraction(100)}
+    shard.load_window = [9, 9]
+    shard.chain.append(b"\x01" * 32, timestamp=1)
+    chain, headers = shard.chain, list(shard.chain.headers)
     child_a, child_b = split_shard(wc, shard, records_for(locations))
+    child_a.lp_liquidity["a"] = Fraction(150)
+    child_b.mempool.append("pending")
+    child_a.failed = True
     merged = merge_shards(wc, child_a, child_b)
+    assert merged is shard
     assert merged.shard_id == "shard-0"
     assert merged.zone == Zone(0, 10, 0, 10)
-    assert merged.lp_liquidity == shard.lp_liquidity
+    assert merged.chain is chain and merged.chain.headers == headers
+    assert merged.load_window == []
+    assert not merged.failed
+    assert merged.lp_liquidity == {"a": Fraction(150), "b": Fraction(100)}
+    assert merged.mempool == ["pending"]
     assert merged.peers == ["a", "b"]
     assert wc.shards == [merged]
+
+
+def test_merged_shard_can_merge_with_its_own_sibling():
+    topo = make_topology()
+    wc = topo.workchains[0]
+    root = wc.shards[0]
+    locations = {"a": (5, 1), "b": (5, 4), "c": (5, 9)}
+    root.peers = list(locations)
+    records = records_for(locations)
+    left, right = split_shard(wc, root, records)
+    grand_a, grand_b = split_shard(wc, left, records)
+    assert merge_shards(wc, grand_a, grand_b) is left
+    assert left.parent is root
+    assert merge_shards(wc, left, right) is root
+    assert wc.shards == [root] and root.parent is None
 
 
 def test_merge_requires_siblings():
@@ -535,19 +586,3 @@ def test_merge_trigger_is_strictly_less():
     events = rebalance_shards(wc, thresholds, records)
     assert [e["event"] for e in events] == ["merge"]
     assert len(wc.shards) == 1
-
-
-# -- regional failure --------------------------------------------------------------------
-
-def test_fail_and_recover_region():
-    topo, shard, _ = build_shard()
-    failed = fail_region(topo.workchains[0], shard.zone)
-    assert failed is shard and shard.failed
-    recovered = recover_region(topo.workchains[0], shard.zone)
-    assert recovered is shard and not shard.failed
-
-
-def test_fail_region_unknown_zone():
-    topo, _, _ = build_shard()
-    with pytest.raises(ZoneError):
-        fail_region(topo.workchains[0], Zone(90, 91, 90, 91))

@@ -286,6 +286,41 @@ def test_split_scenario_conserves_liquidity():
     assert total_m == 600 * 10**6
 
 
+def test_merged_shard_resumes_its_pre_split_chain():
+    sim = Simulator(load_scenario(str(SCENARIOS / "merge.json")))
+    sim.run()
+    kinds = [e["event"] for e in sim.log.events]
+    split_at = kinds.index("shard_split")
+    merge_at = kinds.index("shard_merge")
+    blocks = [(i, e["header"]) for i, e in enumerate(sim.log.events)
+              if e["event"] == "block" and e["chain"] == "shard-0"]
+    pre_split_tip = [h for i, h in blocks if i < split_at][-1]
+    resumed = [h for i, h in blocks if i > split_at]
+    first = resumed[0]
+    assert first["parentHash"] == pre_split_tip["headerHash"]
+    assert first["height"] == pre_split_tip["height"] + 1
+    assert first["timestamp"] == sim.log.events[merge_at]["tick"]
+    shard = sim.topology.shard_by_id("shard-0")
+    assert [h.to_json() for h in shard.chain.headers] == [h for _, h in blocks]
+    # The resumed runtime's load proof and the post-merge trade both prove
+    # against the first resumed block.
+    rt = sim.runtimes["shard-0"]
+    assert rt.load_proof.account.header_hash.hex() == first["headerHash"][2:]
+    trade = next(e for e in sim.log.events
+                 if e["event"] == "trade_proof_published")
+    assert trade["proof"]["account"]["headerHash"] == first["headerHash"]
+
+
+def test_verify_passes_on_merge_scenario(tmp_path, capsys):
+    out = tmp_path / "merge"
+    assert main(["run", str(SCENARIOS / "merge.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if line.startswith("FAIL")]
+    assert "ok: block headers replay (35 headers)" in lines
+
+
 def test_failure_scenario_contains_outage():
     cfg = load_scenario(str(SCENARIOS / "failure.json"))
     summary = Simulator(cfg).run()
