@@ -16,10 +16,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import List, Sequence, Tuple, Union
 
 from .trie import (AccountLeaf, MalformedLeafError, MptProof,
                    VerificationError, decode_account_leaf,
-                   verify_account_proof)
+                   verify_account_proofs)
 
 
 class ProvingError(Exception):
@@ -81,20 +82,37 @@ def prove(vk: VerificationKey, account: MptProof, threshold: int) -> Proof:
     return Proof(vk=vk, threshold=threshold, account=account)
 
 
+def verify_many(
+        vk: VerificationKey, items: Sequence[Tuple[Proof, bytes]],
+) -> List[Union[AccountLeaf, VerificationError]]:
+    """Check each ``(proof, state_root)`` pair; returns, in order, what
+    ``verify`` would: the proven account, or the VerificationError it would
+    raise. The account proofs are walked in one batch."""
+    walks = iter(verify_account_proofs(
+        [(state_root, proof.account) for proof, state_root in items
+         if proof.vk == vk]))
+    results: List[Union[AccountLeaf, VerificationError]] = []
+    for proof, _ in items:
+        if proof.vk != vk:
+            results.append(VerificationError("proof is for another statement"))
+            continue
+        leaf = next(walks)
+        if isinstance(leaf, AccountLeaf) and leaf.balance < proof.threshold:
+            leaf = VerificationError("balance below threshold")
+        results.append(leaf)
+    return results
+
+
 @lru_cache(maxsize=64)
-def _check(state_root: bytes, proof: Proof) -> AccountLeaf:
-    """Walk the proof to ``state_root`` and compare the proven balance with
-    the threshold. Pure, so a small cache walks a proof that many mempool
-    entries reuse once; a rejection raises, and is not cached."""
-    account = proof.account
-    leaf = verify_account_proof(state_root, account.address, account)
-    if leaf.balance < proof.threshold:
-        raise VerificationError("balance below threshold")
-    return leaf
+def _check(vk: VerificationKey, state_root: bytes, proof: Proof) -> AccountLeaf:
+    """``verify``, cached: pure, so a small cache walks a proof that many
+    mempool entries reuse once; a rejection raises, and is not cached."""
+    (result,) = verify_many(vk, [(proof, state_root)])
+    if isinstance(result, VerificationError):
+        raise result
+    return result
 
 
 def verify(vk: VerificationKey, proof: Proof, state_root: bytes) -> AccountLeaf:
     """Return the proven account, or raise VerificationError naming the cause."""
-    if proof.vk != vk:
-        raise VerificationError("proof is for another statement")
-    return _check(state_root, proof)
+    return _check(vk, state_root, proof)

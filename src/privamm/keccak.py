@@ -6,10 +6,23 @@ capacity 512, output 256 bits.
 
 The permutation is written out lane by lane in local variables (the
 "unrolled, in-register" form of the Keccak implementation overview, section
-2) since every trie update and account-proof check runs through it.
+2) since every trie update and account-proof check runs through it. Both
+forms below are generated from one rotation and pi table:
+
+- ``_keccak_f`` permutes one state of 25 64-bit lanes; ``keccak256`` uses it.
+- ``_keccak_f_packed`` permutes k states at once, packed side by side in
+  Python ints, one 64-bit slot per state in each lane ("SIMD within a
+  register", Fisher and Dietz, LCPC 1998). Theta, chi and iota act on every
+  slot at once; a rotation masks each shifted half back into its own slot.
+  CPython pays about the same per int operation up to a few hundred bits
+  wide, so ``keccak256_many`` hashes a group of messages in little more time
+  than one.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import List, Sequence
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -20,128 +33,147 @@ _ROUND_CONSTANTS = (
     0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 )
 
+#: Rho rotation offset of lane A[x][y], indexed ``x + 5y``; pi moves the
+#: rotated lane to B[y][2x + 3y].
+_RHO = (0, 1, 62, 28, 27,
+        36, 44, 6, 55, 20,
+        3, 10, 43, 25, 39,
+        41, 45, 15, 21, 8,
+        18, 2, 61, 56, 14)
+#: Every left rotation the permutation makes: theta's 1 and rho's offsets.
+_ROTATIONS = sorted({1, *_RHO} - {0})
+
 _MASK = (1 << 64) - 1
 _RATE_BYTES = 136
+_RATE_LANES = 17
 _DIGEST_BYTES = 32
 
+#: States permuted together by ``keccak256_many``. On real proof batches
+#: (236 to 1,327 messages) 192 to 512 slots timed within 10% of each other
+#: and of the fastest; the per-width constants grow with the width.
+GROUP_WIDTH = 192
 
-def _keccak_f(lanes: list[int]) -> None:
-    """Keccak-f[1600] permutation, in place on 25 64-bit lanes.
 
-    Unrolled: lane ``x + 5y`` (A[x][y]) lives in local ``a{x+5y}`` for all 24
-    rounds and is written back once, because this is the hot path of every
-    trie update and proof check. Theta is folded into rho/pi, which leave the
+def _permutation(name: str, params: str, prologue: str, rotl) -> object:
+    """Compile the unrolled Keccak-f[1600] with ``rotl(var, r)`` as the
+    source text of a left rotation of ``var`` by ``r`` bits.
+
+    Lane ``x + 5y`` (A[x][y]) lives in local ``a{x+5y}`` for all 24 rounds
+    and is written back once. Theta is folded into rho/pi, which leave the
     rotated A[x][y] in ``b{y + 5((2x + 3y) % 5)}``; chi and iota read ``b``
-    back into ``a``.
+    back into ``a``. ``~x & y`` needs no mask since ``y`` is non-negative.
     """
-    mask = _MASK
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = lanes
-    for rc in _ROUND_CONSTANTS:
-        # theta
-        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
-        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
-        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
-        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
-        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & mask)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & mask)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & mask)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & mask)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & mask)
-        # rho + pi, with theta's d applied on the way in
-        b0 = a0 ^ d0
-        t = a6 ^ d1
-        b1 = ((t << 44) | (t >> 20)) & mask
-        t = a12 ^ d2
-        b2 = ((t << 43) | (t >> 21)) & mask
-        t = a18 ^ d3
-        b3 = ((t << 21) | (t >> 43)) & mask
-        t = a24 ^ d4
-        b4 = ((t << 14) | (t >> 50)) & mask
-        t = a3 ^ d3
-        b5 = ((t << 28) | (t >> 36)) & mask
-        t = a9 ^ d4
-        b6 = ((t << 20) | (t >> 44)) & mask
-        t = a10 ^ d0
-        b7 = ((t << 3) | (t >> 61)) & mask
-        t = a16 ^ d1
-        b8 = ((t << 45) | (t >> 19)) & mask
-        t = a22 ^ d2
-        b9 = ((t << 61) | (t >> 3)) & mask
-        t = a1 ^ d1
-        b10 = ((t << 1) | (t >> 63)) & mask
-        t = a7 ^ d2
-        b11 = ((t << 6) | (t >> 58)) & mask
-        t = a13 ^ d3
-        b12 = ((t << 25) | (t >> 39)) & mask
-        t = a19 ^ d4
-        b13 = ((t << 8) | (t >> 56)) & mask
-        t = a20 ^ d0
-        b14 = ((t << 18) | (t >> 46)) & mask
-        t = a4 ^ d4
-        b15 = ((t << 27) | (t >> 37)) & mask
-        t = a5 ^ d0
-        b16 = ((t << 36) | (t >> 28)) & mask
-        t = a11 ^ d1
-        b17 = ((t << 10) | (t >> 54)) & mask
-        t = a17 ^ d2
-        b18 = ((t << 15) | (t >> 49)) & mask
-        t = a23 ^ d3
-        b19 = ((t << 56) | (t >> 8)) & mask
-        t = a2 ^ d2
-        b20 = ((t << 62) | (t >> 2)) & mask
-        t = a8 ^ d3
-        b21 = ((t << 55) | (t >> 9)) & mask
-        t = a14 ^ d4
-        b22 = ((t << 39) | (t >> 25)) & mask
-        t = a15 ^ d0
-        b23 = ((t << 41) | (t >> 23)) & mask
-        t = a21 ^ d1
-        b24 = ((t << 2) | (t >> 62)) & mask
-        # chi + iota; ~x & y needs no mask since y < 2**64
-        a0 = b0 ^ (~b1 & b2) ^ rc
-        a1 = b1 ^ (~b2 & b3)
-        a2 = b2 ^ (~b3 & b4)
-        a3 = b3 ^ (~b4 & b0)
-        a4 = b4 ^ (~b0 & b1)
-        a5 = b5 ^ (~b6 & b7)
-        a6 = b6 ^ (~b7 & b8)
-        a7 = b7 ^ (~b8 & b9)
-        a8 = b8 ^ (~b9 & b5)
-        a9 = b9 ^ (~b5 & b6)
-        a10 = b10 ^ (~b11 & b12)
-        a11 = b11 ^ (~b12 & b13)
-        a12 = b12 ^ (~b13 & b14)
-        a13 = b13 ^ (~b14 & b10)
-        a14 = b14 ^ (~b10 & b11)
-        a15 = b15 ^ (~b16 & b17)
-        a16 = b16 ^ (~b17 & b18)
-        a17 = b17 ^ (~b18 & b19)
-        a18 = b18 ^ (~b19 & b15)
-        a19 = b19 ^ (~b15 & b16)
-        a20 = b20 ^ (~b21 & b22)
-        a21 = b21 ^ (~b22 & b23)
-        a22 = b22 ^ (~b23 & b24)
-        a23 = b23 ^ (~b24 & b20)
-        a24 = b24 ^ (~b20 & b21)
-    lanes[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-                a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
+    a = ", ".join(f"a{i}" for i in range(25))
+    src = [f"def {name}({params}):", prologue, f"    ({a}) = lanes",
+           "    for rc in rcs:"]
+    for x in range(5):
+        src.append(f"        c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5)))
+    for x in range(5):
+        src.append(f"        d{x} = c{(x - 1) % 5} ^ {rotl(f'c{(x + 1) % 5}', 1)}")
+    pi = sorted((y + 5 * ((2 * x + 3 * y) % 5), x, y)
+                for x in range(5) for y in range(5))
+    for dst, x, y in pi:
+        lane, r = x + 5 * y, _RHO[x + 5 * y]
+        if r == 0:
+            src.append(f"        b{dst} = a{lane} ^ d{x}")
+        else:
+            src.append(f"        t = a{lane} ^ d{x}")
+            src.append(f"        b{dst} = {rotl('t', r)}")
+    for y in range(5):
+        for x in range(5):
+            i, i1, i2 = x + 5 * y, (x + 1) % 5 + 5 * y, (x + 2) % 5 + 5 * y
+            iota = " ^ rc" if i == 0 else ""
+            src.append(f"        a{i} = b{i} ^ (~b{i1} & b{i2}){iota}")
+    src.append(f"    lanes[:] = ({a})")
+    namespace = {"__name__": __name__, "_ROUND_CONSTANTS": _ROUND_CONSTANTS,
+                 "_MASK": _MASK}
+    exec("\n".join(src), namespace)  # noqa: S102 - source built above
+    return namespace[name]
+
+
+_keccak_f = _permutation(
+    "_keccak_f", "lanes, rcs=_ROUND_CONSTANTS, mask=_MASK", "",
+    lambda v, r: f"((({v} << {r}) | ({v} >> {64 - r})) & mask)")
+_keccak_f.__doc__ = "Keccak-f[1600] permutation, in place on 25 64-bit lanes."
+
+_keccak_f_packed = _permutation(
+    "_keccak_f_packed", "lanes, rcs, masks",
+    "    (" + ", ".join(f"h{r}, l{r}" for r in _ROTATIONS) + ",) = masks",
+    lambda v, r: f"((({v} << {r}) & h{r}) | (({v} >> {64 - r}) & l{r}))")
+_keccak_f_packed.__doc__ = (
+    "Keccak-f[1600] on k states packed one per 64-bit slot of each lane; "
+    "``rcs`` and ``masks`` come from ``_slot_constants(k)``.")
+
+
+@lru_cache(maxsize=16)
+def _slot_constants(k: int):
+    """Round constants and rotation masks repeated once per slot for k
+    states: ``h{r}`` keeps bits r..63 of each slot, ``l{r}`` bits 0..r-1."""
+    ones = ((1 << 64 * k) - 1) // _MASK  # 1 in the lowest bit of each slot
+    rcs = tuple(rc * ones for rc in _ROUND_CONSTANTS)
+    masks = []
+    for r in _ROTATIONS:
+        low = (1 << r) - 1
+        masks += [(_MASK ^ low) * ones, low * ones]
+    return rcs, tuple(masks)
+
+
+def _pad(data: bytes) -> bytes:
+    """Multi-rate padding: 0x01 ... 0x80, collapsing to 0x81 for one byte."""
+    padlen = _RATE_BYTES - (len(data) % _RATE_BYTES)
+    if padlen == 1:
+        return bytes(data) + b"\x81"
+    return bytes(data) + b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
 
 
 def keccak256(data: bytes) -> bytes:
     """One-shot Keccak-256 digest of ``data``."""
     lanes = [0] * 25
-    # multi-rate padding: 0x01 ... 0x80 (collapsing to 0x81 for a 1-byte pad)
-    padlen = _RATE_BYTES - (len(data) % _RATE_BYTES)
-    if padlen == 1:
-        padded = data + b"\x81"
-    else:
-        padded = data + b"\x01" + b"\x00" * (padlen - 2) + b"\x80"
+    padded = _pad(data)
     for off in range(0, len(padded), _RATE_BYTES):
         block = padded[off : off + _RATE_BYTES]
-        for i in range(17):  # 136 bytes = 17 lanes
+        for i in range(_RATE_LANES):
             lanes[i] ^= int.from_bytes(block[8 * i : 8 * i + 8], "little")
         _keccak_f(lanes)
     return b"".join(lanes[i].to_bytes(8, "little") for i in range(4))
 
+
+def keccak256_many(messages: Sequence[bytes]) -> List[bytes]:
+    """Keccak-256 of each message, in input order; equal to mapping
+    ``keccak256``, but permutes up to ``GROUP_WIDTH`` states at once."""
+    if len(messages) == 1:
+        return [keccak256(messages[0])]
+    padded = [_pad(m) for m in messages]
+    # Longest first, so the states that still have a block b are a prefix
+    # of the group, and each finished state drops off its top slot.
+    order = sorted(range(len(padded)), key=lambda i: -len(padded[i]))
+    digests: List[bytes] = [b""] * len(padded)
+    for start in range(0, len(order), GROUP_WIDTH):
+        group = order[start : start + GROUP_WIDTH]
+        _absorb_group([padded[i] for i in group], group, digests)
+    return digests
+
+
+def _absorb_group(padded: List[bytes], slots: List[int],
+                  digests: List[bytes]) -> None:
+    """Hash ``padded`` (longest first) as one packed state; the digest of
+    ``padded[j]`` goes to ``digests[slots[j]]``."""
+    lanes = [0] * 25
+    live = len(padded)
+    off = 0
+    while live:
+        block = b"".join(p[off : off + _RATE_BYTES] for p in padded[:live])
+        words = memoryview(block).cast("Q")  # 8-byte chunks; only reordered
+        for i in range(_RATE_LANES):
+            lanes[i] ^= int.from_bytes(words[i::_RATE_LANES].tobytes(), "little")
+        _keccak_f_packed(lanes, *_slot_constants(live))
+        off += _RATE_BYTES
+        done = live
+        while live and len(padded[live - 1]) == off:
+            live -= 1
+        if live < done:
+            out = [lanes[i].to_bytes(8 * done, "little") for i in range(4)]
+            for j in range(live, done):
+                digests[slots[j]] = b"".join(w[8 * j : 8 * j + 8] for w in out)
+            low = (1 << 64 * live) - 1
+            lanes = [lane & low for lane in lanes]

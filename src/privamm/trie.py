@@ -16,17 +16,22 @@ Nodes are immutable objects: a leaf, an extension, or a branch with a
 the changed leaf and hashes nothing. Each node computes its RLP encoding
 and digest the first time `root` or `prove` asks for them and keeps them,
 so a block's updates hash each node they touched once, when the block
-reads its state root. Since no node changes after it is built, the trie
-is persistent: an old handle keeps its root and its proofs.
+reads its state root; `root` hashes those nodes one height at a time, in
+one `keccak256_many` batch per height. Since no node changes after it is
+built, the trie is persistent: an old handle keeps its root and its proofs.
+
+`verify_account_proofs` checks many proofs at once: it hashes every
+distinct node and address they hold in one batch, then walks each proof
+against those digests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .rlp import RlpError, rlp_decode, rlp_encode
 
 LEAF_LEN = 112
@@ -199,6 +204,9 @@ class _Leaf(_Node):
     def _items(self):
         return [hp_encode(self.path, True), self.value]
 
+    def _children(self):
+        return ()
+
 
 class _Extension(_Node):
     __slots__ = ("path", "child")
@@ -210,6 +218,9 @@ class _Extension(_Node):
 
     def _items(self):
         return [hp_encode(self.path, False), self.child.digest()]
+
+    def _children(self):
+        return (self.child,)
 
 
 class _Branch(_Node):
@@ -224,6 +235,24 @@ class _Branch(_Node):
 
     def _items(self):
         return [b"" if c is None else c.digest() for c in self.children] + [b""]
+
+    def _children(self):
+        return [c for c in self.children if c is not None]
+
+
+def _unhashed_by_height(node: _Node, levels: List[List[_Node]]) -> int:
+    """Append each node under ``node`` that has no digest yet to
+    ``levels[h]``, where h is its height above the lowest unhashed nodes;
+    returns the height of ``node``, or -1 if it is hashed. Every descendant
+    of a hashed node is hashed, so the walk stops there."""
+    if node._digest is not None:
+        return -1
+    height = 1 + max((_unhashed_by_height(c, levels) for c in node._children()),
+                     default=-1)
+    if height == len(levels):
+        levels.append([])
+    levels[height].append(node)
+    return height
 
 
 def _insert(node: Optional[_Node], path, value: bytes) -> _Node:
@@ -260,9 +289,18 @@ class Trie:
         self._root = root
 
     def root(self) -> bytes:
-        """State root; hashes only the nodes no earlier call has hashed."""
+        """State root; hashes only the nodes no earlier call has hashed,
+        lowest first, in one batch per height: a node's encoding needs its
+        children's digests, and nodes of one height do not depend on each
+        other."""
         if self._root is None:
             return EMPTY_ROOT
+        levels: List[List[_Node]] = []
+        _unhashed_by_height(self._root, levels)
+        for level in levels:
+            digests = keccak256_many([node.encoding() for node in level])
+            for node, digest in zip(level, digests):
+                node._digest = digest
         return self._root.digest()
 
     def update(self, address: bytes, acct: AccountLeaf) -> "Trie":
@@ -297,9 +335,6 @@ class Trie:
         if path[idx:] != node.path:
             raise NotFoundError(f"address {address.hex()} not present")
         return stack
-
-    def get(self, address: bytes) -> AccountLeaf:
-        return decode_account_leaf(self._walk(address)[-1].value)
 
     def prove(self, address: bytes) -> "MptProof":
         stack = self._walk(address)
@@ -356,17 +391,32 @@ class MptProof:
         )
 
 
-@lru_cache(maxsize=4096)
-def _node_digest(encoded: bytes) -> bytes:
-    """Keccak of a proof node's encoding. Proofs checked one after another
-    share nodes (the root at a height, unchanged subtrees), so a bounded
-    cache of this pure function hashes each of those once."""
-    return keccak256(encoded)
+def verify_account_proofs(
+        items: Sequence[Tuple[bytes, MptProof]],
+) -> List[Union[AccountLeaf, VerificationError]]:
+    """Check each ``(state_root, proof)`` pair; returns, in order, the
+    account its proof proves or the VerificationError naming the cause.
+
+    Hashes every distinct node and address of every proof in one batch,
+    keyed by their bytes, then walks each proof against those digests.
+    """
+    messages = {}
+    for _, proof in items:
+        messages[proof.address] = None
+        messages.update(dict.fromkeys(proof.node_stack))
+    digests = dict(zip(messages, keccak256_many(list(messages))))
+    results: List[Union[AccountLeaf, VerificationError]] = []
+    for state_root, proof in items:
+        try:
+            results.append(_walk_proof(state_root, proof, digests))
+        except VerificationError as exc:
+            results.append(exc)
+    return results
 
 
 def verify_account_proof(state_root: bytes, address: bytes,
                          proof: MptProof) -> AccountLeaf:
-    """Re-hash and re-walk a proof; returns the proven account or raises.
+    """Re-hash and re-walk one proof; returns the proven account or raises.
 
     Any altered byte in the nodes, address, or claimed root flips a hash
     or diverts the nibble path, and is reported with its cause.
@@ -375,13 +425,24 @@ def verify_account_proof(state_root: bytes, address: bytes,
         raise VerificationError("address must be 20 bytes")
     if proof.address != address:
         raise VerificationError("address mismatch between proof and query")
+    (result,) = verify_account_proofs([(state_root, proof)])
+    if isinstance(result, VerificationError):
+        raise result
+    return result
+
+
+def _walk_proof(state_root: bytes, proof: MptProof, digests: dict) -> AccountLeaf:
+    """Follow ``proof.address``'s path from ``state_root`` through the node
+    stack; ``digests`` maps each node and the address to its Keccak-256."""
+    if len(proof.address) != 20:
+        raise VerificationError("address must be 20 bytes")
     if not proof.node_stack:
         raise VerificationError("empty proof")
-    path = _address_path(address)
+    path = _nibbles(digests[proof.address])
     expected_hash = state_root
     idx = 0
     for depth, encoded in enumerate(proof.node_stack):
-        if _node_digest(encoded) != expected_hash:
+        if digests[encoded] != expected_hash:
             cause = "root hash mismatch" if depth == 0 else "hash mismatch"
             raise VerificationError(f"{cause} at node {depth}")
         try:

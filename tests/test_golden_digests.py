@@ -8,13 +8,17 @@ on purpose.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from privamm.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 #: SHA-256 of each artifact, and the ``logSha256`` that summary.json records.
 GOLDEN = {
@@ -49,18 +53,57 @@ def sha256_of(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_scenario_artifacts_match_pinned_digests(name, tmp_path):
-    out = tmp_path / name
-    assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
+#: What ``privamm verify`` prints for the ``merge`` artifacts.
+MERGE_VERIFY_LINES = [
+    "ok: summary.json well-formed",
+    "ok: event log digest matches summary",
+    "ok: run.jsonl well-formed",
+    "ok: block headers replay (35 headers)",
+    "ok: balance and account proofs replay (4 proofs)",
+    "ok: anchor tables complete and bound (9 rounds)",
+    "ok: published pools on the constant-product curve (2 states)",
+    "ok: commitment openings verify (1 openings)",
+    "ok: metrics.csv well-formed (13 rows)",
+    "ok: attack_report.csv well-formed",
+    "verification passed",
+]
+
+
+def artifact_digests(out: Path) -> dict:
     summary = json.loads((out / "summary.json").read_text())
-    got = {
+    assert sha256_of(out / "run.jsonl") == summary["logSha256"]
+    return {
         "logSha256": summary["logSha256"],
         **{f: sha256_of(out / f)
            for f in ("summary.json", "metrics.csv", "attack_report.csv")},
     }
-    assert got == GOLDEN[name]
-    assert sha256_of(out / "run.jsonl") == GOLDEN[name]["logSha256"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_scenario_artifacts_match_pinned_digests(name, tmp_path):
+    out = tmp_path / name
+    assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
+    assert artifact_digests(out) == GOLDEN[name]
+
+
+def test_run_and_verify_do_not_depend_on_hash_seed(tmp_path):
+    """Each interpreter salts str and bytes hashes differently, which
+    reorders sets and can reorder work; artifacts and verify lines must
+    not change with it."""
+    src = str(ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
+        out = tmp_path / f"merge-{hash_seed}"
+        subprocess.run([sys.executable, "-m", "privamm.cli", "run",
+                        str(SCENARIOS / "merge.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        verify = subprocess.run([sys.executable, "-m", "privamm.cli", "verify",
+                                 str(out)], env=env, capture_output=True,
+                                text=True)
+        assert artifact_digests(out) == GOLDEN["merge"]
+        assert verify.returncode == 0, verify.stdout
+        assert verify.stdout.splitlines() == MERGE_VERIFY_LINES
 
 
 def test_drain_scenario_exits_2(tmp_path):

@@ -6,12 +6,14 @@ account trie and block headers hash with.
 """
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privamm.keccak import _keccak_f, keccak256
+from privamm.keccak import (GROUP_WIDTH, _keccak_f, _keccak_f_packed,
+                            _slot_constants, keccak256, keccak256_many)
 
 # Well-known digests of the original Keccak-256 (pre-NIST padding).
 KNOWN_VECTORS = [
@@ -56,6 +58,69 @@ def test_permutation_matches_openssl_sha3(length):
     # span up to four 136-byte blocks, past the published vectors above.
     data = bytes((7 * i + length) % 256 for i in range(length))
     assert _sha3_256_via_keccak_f(data) == hashlib.sha3_256(data).digest()
+
+
+def _sha3_256_many_via_packed_keccak_f(messages) -> list:
+    # SHA3's 0x06-padded sponge over equal-length messages, permuted
+    # together: message j sits in the 64-bit slot j of every lane.
+    padded = []
+    for data in messages:
+        padlen = 136 - len(data) % 136
+        block = bytearray(data + b"\x00" * padlen)
+        block[len(data)] ^= 0x06
+        block[-1] ^= 0x80
+        padded.append(bytes(block))
+    k = len(padded)
+    lanes = [0] * 25
+    for off in range(0, len(padded[0]), 136):
+        for i in range(17):
+            for j, block in enumerate(padded):
+                word = block[off + 8 * i: off + 8 * i + 8]
+                lanes[i] ^= int.from_bytes(word, "little") << 64 * j
+        _keccak_f_packed(lanes, *_slot_constants(k))
+    return [b"".join((lane >> 64 * j & (1 << 64) - 1).to_bytes(8, "little")
+                     for lane in lanes[:4]) for j in range(k)]
+
+
+@pytest.mark.parametrize("length", [0, 1, 135, 136, 137, 271, 272, 543, 544, 600])
+def test_packed_permutation_matches_openssl_sha3(length):
+    messages = [bytes((7 * i + length + j) % 256 for i in range(length))
+                for j in range(5)]
+    assert (_sha3_256_many_via_packed_keccak_f(messages)
+            == [hashlib.sha3_256(m).digest() for m in messages])
+
+
+def test_many_matches_one_by_one_for_every_length_to_600():
+    # Crosses every 136-byte block boundary up to five blocks, in one call
+    # wider than a group.
+    messages = [bytes((11 * i + n) % 256 for i in range(n)) for n in range(601)]
+    assert len(messages) > GROUP_WIDTH
+    assert keccak256_many(messages) == [keccak256(m) for m in messages]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 17, GROUP_WIDTH, GROUP_WIDTH + 1,
+                                  2 * GROUP_WIDTH + 5])
+def test_many_group_sizes(size):
+    rng = random.Random(size)
+    messages = [rng.randbytes(rng.randrange(0, 420)) for _ in range(size)]
+    assert keccak256_many(messages) == [keccak256(m) for m in messages]
+
+
+def test_many_keeps_input_order_with_mixed_lengths_and_duplicates():
+    messages = [b"x" * 300, b"", b"abc", b"x" * 300, b"y" * 136, b"abc",
+                b"z" * 135, b"", b"w" * 544]
+    digests = keccak256_many(messages)
+    assert digests == [keccak256(m) for m in messages]
+    assert digests[0] == digests[3] and digests[2] == digests[5]
+    assert keccak256_many(messages[::-1]) == digests[::-1]
+    assert digests[1] == bytes.fromhex(KNOWN_VECTORS[0][1])
+    assert digests[2] == bytes.fromhex(KNOWN_VECTORS[1][1])
+
+
+@given(st.lists(st.binary(max_size=700), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_many_equals_map(messages):
+    assert keccak256_many(messages) == [keccak256(m) for m in messages]
 
 
 def test_digest_length_is_32():

@@ -171,18 +171,21 @@ def test_verify_catches_log_edit(small_run, tmp_path):
     assert any("digest" in l for l in lines if l.startswith("FAIL"))
 
 
-def forge_first_trade_proof(small_run, out, edit):
-    """Copy the artifacts, apply ``edit`` to the first published trade
-    proof, and re-pin the log digest so only the proof pass can fail."""
+def edit_events(small_run, out, select, edit):
+    """Copy the artifacts, apply ``edit`` to every event ``select``s, and
+    re-pin the log digest so that the log digest check still passes.
+    Returns the FAIL lines and the edited events' 1-based line numbers."""
+    edited = []
+
     def mutate(d):
         lines = (d / "run.jsonl").read_text().splitlines()
         for i, line in enumerate(lines):
             ev = json.loads(line)
-            if ev["event"] == "trade_proof_published":
-                edit(ev["proof"])
+            if select(ev):
+                edit(ev)
                 lines[i] = json.dumps(ev, sort_keys=True,
                                       separators=(",", ":"))
-                break
+                edited.append(i + 1)
         blob = "\n".join(lines) + "\n"
         (d / "run.jsonl").write_bytes(blob.encode())
         import hashlib
@@ -193,17 +196,92 @@ def forge_first_trade_proof(small_run, out, edit):
 
     code, lines = verify_artifacts(str(tampered_copy(small_run, out, mutate)))
     assert code == 2
-    return [l for l in lines if l.startswith("FAIL")]
+    return [l for l in lines if l.startswith("FAIL")], edited
+
+
+def forge_first_trade_proof(small_run, out, edit):
+    """``edit_events`` on the proof of the first published trade; returns
+    the FAIL lines and that event's line number."""
+    found = []
+
+    def first_trade(ev):
+        if found or ev["event"] != "trade_proof_published":
+            return False
+        found.append(ev)
+        return True
+
+    fails, (line,) = edit_events(small_run, out, first_trade,
+                                 lambda ev: edit(ev["proof"]))
+    return fails, line
+
+
+def raise_threshold(proof):
+    proof["threshold"] = str(2**255)
 
 
 def test_verify_catches_forged_proof(small_run, tmp_path):
-    def raise_threshold(proof):
-        proof["threshold"] = str(2**255)
-
-    (fail,) = forge_first_trade_proof(small_run, tmp_path / "t",
-                                      raise_threshold)
+    (fail,), line = forge_first_trade_proof(small_run, tmp_path / "t",
+                                            raise_threshold)
     assert fail.startswith("FAIL: balance and account proofs replay (")
-    assert fail.endswith("(balance proof for p3: balance below threshold)")
+    assert fail.endswith("(balance proof for p3: balance below threshold "
+                         f"at run.jsonl line {line})")
+
+
+def test_verify_fail_line_names_tampered_proof_node(small_run, tmp_path):
+    depths = []
+
+    def flip_last_node_byte(proof):
+        nodes = proof["account"]["nodes"]
+        nodes[-1] = nodes[-1][:-2] + ("01" if nodes[-1][-2:] == "00" else "00")
+        depths.append(len(nodes) - 1)
+
+    (fail,), line = forge_first_trade_proof(small_run, tmp_path / "t",
+                                            flip_last_node_byte)
+    assert depths[0] > 0
+    assert fail.endswith(f"(balance proof for p3: hash mismatch at node "
+                         f"{depths[0]} at run.jsonl line {line})")
+
+
+def test_verify_fail_line_names_tampered_header(small_run, tmp_path):
+    def at_height_3(ev):
+        return ev["event"] == "block" and ev["header"]["height"] == 3
+
+    def relink(ev):
+        ev["header"]["parentHash"] = "0x" + "11" * 32
+
+    events = [json.loads(l)
+              for l in (small_run / "run.jsonl").read_text().splitlines()]
+    fails, (line, *_) = edit_events(small_run, tmp_path / "t", at_height_3,
+                                    relink)
+    target = events[line - 1]
+    count = sum(ev["event"] == "block" for ev in events[:line])
+    assert fails[0] == (f"FAIL: block headers replay ({count} headers) "
+                        f"(digest mismatch at {target['chain']}#3 "
+                        f"at run.jsonl line {line})")
+
+
+def test_verify_batch_reports_the_first_failing_proof(small_run, tmp_path):
+    """The proof pass checks all proofs in one batch and still names the
+    first one that fails, here the second of the log and its last."""
+    events = [json.loads(l)
+              for l in (small_run / "run.jsonl").read_text().splitlines()]
+    proof_lines = [n for n, ev in enumerate(events, 1) if "proof" in ev]
+    assert len(proof_lines) > 2
+    tampered = {proof_lines[1], proof_lines[-1]}
+    seen = []
+
+    def second_or_last_proof(ev):
+        seen.append(ev)
+        return len(seen) in tampered
+
+    (fail,), lines = edit_events(small_run, tmp_path / "t",
+                                 second_or_last_proof,
+                                 lambda ev: raise_threshold(ev["proof"]))
+    assert set(lines) == tampered
+    actor = events[proof_lines[1] - 1]["actor"]
+    assert fail == ("FAIL: balance and account proofs replay (2 proofs) "
+                    f"(balance proof for {actor}: balance below threshold "
+                    f"at run.jsonl line {proof_lines[1]})")
 
 
 def test_verify_rejects_public_data_forgery(small_run, tmp_path):
@@ -220,8 +298,10 @@ def test_verify_rejects_public_data_forgery(small_run, tmp_path):
         proof["account"]["nodes"] = ["0x" + node.hex()]
         proof["threshold"] = str(10**29)
 
-    (fail,) = forge_first_trade_proof(small_run, tmp_path / "t", fabricate)
-    assert fail.endswith("(balance proof for p3: root hash mismatch at node 0)")
+    (fail,), line = forge_first_trade_proof(small_run, tmp_path / "t",
+                                            fabricate)
+    assert fail.endswith("(balance proof for p3: root hash mismatch at node 0 "
+                         f"at run.jsonl line {line})")
 
 
 def test_verify_catches_missing_anchor(small_run, tmp_path):

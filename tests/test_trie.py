@@ -14,7 +14,7 @@ from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, ChainError,
                           Trie, UnforgeabilityError, VerificationError,
                           check_freshness, decode_account_leaf,
                           encode_account_leaf, header_digest, prove_account,
-                          verify_account_proof)
+                          verify_account_proof, verify_account_proofs)
 
 
 def addr(i: int) -> bytes:
@@ -87,25 +87,29 @@ def test_single_leaf_root():
     assert t.root() == keccak256(proof.node_stack[0])
 
 
-def test_get_round_trip():
+def proven_leaf(t: Trie, a: bytes) -> AccountLeaf:
+    return decode_account_leaf(t.prove(a).leaf_rlp)
+
+
+def test_prove_leaf_round_trip():
     t = Trie()
     for i in range(1, 20):
         t = t.update(addr(i), leaf(i * 100))
     for i in range(1, 20):
-        assert t.get(addr(i)).balance == i * 100
+        assert proven_leaf(t, addr(i)).balance == i * 100
 
 
-def test_get_missing_raises():
+def test_prove_missing_raises():
     t = Trie().update(addr(1), leaf(10))
     with pytest.raises(NotFoundError):
-        t.get(addr(2))
+        t.prove(addr(2))
 
 
 def test_update_is_persistent():
     t1 = Trie().update(addr(1), leaf(10))
     t2 = t1.update(addr(1), leaf(20))
-    assert t1.get(addr(1)).balance == 10
-    assert t2.get(addr(1)).balance == 20
+    assert proven_leaf(t1, addr(1)).balance == 10
+    assert proven_leaf(t2, addr(1)).balance == 20
     assert t1.root() != t2.root()
 
 
@@ -194,7 +198,7 @@ def test_old_handle_root_and_proofs_survive_later_updates():
         assert prove_account(hashed, addr(i)) == proof
         assert verify_account_proof(root, addr(i), proof).balance == i * 1000
     with pytest.raises(NotFoundError):
-        hashed.get(addr(99))
+        hashed.prove(addr(99))
     rebuilt = build_populated(16).update(addr(2), leaf(1))
     assert unhashed.root() == rebuilt.root()
     assert unhashed.prove(addr(2)) == rebuilt.prove(addr(2))
@@ -227,9 +231,11 @@ def test_root_hashes_each_dirty_node_once(monkeypatch):
     for n, a in enumerate(targets):
         t = t.update(a, leaf(7 + n, nonce=1))
     hashed = []
-    real = trie_mod.keccak256
+    real, real_many = trie_mod.keccak256, trie_mod.keccak256_many
     monkeypatch.setattr(trie_mod, "keccak256",
                         lambda data: hashed.append(data) or real(data))
+    monkeypatch.setattr(trie_mod, "keccak256_many",
+                        lambda msgs: hashed.extend(msgs) or real_many(msgs))
     root = t.root()
     monkeypatch.undo()
     on_paths = {node for a in targets for node in t.prove(a).node_stack}
@@ -240,16 +246,17 @@ def test_root_hashes_each_dirty_node_once(monkeypatch):
 def test_proof_leaf_is_the_encoded_account():
     t = build_populated(12)
     for i in range(1, 13):
-        assert t.prove(addr(i)).leaf_rlp == encode_account_leaf(t.get(addr(i)))
+        assert t.prove(addr(i)).leaf_rlp == encode_account_leaf(leaf(i * 1000))
 
 
-def test_warm_node_digest_cache_still_rejects_every_tamper():
+def test_batch_rejects_every_tamper_beside_proofs_sharing_its_nodes():
+    """A tampered proof checked in one batch with valid proofs that share
+    its nodes is rejected for every single-byte flip; the others verify."""
     t = build_populated(8)
     root = t.root()
-    trie_mod._node_digest.cache_clear()
-    verify_account_proof(root, addr(5), prove_account(t, addr(5)))
-    assert trie_mod._node_digest.cache_info().currsize > 0
-    proof = prove_account(t, addr(3))
+    valid = [(root, prove_account(t, addr(i))) for i in range(1, 9)]
+    proof = valid[2][1]
+    assert all(proof.node_stack[0] == p.node_stack[0] for _, p in valid)
     for node_idx, node in enumerate(proof.node_stack):
         for byte_idx in range(len(node)):
             mutated = bytearray(node)
@@ -257,9 +264,29 @@ def test_warm_node_digest_cache_still_rejects_every_tamper():
             stack = list(proof.node_stack)
             stack[node_idx] = bytes(mutated)
             bad = type(proof)(address=proof.address, node_stack=tuple(stack))
-            with pytest.raises(VerificationError):
-                verify_account_proof(root, addr(3), bad)
-    assert verify_account_proof(root, addr(3), proof).balance == 3000
+            results = verify_account_proofs(valid + [(root, bad)] + valid)
+            assert isinstance(results[8], VerificationError)
+            assert [r.balance for r in results[:8] + results[9:]] == [
+                i * 1000 for i in range(1, 9)] * 2
+
+
+def test_batch_matches_one_by_one():
+    t = build_populated(12)
+    root = t.root()
+    items = [(root, prove_account(t, addr(i))) for i in range(1, 13)]
+    items += [(b"\x00" * 32, items[0][1]),
+              (root, type(items[1][1])(address=addr(99),
+                                       node_stack=items[1][1].node_stack)),
+              (root, type(items[1][1])(address=addr(1), node_stack=()))]
+    batched = verify_account_proofs(items)
+    for (state_root, proof), got in zip(items, batched):
+        try:
+            want = verify_account_proof(state_root, proof.address, proof)
+        except VerificationError as exc:
+            assert isinstance(got, VerificationError) and str(got) == str(exc)
+        else:
+            assert got == want
+    assert verify_account_proofs([]) == []
 
 
 # -- header chain -----------------------------------------------------------------
