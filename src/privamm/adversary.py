@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .amm import LiquidityError, Order, PoolState, spot_price, swap
 from .mpc import SCALE
@@ -89,22 +89,9 @@ def _run_sequence(pool: PoolState, sequence) -> Fraction:
     return attacker_money
 
 
-def _victim_step(order: Optional[Order]):
-    if order is None:
-        return None
-    return ("victim", order.side, order.quantity_e)
-
-
-def _random_victim(rng: random.Random, size_range: Tuple[Fraction, Fraction]):
-    lo = int(size_range[0] * SCALE)
-    hi = int(size_range[1] * SCALE)
-    size = Fraction(rng.randint(lo, hi), SCALE)
-    side = rng.choice((_BUY, _SELL))
-    return ("victim", side, size)
-
-
-def _guess_size(rng: random.Random,
-                size_range: Tuple[Fraction, Fraction]) -> Fraction:
+def _draw_size(rng: random.Random,
+               size_range: Tuple[Fraction, Fraction]) -> Fraction:
+    """A size on the quantity grid, uniform over the range."""
     lo = int(size_range[0] * SCALE)
     hi = int(size_range[1] * SCALE)
     return Fraction(rng.randint(lo, hi), SCALE)
@@ -113,6 +100,56 @@ def _guess_size(rng: random.Random,
 def _default_range(pool: PoolState) -> Tuple[Fraction, Fraction]:
     # Up to a tenth of the reserve: deep enough to matter, never draining.
     return (Fraction(1, 100) * pool.E, Fraction(1, 10) * pool.E)
+
+
+def _legs_around(victim, size: Fraction) -> list:
+    """The attacker's buy and sell legs of ``size``, the victim between."""
+    steps = [("attacker", _BUY, size), ("attacker", _SELL, size)]
+    if victim is not None:
+        steps.insert(1, victim)
+    return steps
+
+
+def _shuffle_all(rng: random.Random, steps: list) -> None:
+    """Sandwich: the sequencer shuffles all the steps uniformly."""
+    rng.shuffle(steps)
+
+
+def _victim_in_any_slot(rng: random.Random, steps: list) -> None:
+    """Front-run: the victim lands uniformly before, between, or after the
+    attacker's two legs."""
+    if len(steps) == 3:
+        steps.insert(rng.randrange(3), steps.pop(1))
+
+
+def _attack(strategy: str, arrange, pool: PoolState,
+            victim_order: Optional[Order], attacker_size: Fraction, mode: str,
+            trials: int, rng: random.Random,
+            size_range: Tuple[Fraction, Fraction]) -> AttackReport:
+    """The loop both strategies share. A committed trial draws the victim's
+    size and side (if there is a victim), then the attacker's guessed size,
+    and ``arrange`` orders its steps."""
+    if mode == "plaintext":
+        victim = (None if victim_order is None else
+                  ("victim", victim_order.side, victim_order.quantity_e))
+        # Deterministic: every trial would replay the same sequence.
+        samples = [_run_sequence(pool, _legs_around(victim, attacker_size))] * trials
+    elif mode == "committed":
+        samples = []
+        for _ in range(trials):
+            victim = None
+            if victim_order is not None:
+                size = _draw_size(rng, size_range)
+                victim = ("victim", rng.choice((_BUY, _SELL)), size)
+            steps = _legs_around(victim, _draw_size(rng, size_range))
+            arrange(rng, steps)
+            samples.append(_quantize(_run_sequence(pool, steps)))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    mean = sum(samples, Fraction(0)) / len(samples)
+    return AttackReport(strategy=strategy, mode=mode, trials=trials,
+                        mean_profit=mean, profit_samples=tuple(samples))
 
 
 def run_sandwich(pool: PoolState, victim_order: Optional[Order],
@@ -132,38 +169,9 @@ def run_sandwich(pool: PoolState, victim_order: Optional[Order],
         raise LiquidityError("liquidity error: attacker size exceeds reserve")
     if attacker_size <= 0:
         raise ValueError("attacker size must be positive")
-    rng = rng or random.Random(0)
-    size_range = victim_size_range or _default_range(pool)
-
-    samples: List[Fraction] = []
-    if mode == "plaintext":
-        victim = _victim_step(victim_order)
-        front = ("attacker", _BUY, attacker_size)
-        back = ("attacker", _SELL, attacker_size)
-        steps = [front, victim, back] if victim else [front, back]
-        # Deterministic: every trial would replay the same sequence.
-        samples = [_run_sequence(pool, steps)] * trials
-    elif mode == "committed":
-        for _ in range(trials):
-            if victim_order is None:
-                victim = None
-            else:
-                victim = _random_victim(rng, size_range)
-            guess = _guess_size(rng, size_range)
-            front = ("attacker", _BUY, guess)
-            back = ("attacker", _SELL, guess)
-            steps = [front, back] if victim is None else [front, victim, back]
-            order = list(range(len(steps)))
-            rng.shuffle(order)
-            samples.append(
-                _quantize(_run_sequence(pool, [steps[i] for i in order]))
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    mean = sum(samples, Fraction(0)) / len(samples)
-    return AttackReport(strategy="sandwich", mode=mode, trials=trials,
-                        mean_profit=mean, profit_samples=tuple(samples))
+    return _attack("sandwich", _shuffle_all, pool, victim_order,
+                   attacker_size, mode, trials, rng or random.Random(0),
+                   victim_size_range or _default_range(pool))
 
 
 def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
@@ -181,42 +189,12 @@ def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
     size_range = victim_size_range or _default_range(pool)
     if attacker_size is None:
         attacker_size = (victim_order.quantity_e if victim_order is not None
-                         else _guess_size(rng, size_range))
+                         else _draw_size(rng, size_range))
     attacker_size = Fraction(attacker_size)
     if attacker_size >= pool.E:
         raise LiquidityError("liquidity error: attacker size exceeds reserve")
-
-    samples: List[Fraction] = []
-    if mode == "plaintext":
-        victim = _victim_step(victim_order)
-        front = ("attacker", _BUY, attacker_size)
-        exit_ = ("attacker", _SELL, attacker_size)
-        steps = [front, victim, exit_] if victim else [front, exit_]
-        samples = [_run_sequence(pool, steps)] * trials
-    elif mode == "committed":
-        for _ in range(trials):
-            if victim_order is None:
-                victim = None
-            else:
-                victim = _random_victim(rng, size_range)
-            guess = _guess_size(rng, size_range)
-            front = ("attacker", _BUY, guess)
-            exit_ = ("attacker", _SELL, guess)
-            if victim is None:
-                steps = [front, exit_]
-            else:
-                # The victim lands uniformly before, between, or after the
-                # attacker's two legs.
-                slot = rng.randrange(3)
-                steps = [front, exit_]
-                steps.insert(slot, victim)
-            samples.append(_quantize(_run_sequence(pool, steps)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    mean = sum(samples, Fraction(0)) / len(samples)
-    return AttackReport(strategy="frontrun", mode=mode, trials=trials,
-                        mean_profit=mean, profit_samples=tuple(samples))
+    return _attack("frontrun", _victim_in_any_slot, pool, victim_order,
+                   attacker_size, mode, trials, rng, size_range)
 
 
 def _is_square(n: int) -> Optional[int]:

@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple, Union
 
 from .trie import (AccountLeaf, MalformedLeafError, MptProof,
                    VerificationError, decode_account_leaf,
-                   verify_account_proofs)
+                   verify_account_proof, verify_account_proofs)
 
 
 class ProvingError(Exception):
@@ -82,6 +82,17 @@ def prove(vk: VerificationKey, account: MptProof, threshold: int) -> Proof:
     return Proof(vk=vk, threshold=threshold, account=account)
 
 
+def _verdict(vk: VerificationKey, proof: Proof, walk):
+    """The statement: ``proof`` carries ``vk``, ``walk()`` yields the proven
+    account (or a VerificationError), and its balance covers the threshold."""
+    if proof.vk != vk:
+        return VerificationError("proof is for another statement")
+    leaf = walk()
+    if isinstance(leaf, AccountLeaf) and leaf.balance < proof.threshold:
+        return VerificationError("balance below threshold")
+    return leaf
+
+
 def verify_many(
         vk: VerificationKey, items: Sequence[Tuple[Proof, bytes]],
 ) -> List[Union[AccountLeaf, VerificationError]]:
@@ -91,28 +102,20 @@ def verify_many(
     walks = iter(verify_account_proofs(
         [(state_root, proof.account) for proof, state_root in items
          if proof.vk == vk]))
-    results: List[Union[AccountLeaf, VerificationError]] = []
-    for proof, _ in items:
-        if proof.vk != vk:
-            results.append(VerificationError("proof is for another statement"))
-            continue
-        leaf = next(walks)
-        if isinstance(leaf, AccountLeaf) and leaf.balance < proof.threshold:
-            leaf = VerificationError("balance below threshold")
-        results.append(leaf)
-    return results
+    return [_verdict(vk, proof, walks.__next__) for proof, _ in items]
 
 
-@lru_cache(maxsize=64)
-def _check(vk: VerificationKey, state_root: bytes, proof: Proof) -> AccountLeaf:
-    """``verify``, cached: pure, so a small cache walks a proof that many
-    mempool entries reuse once; a rejection raises, and is not cached."""
-    (result,) = verify_many(vk, [(proof, state_root)])
-    if isinstance(result, VerificationError):
-        raise result
-    return result
+@lru_cache(maxsize=256)
+def _walk(state_root: bytes, account: MptProof) -> AccountLeaf:
+    """One walk, cached by the root and the proof's full bytes (never by
+    address alone, which a forged node stack shares): a proof that many
+    mempool entries reuse is walked once, whatever their thresholds."""
+    return verify_account_proof(state_root, account.address, account)
 
 
 def verify(vk: VerificationKey, proof: Proof, state_root: bytes) -> AccountLeaf:
     """Return the proven account, or raise VerificationError naming the cause."""
-    return _check(vk, state_root, proof)
+    result = _verdict(vk, proof, lambda: _walk(state_root, proof.account))
+    if isinstance(result, VerificationError):
+        raise result
+    return result

@@ -27,10 +27,10 @@ from typing import List, Tuple
 
 from . import balance_proof
 from .field_group import GroupParams, Opening, pedersen_verify_opening
-from .keccak import keccak256
 from .scenario import ScenarioError, load_scenario
+from .sharding import anchor_root
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
-from .trie import GENESIS_PARENT, header_digest
+from .trie import BlockHeader, replay_headers
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,14 +91,13 @@ class _Verifier:
         self.lines: List[str] = []
         self.failed = False
 
-    def check(self, ok: bool, label: str, detail: str = "") -> bool:
+    def check(self, ok: bool, label: str, detail: str = "") -> None:
         if ok:
             self.lines.append(f"ok: {label}")
         else:
             self.failed = True
             suffix = f" ({detail})" if detail else ""
             self.lines.append(f"FAIL: {label}{suffix}")
-        return ok
 
     def _read(self, name: str):
         path = os.path.join(self.out_dir, name)
@@ -134,9 +133,9 @@ class _Verifier:
             return EXIT_RUNTIME
         self.check(True, "run.jsonl well-formed")
 
-        roots = self._verify_chains(events)
+        headers, roots = self._verify_chains(events)
         self._verify_proofs(events, vk, roots)
-        self._verify_anchors(events, summary)
+        self._verify_anchors(events, headers)
         self._verify_pools(events)
         self._verify_openings(events, params)
         self._verify_tables(summary)
@@ -144,48 +143,37 @@ class _Verifier:
 
     # -- individual passes ---------------------------------------------------
 
-    def _verify_chains(self, events) -> dict:
-        """Recompute every header digest and parent link; returns the
-        headerHash -> stateRoot map used by the proof pass."""
-        tips: dict = {}
-        roots: dict = {}
-        ok = True
-        bad = ""
-        count = 0
+    def _verify_chains(self, events) -> Tuple[list, dict]:
+        """Replay every header's digest and parent link; returns the
+        ``(chain, header)`` pairs read before any malformed one, and the
+        headerHash -> stateRoot map of those before the first bad one."""
+        headers, line_nos, bad = [], [], ""
         for n, ev in enumerate(events, 1):
             if ev.get("event") != "block":
                 continue
-            count += 1
-            h = ev["header"]
-            height = h["height"]
-            parent = bytes.fromhex(h["parentHash"][2:])
-            state_root = bytes.fromhex(h["stateRoot"][2:])
-            header_hash = bytes.fromhex(h["headerHash"][2:])
-            if header_digest(height, parent, h["timestamp"],
-                             state_root) != header_hash:
-                ok, bad = False, f"digest mismatch at {ev['chain']}#{height}{_at_line(n)}"
+            line_nos.append(n)
+            try:
+                chain = ev["chain"]
+                if not isinstance(chain, str):
+                    raise TypeError("chain id must be a string")
+                headers.append((chain, BlockHeader.from_json(ev["header"])))
+            except (ValueError, KeyError, TypeError) as exc:
+                bad = f"malformed header: {exc}{_at_line(n)}"
                 break
-            chain = ev["chain"]
-            if chain not in tips:
-                if height != 0 or parent != GENESIS_PARENT:
-                    ok, bad = False, f"bad genesis for {chain}{_at_line(n)}"
-                    break
-            else:
-                prev_height, prev_hash = tips[chain]
-                if height != prev_height + 1 or parent != prev_hash:
-                    ok, bad = False, f"broken link at {chain}#{height}{_at_line(n)}"
-                    break
-            tips[chain] = (height, header_hash)
-            roots[header_hash] = state_root
-        self.check(ok, f"block headers replay ({count} headers)", bad)
-        return roots
+        fault = replay_headers(headers)
+        good = headers
+        if fault is not None:
+            i, cause = fault
+            good, line_nos = headers[:i], line_nos[:i + 1]
+            bad = f"{cause}{_at_line(line_nos[-1])}"
+        self.check(not bad, f"block headers replay ({len(line_nos)} headers)", bad)
+        return headers, {h.header_hash: h.state_root for _, h in good}
 
     def _verify_proofs(self, events, vk, roots) -> None:
         """Parse every proof, then check those before the first malformed
         one or the first that names an unknown header in one batch."""
         items = []
         owners = []
-        ok = True
         bad = ""
         count = 0
         for n, ev in enumerate(events, 1):
@@ -196,13 +184,13 @@ class _Verifier:
             try:
                 proof = balance_proof.Proof.from_json(ev["proof"])
             except (ValueError, KeyError, TypeError) as exc:
-                ok, bad = False, f"malformed proof: {exc}{_at_line(n)}"
+                bad = f"malformed proof: {exc}{_at_line(n)}"
                 break
             header_hash = proof.account.header_hash
             if header_hash not in roots:
                 # No line number: the benchmark in perfbench/ matches this
                 # detail exactly as a known failure of one workload.
-                ok, bad = False, f"account proof for {ev['actor']} names an unknown header"
+                bad = f"account proof for {ev['actor']} names an unknown header"
                 break
             items.append((proof, roots[header_hash]))
             owners.append((n, ev["actor"]))
@@ -210,17 +198,14 @@ class _Verifier:
         for i, result in enumerate(results):
             if isinstance(result, balance_proof.VerificationError):
                 n, actor = owners[i]
-                ok, bad = False, f"balance proof for {actor}: {result}{_at_line(n)}"
+                bad = f"balance proof for {actor}: {result}{_at_line(n)}"
                 count = i + 1
                 break
-        self.check(ok, f"balance and account proofs replay ({count} proofs)", bad)
+        self.check(not bad, f"balance and account proofs replay ({count} proofs)", bad)
 
-    def _verify_anchors(self, events, summary) -> None:
-        master_root_at = {}
-        for ev in events:
-            if ev.get("event") == "block" and ev.get("chain") == "master":
-                master_root_at[ev["header"]["height"]] = ev["header"]["stateRoot"]
-        ok = True
+    def _verify_anchors(self, events, headers) -> None:
+        master_root_at = {h.height: h.state_root for chain, h in headers
+                          if chain == "master"}
         bad = ""
         count = 0
         heights = []
@@ -231,27 +216,23 @@ class _Verifier:
             heights.append(ev["masterHeight"])
             missing = [sid for sid in ev["live"] if sid not in ev["table"]]
             if missing:
-                ok, bad = False, f"live shards missing anchors: {missing}{_at_line(n)}"
+                bad = f"live shards missing anchors: {missing}{_at_line(n)}"
                 break
-            blob = json.dumps(ev["table"], sort_keys=True,
-                              separators=(",", ":")).encode()
-            expected = "0x" + keccak256(blob).hex()
-            if master_root_at.get(ev["masterHeight"]) != expected:
-                ok, bad = False, (f"anchor table not bound at height "
-                                  f"{ev['masterHeight']}{_at_line(n)}")
+            if master_root_at.get(ev["masterHeight"]) != anchor_root(ev["table"]):
+                bad = (f"anchor table not bound at height "
+                       f"{ev['masterHeight']}{_at_line(n)}")
                 break
-        if ok:
+        if not bad:
             # Every masterchain block after genesis seals exactly one
             # anchor round; gaps mean withheld anchors.
             tip = max(master_root_at, default=0)
             expected_heights = list(range(1, tip + 1))
             if heights != expected_heights:
-                ok, bad = False, (f"anchor rounds cover master heights "
-                                  f"{heights}, expected {expected_heights}")
-        self.check(ok, f"anchor tables complete and bound ({count} rounds)", bad)
+                bad = (f"anchor rounds cover master heights "
+                       f"{heights}, expected {expected_heights}")
+        self.check(not bad, f"anchor tables complete and bound ({count} rounds)", bad)
 
     def _verify_pools(self, events) -> None:
-        ok = True
         bad = ""
         count = 0
         for n, ev in enumerate(events, 1):
@@ -260,17 +241,16 @@ class _Verifier:
             count += 1
             e_s, m_s, c2 = int(ev["Es"]), int(ev["Ms"]), int(ev["C2"])
             if e_s <= 0 or m_s <= 0:
-                ok, bad = False, f"non-positive reserves at tick {ev['tick']}{_at_line(n)}"
+                bad = f"non-positive reserves at tick {ev['tick']}{_at_line(n)}"
                 break
             if 2 * abs(e_s * m_s - c2) > e_s:
-                ok, bad = False, f"pool off the curve at tick {ev['tick']}{_at_line(n)}"
+                bad = f"pool off the curve at tick {ev['tick']}{_at_line(n)}"
                 break
-        self.check(ok, f"published pools on the constant-product curve "
-                       f"({count} states)", bad)
+        self.check(not bad, f"published pools on the constant-product curve "
+                            f"({count} states)", bad)
 
     def _verify_openings(self, events, params) -> None:
         last_commitment: dict = {}
-        ok = True
         bad = ""
         count = 0
         for n, ev in enumerate(events, 1):
@@ -280,14 +260,14 @@ class _Verifier:
                 count += 1
                 commitment = last_commitment.get(ev["actor"])
                 if commitment is None:
-                    ok, bad = False, (f"opening without commitment by "
-                                      f"{ev['actor']}{_at_line(n)}")
+                    bad = (f"opening without commitment by "
+                           f"{ev['actor']}{_at_line(n)}")
                     break
                 opening = Opening(x=int(ev["y"]), r=int(ev["r"]))
                 if not pedersen_verify_opening(params, commitment, opening):
-                    ok, bad = False, f"opening by {ev['actor']} does not verify{_at_line(n)}"
+                    bad = f"opening by {ev['actor']} does not verify{_at_line(n)}"
                     break
-        self.check(ok, f"commitment openings verify ({count} openings)", bad)
+        self.check(not bad, f"commitment openings verify ({count} openings)", bad)
 
     def _verify_tables(self, summary) -> None:
         metrics = self._read("metrics.csv")
@@ -295,7 +275,7 @@ class _Verifier:
             return
         reader = csv.DictReader(metrics.decode().splitlines())
         ok = tuple(reader.fieldnames or ()) == METRICS_FIELDS
-        bad = "unexpected header" if not ok else ""
+        bad = "" if ok else "unexpected header"
         rows = 0
         if ok:
             for row in reader:
@@ -305,16 +285,16 @@ class _Verifier:
                     num, den = row["adversary_profit"].split("/")
                     int(num), int(den)
                 except (KeyError, ValueError) as exc:
-                    ok, bad = False, f"row {rows}: {exc}"
+                    bad = f"row {rows}: {exc}"
                     break
-        self.check(ok, f"metrics.csv well-formed ({rows} rows)", bad)
+        self.check(not bad, f"metrics.csv well-formed ({rows} rows)", bad)
 
         attack = self._read("attack_report.csv")
         if attack is None:
             return
         reader = csv.DictReader(attack.decode().splitlines())
-        ok = tuple(reader.fieldnames or ()) == ATTACK_FIELDS
-        self.check(ok, "attack_report.csv well-formed")
+        self.check(tuple(reader.fieldnames or ()) == ATTACK_FIELDS,
+                   "attack_report.csv well-formed")
 
 
 def verify_artifacts(out_dir: str) -> Tuple[int, List[str]]:

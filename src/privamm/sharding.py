@@ -7,13 +7,14 @@ always tile their parent exactly. A shard that sustains mean load above
 split_tps divides along its zone's longer axis at the median peer
 coordinate, handing each peer and each liquidity provider's deposit to
 the child whose zone covers it; sibling shards that both fall below
-merge_tps fuse back into their parent. A Shard object owns its zone's
-state for its whole life: a child keeps a reference to its parent, and a
-merge hands back that same parent, whose header chain resumes where it
-stopped at the split. Pool reserves are not kept here: the simulator
-divides and sums them by the LP deposits each child carries. The
-masterchain records every shard head in an anchor table and hashes that
-table into its own header chain.
+merge_tps fuse back into their parent. A zone keeps one Shard object,
+and one header chain, for its whole life, across every split and merge:
+a merge hands back the parent the children split from, a second split of
+a zone hands back the children of its first, and each chain resumes
+where it stopped. Pool reserves are not kept here: the simulator divides
+and sums them by the LP deposits each child carries. The masterchain
+records every shard head in an anchor table and hashes that table into
+its own header chain.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
 from .keccak import keccak256
-from .trie import BlockHeader, HeaderChain, header_digest
+from .trie import BlockHeader, HeaderChain
 
 
 class RegistrationError(ValueError):
@@ -182,20 +183,27 @@ class MempoolEntry:
 
 class Shard:
     """One zone's shard for its whole life: chain, mempool, LP deposits,
-    load history, and the parent it split from (None for a root)."""
+    load history, the parent it split from and the children it splits
+    into (None for a root and before a first split)."""
 
     def __init__(self, shard_id: str, workchain_id: int, zone: Zone,
                  parent: Optional["Shard"] = None):
         self.shard_id = shard_id
         self.workchain_id = workchain_id
-        self.zone = zone
         self.chain = HeaderChain()
+        self.parent = parent
+        self.children: Optional[Tuple["Shard", "Shard"]] = None
+        self.reopen(zone)
+
+    def reopen(self, zone: Zone) -> None:
+        """Go live over ``zone`` with no peers, deposits, orders or load
+        yet; the chain is kept."""
+        self.zone = zone
         self.mempool: List[MempoolEntry] = []
         self.lp_liquidity: Dict[str, Fraction] = {}
         self.peers: List[str] = []
         self.failed = False
         self.load_window: List[int] = []
-        self.parent = parent
 
     def blocks_produced(self) -> int:
         return self.chain.tip.height
@@ -221,9 +229,13 @@ class Masterchain:
         self.chain = HeaderChain()
 
     def anchor_root(self) -> bytes:
-        blob = json.dumps(self.anchor_table, sort_keys=True,
-                          separators=(",", ":"))
-        return keccak256(blob.encode())
+        return anchor_root(self.anchor_table)
+
+
+def anchor_root(table: Dict[str, dict]) -> bytes:
+    """Keccak of an anchor table's canonical JSON: a master block's state root."""
+    blob = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    return keccak256(blob.encode())
 
 
 class Topology:
@@ -308,13 +320,11 @@ def submit_tx(shard: Shard, entry: MempoolEntry,
     account = entry.proof.account
     if account.address != sender_address(entry.sender):
         return {"accepted": False, "reason": "proof is for another account"}
-    headers = shard.chain.headers
-    height = account.block_height
-    if not (isinstance(height, int) and 0 <= height < len(headers)
-            and headers[height].header_hash == account.header_hash):
+    if not shard.chain.holds(account.block_height, account.header_hash):
         return {"accepted": False, "reason": "proof names a header off the chain"}
+    state_root = shard.chain.headers[account.block_height].state_root
     try:
-        balance_proof.verify(vk, entry.proof, headers[height].state_root)
+        balance_proof.verify(vk, entry.proof, state_root)
     except balance_proof.VerificationError as exc:
         return {"accepted": False, "reason": f"invalid balance proof: {exc}"}
     shard.mempool.append(entry)
@@ -342,9 +352,7 @@ def produce_block(shard: Shard, committee: Committee, votes, state_root: bytes,
     """
     if shard.failed:
         return None
-    tip = shard.chain.tip
-    proposal = header_digest(tip.height + 1, tip.header_hash, timestamp,
-                             state_root)
+    proposal = shard.chain.next_header(state_root, timestamp).header_hash
     if proposal not in tally_votes(committee, votes):
         return None
     return shard.chain.append(state_root, timestamp)
@@ -353,9 +361,7 @@ def produce_block(shard: Shard, committee: Committee, votes, state_root: bytes,
 def honest_votes(committee: Committee, shard: Shard, state_root: bytes,
                  timestamp: int) -> List[Vote]:
     """Votes of all committee members for the canonical next header."""
-    tip = shard.chain.tip
-    proposal = header_digest(tip.height + 1, tip.header_hash, timestamp,
-                             state_root)
+    proposal = shard.chain.next_header(state_root, timestamp).header_hash
     return [Vote(node_id=m, digest=proposal) for m in committee.members]
 
 
@@ -413,11 +419,16 @@ def split_shard(workchain: Workchain, shard: Shard,
         zone_a = Zone(west=zone.west, east=zone.east, south=zone.south, north=cut)
         zone_b = Zone(west=zone.west, east=zone.east, south=cut, north=zone.north)
 
-    child_a, child_b = (
-        Shard(f"{shard.shard_id}.{suffix}", shard.workchain_id, child_zone,
-              parent=shard)
-        for suffix, child_zone in (("0", zone_a), ("1", zone_b))
-    )
+    if shard.children is None:
+        shard.children = tuple(
+            Shard(f"{shard.shard_id}.{i}", shard.workchain_id, child_zone, shard)
+            for i, child_zone in enumerate((zone_a, zone_b)))
+    else:
+        # A zone that splits again gets the same two shards back, and their
+        # chains resume where the merge stopped them.
+        for child, child_zone in zip(shard.children, (zone_a, zone_b)):
+            child.reopen(child_zone)
+    child_a, child_b = shard.children
 
     for peer_id in shard.peers:
         rec = peer_records[peer_id]
@@ -446,11 +457,10 @@ def merge_shards(workchain: Workchain, child_a: Shard, child_b: Shard) -> Shard:
     parent = child_a.parent
     if parent is None or parent is not child_b.parent:
         raise ZoneError("only sibling shards from one split can merge")
+    parent.reopen(parent.zone)
     parent.peers = sorted(set(child_a.peers) | set(child_b.peers))
     parent.lp_liquidity = {**child_a.lp_liquidity, **child_b.lp_liquidity}
     parent.mempool = child_a.mempool + child_b.mempool
-    parent.load_window = []
-    parent.failed = False
     positions = [workchain.shards.index(child_a), workchain.shards.index(child_b)]
     for pos in sorted(positions, reverse=True):
         del workchain.shards[pos]

@@ -196,12 +196,13 @@ class Simulator:
 
         if shard.chain.tip.height == 0:
             # A new shard: its chain opens at this trie. A shard that has
-            # run (a merged parent) always has blocks past genesis.
+            # run (a merged parent, a child of a second split) always has
+            # blocks past genesis.
             shard.chain = HeaderChain(genesis_state_root=trie.root(),
                                       genesis_timestamp=tick)
             first = shard.chain.tip
         else:
-            # A merged parent resumes the chain it stopped at its split.
+            # A shard back in service resumes the chain where it stopped.
             first = shard.chain.append(trie.root(), tick)
         self._log_block(tick, shard.shard_id, first)
         for _ in range(self.config.confirmations):

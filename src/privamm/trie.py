@@ -513,13 +513,8 @@ class BlockHeader:
     @classmethod
     def make(cls, height: int, parent_hash: bytes, timestamp: int,
              state_root: bytes) -> "BlockHeader":
-        return cls(
-            height=height,
-            parent_hash=parent_hash,
-            timestamp=timestamp,
-            state_root=state_root,
-            header_hash=header_digest(height, parent_hash, timestamp, state_root),
-        )
+        return cls(height, parent_hash, timestamp, state_root,
+                   header_digest(height, parent_hash, timestamp, state_root))
 
     def to_json(self) -> dict:
         return {
@@ -529,6 +524,38 @@ class BlockHeader:
             "stateRoot": "0x" + self.state_root.hex(),
             "headerHash": "0x" + self.header_hash.hex(),
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "BlockHeader":
+        """Read ``to_json``'s output; raises ValueError, KeyError or TypeError."""
+        height, timestamp = obj["height"], obj["timestamp"]
+        if not all(type(i) is int and i >= 0 for i in (height, timestamp)):
+            raise ValueError("height and timestamp must be non-negative integers")
+        parent, root, digest = (bytes.fromhex(obj[key][2:]) for key in
+                                ("parentHash", "stateRoot", "headerHash"))
+        return cls(height, parent, timestamp, root, digest)
+
+
+def replay_headers(headers: Sequence[Tuple[str, BlockHeader]]
+                   ) -> Optional[Tuple[int, str]]:
+    """The header-chain rule over ``(chain id, header)`` pairs in append
+    order: each hash is its header's digest, a chain opens with a genesis
+    (height 0, zero parent), and each later header sits one above its
+    chain's last and names it as parent. Returns the index of the first
+    header that breaks the rule and why, or None."""
+    tips: dict = {}
+    for i, (chain, h) in enumerate(headers):
+        if h.header_hash != header_digest(h.height, h.parent_hash,
+                                          h.timestamp, h.state_root):
+            return i, f"digest mismatch at {chain}#{h.height}"
+        tip = tips.get(chain)
+        if tip is None:
+            if h.height != 0 or h.parent_hash != GENESIS_PARENT:
+                return i, f"bad genesis for {chain}"
+        elif h.height != tip.height + 1 or h.parent_hash != tip.header_hash:
+            return i, f"broken link at {chain}#{h.height}"
+        tips[chain] = h
+    return None
 
 
 class HeaderChain:
@@ -547,29 +574,30 @@ class HeaderChain:
     def tip(self) -> BlockHeader:
         return self.headers[-1]
 
+    def next_header(self, state_root: bytes, timestamp: int) -> BlockHeader:
+        """The header that would extend the chain: a block's proposal."""
+        tip = self.tip
+        return BlockHeader.make(tip.height + 1, tip.header_hash, timestamp,
+                                state_root)
+
     def append(self, state_root: bytes, timestamp: int) -> BlockHeader:
-        prev = self.tip
-        if timestamp < prev.timestamp:
+        if timestamp < self.tip.timestamp:
             raise ChainError(
-                f"timestamp regression: {timestamp} < {prev.timestamp}"
+                f"timestamp regression: {timestamp} < {self.tip.timestamp}"
             )
-        header = BlockHeader.make(prev.height + 1, prev.header_hash,
-                                  timestamp, state_root)
+        header = self.next_header(state_root, timestamp)
         self.headers.append(header)
         return header
 
+    def holds(self, height, header_hash: bytes) -> bool:
+        """Is the header with this height and hash on the chain?"""
+        return (isinstance(height, int) and 0 <= height < len(self.headers)
+                and self.headers[height].header_hash == header_hash)
+
     def validate(self) -> Optional[int]:
         """Return the height of the first invalid header, or None if intact."""
-        for i, h in enumerate(self.headers):
-            if h.height != i:
-                return i
-            expected_parent = GENESIS_PARENT if i == 0 else self.headers[i - 1].header_hash
-            if h.parent_hash != expected_parent:
-                return i
-            if h.header_hash != header_digest(h.height, h.parent_hash,
-                                              h.timestamp, h.state_root):
-                return i
-        return None
+        fault = replay_headers([("chain", h) for h in self.headers])
+        return None if fault is None else fault[0]
 
     def header_at(self, height: int) -> BlockHeader:
         if not 0 <= height < len(self.headers):
@@ -585,11 +613,8 @@ def check_freshness(chain: HeaderChain, proof_header: BlockHeader,
     it passes iff it has at least `confirmations` blocks on top and its
     timestamp is at most `window` seconds old.
     """
-    h = proof_header.height
-    if not 0 <= h < len(chain.headers) or (
-        chain.headers[h].header_hash != proof_header.header_hash
-    ):
+    if not chain.holds(proof_header.height, proof_header.header_hash):
         raise UnforgeabilityError("proof header is not on the chain")
-    deep_enough = (chain.tip.height - h) >= confirmations
+    deep_enough = (chain.tip.height - proof_header.height) >= confirmations
     fresh_enough = (now - proof_header.timestamp) <= window
     return deep_enough and fresh_enough

@@ -10,9 +10,13 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import random
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+from privamm.amm import Order, pool_init
 from privamm.cli import main, verify_artifacts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +59,34 @@ def test_traced_balance_proof_and_walk_functions_exist():
                  "balance_proof.verify", "trie.verify_account_proof",
                  "sharding.submit_tx", "protocol.run_trading_phase"):
         assert name in spans, name
+
+
+def test_trial_hooks_count_the_trials_of_real_calls():
+    """child.py finds ``trials`` by binding each call to the signature, so
+    a renamed parameter would fail every traced run. These are the call
+    shapes the simulator makes, the default ``trials`` included."""
+    hooks = load("child").TRACE_HOOKS
+    pool = pool_init(Fraction(1000), Fraction(1000))
+    victim = Order(side="buy", quantity_e=Fraction(30),
+                   limit_rate=Fraction(10**12))
+    calls = [
+        ("adversary.run_sandwich", (pool, victim, Fraction(50), "committed"),
+         {"trials": 7, "rng": random.Random(1), "victim_size_range": None}),
+        ("adversary.run_sandwich", (pool, victim),
+         {"attacker_size": Fraction(50), "mode": "committed", "trials": 3,
+          "rng": random.Random(2)}),
+        ("adversary.run_sandwich", (pool, None, Fraction(50), "plaintext"), {}),
+        ("adversary.run_frontrun", (pool, victim, "committed"),
+         {"attacker_size": None, "trials": 5, "rng": random.Random(3),
+          "victim_size_range": None}),
+        ("adversary.run_frontrun", (pool, victim, "plaintext"), {}),
+    ]
+    counters = Counter()
+    for name, args, kwargs in calls:
+        report = resolve(name)(*args, **kwargs)
+        hooks[name](counters, args, kwargs, report)
+        assert len(report.profit_samples) == report.trials
+    assert counters["adversary.trials"] == 7 + 3 + 1 + 5 + 1
 
 
 def test_unknown_header_failure_matches_the_known_pattern(tmp_path):

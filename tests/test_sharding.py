@@ -318,9 +318,9 @@ def test_warm_proof_cache_still_rejects_every_tamper():
     above the balance, is still rejected."""
     _, shard, _ = build_shard()
     entry = valid_entry(shard, balance=1000)
-    balance_proof._check.cache_clear()
+    balance_proof._walk.cache_clear()
     assert submit_tx(shard, entry, VK)["accepted"]
-    assert balance_proof._check.cache_info().currsize == 1
+    assert balance_proof._walk.cache_info().currsize == 1
     account = entry.proof.account
     assert len(account.node_stack) >= 2
 
@@ -343,6 +343,9 @@ def test_warm_proof_cache_still_rejects_every_tamper():
                 for d in [1] + [1 << i for i in range(1, 255)]]
     for bad in tampers:
         assert submit_tx(shard, bad, VK)["accepted"] is False
+    # The 255 raised thresholds reuse the cached walk: the threshold is
+    # compared outside the cache.
+    assert balance_proof._walk.cache_info().hits >= 255
     assert len(shard.mempool) == 1
     assert submit_tx(shard, entry, VK) == {"accepted": True, "position": 1}
 
@@ -529,6 +532,30 @@ def test_merged_shard_can_merge_with_its_own_sibling():
     assert left.parent is root
     assert merge_shards(wc, left, right) is root
     assert wc.shards == [root] and root.parent is None
+
+
+def test_second_split_hands_back_the_same_children():
+    """A zone that splits, merges and splits again gets its two child
+    shards back, each with its chain intact, and live with no stale state."""
+    topo = make_topology()
+    wc = topo.workchains[0]
+    root = wc.shards[0]
+    locations = {"a": (5, 1), "b": (5, 4), "c": (5, 9)}
+    root.peers = list(locations)
+    records = records_for(locations)
+    left, right = split_shard(wc, root, records)
+    left.chain.append(b"\x01" * 32, timestamp=1)
+    left_headers = list(left.chain.headers)
+    right.mempool.append("pending")
+    right.load_window = [1, 1]
+    right.failed = True
+    merge_shards(wc, left, right)
+    assert split_shard(wc, root, records) == (left, right)
+    assert wc.shards == [left, right]
+    assert left.chain.headers == left_headers
+    assert left.peers == ["a"] and sorted(right.peers) == ["b", "c"]
+    assert right.mempool == [] and right.load_window == []
+    assert not right.failed
 
 
 def test_merge_requires_siblings():

@@ -3,6 +3,7 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from privamm.cli import main, verify_artifacts
 from privamm.keccak import keccak256
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import Simulator
+from privamm.trie import BlockHeader, HeaderChain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -260,6 +262,70 @@ def test_verify_fail_line_names_tampered_header(small_run, tmp_path):
                         f"at run.jsonl line {line})")
 
 
+@pytest.mark.parametrize("field, value, cause", [
+    ("parentHash", "0xzz", "non-hexadecimal number"),
+    ("height", "3", "height and timestamp must be non-negative integers"),
+    ("chain", ["shard-0"], "chain id must be a string"),
+])
+def test_verify_fail_line_names_malformed_header(small_run, tmp_path,
+                                                 field, value, cause):
+    """An unreadable header gives a FAIL line, not a traceback."""
+    found = []
+
+    def first_block(ev):
+        if found or ev["event"] != "block":
+            return False
+        found.append(ev)
+        return True
+
+    def garble(ev):
+        (ev if field == "chain" else ev["header"])[field] = value
+
+    fails, (line,) = edit_events(small_run, tmp_path / "t", first_block,
+                                 garble)
+    fail = fails[0]
+    assert fail.startswith("FAIL: block headers replay (1 headers) "
+                           f"(malformed header: {cause}")
+    assert fail.endswith(f" at run.jsonl line {line})")
+    assert main(["verify", str(tmp_path / "t")]) == 2
+
+
+@pytest.mark.parametrize("tamper", ["state root", "parent", "genesis"])
+def test_validate_and_verify_reject_the_same_header(small_run, tmp_path,
+                                                     tamper):
+    """One tamper, applied to a HeaderChain rebuilt from the log and to the
+    log itself: ``validate`` and ``verify`` stop at the same header."""
+    events = [json.loads(l)
+              for l in (small_run / "run.jsonl").read_text().splitlines()]
+    blocks = [(n, BlockHeader.from_json(ev["header"]))
+              for n, ev in enumerate(events, 1)
+              if ev["event"] == "block" and ev["chain"] == "shard-0"]
+    height, cause = {"state root": (3, "digest mismatch at shard-0#3"),
+                     "parent": (3, "broken link at shard-0#3"),
+                     "genesis": (0, "bad genesis for shard-0")}[tamper]
+    line, victim = blocks[height]
+    if tamper == "state root":  # a new root under the old hash
+        forged = replace(victim, state_root=b"\xff" * 32)
+    else:  # a self-consistent header under a parent not on the chain
+        forged = BlockHeader.make(victim.height, b"\x11" * 32,
+                                  victim.timestamp, victim.state_root)
+
+    chain = HeaderChain()
+    chain.headers = [h for _, h in blocks]
+    assert chain.validate() is None
+    chain.headers[height] = forged
+    assert chain.validate() == height
+
+    fails, edited = edit_events(small_run, tmp_path / "t",
+                                lambda ev: ev["event"] == "block"
+                                and ev["header"] == victim.to_json(),
+                                lambda ev: ev.update(header=forged.to_json()))
+    assert edited == [line]
+    count = sum(ev["event"] == "block" for ev in events[:line])
+    assert fails[0] == (f"FAIL: block headers replay ({count} headers) "
+                        f"({cause} at run.jsonl line {line})")
+
+
 def test_verify_batch_reports_the_first_failing_proof(small_run, tmp_path):
     """The proof pass checks all proofs in one batch and still names the
     first one that fails, here the second of the log and its last."""
@@ -399,6 +465,30 @@ def test_verify_passes_on_merge_scenario(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert not [line for line in lines if line.startswith("FAIL")]
     assert "ok: block headers replay (35 headers)" in lines
+
+
+def test_second_split_resumes_the_children_chains(tmp_path):
+    """``merge`` run longer, with a second load window: shard-0 splits,
+    merges, then splits again, and its children's chains resume instead of
+    restarting at genesis under ids already in the log."""
+    scenario = json.loads((SCENARIOS / "merge.json").read_text())
+    scenario["ticks"] = 110
+    scenario["tx_load"].append({"lat": 5, "lon": 5, "per_block": 5,
+                                "start_tick": 60, "end_tick": 82})
+    out = tmp_path / "resplit"
+    assert run_cli(scenario, out) == 0
+    events = [json.loads(l) for l in (out / "run.jsonl").read_text().splitlines()]
+    assert [(e["event"], e["tick"]) for e in events
+            if e["event"] in ("shard_split", "shard_merge")] == [
+        ("shard_split", 20), ("shard_merge", 40),
+        ("shard_split", 70), ("shard_merge", 100)]
+    for child in ("shard-0.0", "shard-0.1"):
+        blocks = [(e["tick"], e["header"]["height"]) for e in events
+                  if e["event"] == "block" and e["chain"] == child]
+        assert [h for _, h in blocks] == list(range(len(blocks)))
+        assert {t for t, _ in blocks} >= {40, 70}
+    code, lines = verify_artifacts(str(out))
+    assert code == 0, lines
 
 
 def test_failure_scenario_contains_outage():
