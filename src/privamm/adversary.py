@@ -16,7 +16,11 @@ public after each reveal), so the privacy layer does not suppress it;
 the optimal size equalizes post-trade marginal prices.
 
 Profit is always the attacker's net money-token delta over its own
-executed trades, in exact rational arithmetic.
+executed trades, in exact rational arithmetic. On the curve M = C/E a buy
+and a sell both change the trader's money by C*(1/E_before - 1/E_after),
+so a sequence is replayed on integer numerators and denominators of E and
+only its result becomes a `Fraction`. The report statistics are exact on
+integers too: every sample is scaled to one common denominator.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .amm import LiquidityError, Order, PoolState, spot_price, swap
+from .amm import (LiquidityError, Order, PoolState, QuantityError,
+                  spot_price, swap)
 from .mpc import SCALE
 
 _BUY = "buy"
@@ -40,7 +45,19 @@ _STAT_GRID = 10**12
 
 
 def _quantize(p: Fraction) -> Fraction:
-    return Fraction(round(p * _STAT_GRID), _STAT_GRID)
+    """``round(p * _STAT_GRID) / _STAT_GRID``: nearest, ties to even."""
+    q, r = divmod(p.numerator * _STAT_GRID, p.denominator)
+    if 2 * r > p.denominator or (2 * r == p.denominator and q & 1):
+        q += 1
+    return Fraction(q, _STAT_GRID)
+
+
+def _scaled(samples) -> Tuple[list, int]:
+    """The samples' numerators over one common denominator L, and L."""
+    dens = {p.denominator for p in samples}
+    lcm = math.lcm(*dens)
+    factor = {d: lcm // d for d in dens}
+    return [p.numerator * factor[p.denominator] for p in samples], lcm
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +72,13 @@ class AttackReport:
         n = len(self.profit_samples)
         if n < 2:
             return 0.0
-        mean = self.mean_profit
-        var = sum((p - mean) ** 2 for p in self.profit_samples) / (n - 1)
-        return math.sqrt(float(var) / n)
+        # var = (n*sum(k^2) - sum(k)^2) / (n*(n-1)*L^2) is the rational
+        # sum((p - mean)^2) / (n-1), and int / int rounds it as float() would.
+        ks, lcm = _scaled(self.profit_samples)
+        total = sum(ks)
+        var = ((n * sum(k * k for k in ks) - total * total)
+               / (n * (n - 1) * lcm * lcm))
+        return math.sqrt(var / n)
 
     def t_stat(self) -> float:
         se = self.std_err()
@@ -77,16 +98,33 @@ class AttackReport:
 
 
 def _run_sequence(pool: PoolState, sequence) -> Fraction:
-    """Execute (who, side, size) steps in order; attacker money delta."""
-    attacker_money = Fraction(0)
+    """Execute (who, side, size) steps in order; attacker money delta.
+
+    On the curve M = C/E a buy pays C*e/(E*(E-e)) = C*(1/(E-e) - 1/E) and
+    a sell of e receives C*e/(E*(E+e)) = C*(1/E - 1/(E+e)): either way the
+    trader's money changes by C*(1/E_before - 1/E_after). So E = en/ed and
+    the attacker's sum of those terms, sn/sd, stay integer pairs, and one
+    `Fraction` is built at the end. A step raises what `amm.swap` would.
+    """
+    en, ed = pool.E.numerator, pool.E.denominator
+    sn, sd = 0, 1
     for who, side, size in sequence:
-        pool, quote = swap(pool, side, size)
+        qn, qd = size.numerator, size.denominator
+        if qn <= 0:
+            raise QuantityError(f"{side} quantity must be positive")
+        if side == _BUY:
+            an = en * qd - qn * ed
+            if an <= 0:
+                raise LiquidityError(f"liquidity error: buy of {size} would "
+                                     f"drain reserve {Fraction(en, ed)}")
+        else:
+            an = en * qd + qn * ed
+        ad = ed * qd
         if who == "attacker":
-            if side == _BUY:
-                attacker_money -= quote.amount_in
-            else:
-                attacker_money += quote.amount_out
-    return attacker_money
+            # sn/sd += ed/en - ad/an
+            sn, sd = sn * en * an + (ed * an - ad * en) * sd, sd * en * an
+        en, ed = an, ad
+    return Fraction(pool.C.numerator * sn, pool.C.denominator * sd)
 
 
 def _draw_size(rng: random.Random,
@@ -135,19 +173,23 @@ def _attack(strategy: str, arrange, pool: PoolState,
         # Deterministic: every trial would replay the same sequence.
         samples = [_run_sequence(pool, _legs_around(victim, attacker_size))] * trials
     elif mode == "committed":
+        lo = int(size_range[0] * SCALE)
+        hi = int(size_range[1] * SCALE)
         samples = []
         for _ in range(trials):
             victim = None
             if victim_order is not None:
-                size = _draw_size(rng, size_range)
+                size = Fraction(rng.randint(lo, hi), SCALE)
                 victim = ("victim", rng.choice((_BUY, _SELL)), size)
-            steps = _legs_around(victim, _draw_size(rng, size_range))
+            size = Fraction(rng.randint(lo, hi), SCALE)
+            steps = _legs_around(victim, size)
             arrange(rng, steps)
             samples.append(_quantize(_run_sequence(pool, steps)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    mean = sum(samples, Fraction(0)) / len(samples)
+    ks, lcm = _scaled(samples)
+    mean = Fraction(sum(ks), len(samples) * lcm)
     return AttackReport(strategy=strategy, mode=mode, trials=trials,
                         mean_profit=mean, profit_samples=tuple(samples))
 

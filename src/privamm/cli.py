@@ -213,14 +213,26 @@ class _Verifier:
             if ev.get("event") != "anchors":
                 continue
             count += 1
-            heights.append(ev["masterHeight"])
-            missing = [sid for sid in ev["live"] if sid not in ev["table"]]
+            try:
+                live, table = ev["live"], ev["table"]
+                height = ev["masterHeight"]
+                if not (isinstance(live, list)
+                        and all(isinstance(sid, str) for sid in live)):
+                    raise TypeError("live must be a list of shard ids")
+                if not isinstance(table, dict):
+                    raise TypeError("table must be an object")
+                if type(height) is not int:
+                    raise TypeError("masterHeight must be an integer")
+            except (KeyError, TypeError) as exc:
+                bad = f"malformed anchors: {exc}{_at_line(n)}"
+                break
+            heights.append(height)
+            missing = [sid for sid in live if sid not in table]
             if missing:
                 bad = f"live shards missing anchors: {missing}{_at_line(n)}"
                 break
-            if master_root_at.get(ev["masterHeight"]) != anchor_root(ev["table"]):
-                bad = (f"anchor table not bound at height "
-                       f"{ev['masterHeight']}{_at_line(n)}")
+            if master_root_at.get(height) != anchor_root(table):
+                bad = f"anchor table not bound at height {height}{_at_line(n)}"
                 break
         if not bad:
             # Every masterchain block after genesis seals exactly one

@@ -1,5 +1,6 @@
 """MEV strategies under full visibility versus commitment-hidden flow."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -119,16 +120,114 @@ def test_committed_sandwich_no_victim_zero():
 ], ids=["sandwich", "frontrun"])
 def test_plaintext_sequence_runs_once_for_all_trials(monkeypatch, run):
     calls = []
+    run_sequence = adversary._run_sequence
 
-    def counting_swap(pool, side, size):
-        calls.append(side)
-        return swap(pool, side, size)
+    def counting_run_sequence(pool, sequence):
+        calls.append(sequence)
+        return run_sequence(pool, sequence)
 
-    monkeypatch.setattr(adversary, "swap", counting_swap)
+    monkeypatch.setattr(adversary, "_run_sequence", counting_run_sequence)
     report = run()
-    assert len(calls) == 3  # attacker, victim, attacker: once, not 7 times
+    assert len(calls) == 1  # once, not 7 times
     assert report.trials == 7
     assert report.profit_samples == (report.mean_profit,) * 7
+
+
+# -- the integer replay against a fold over amm.swap --------------------------------
+
+def fold_over_swap(pool, sequence) -> Fraction:
+    """The attacker's money delta, one ``amm.swap`` per step."""
+    money = Fraction(0)
+    for who, side, size in sequence:
+        pool, quote = swap(pool, side, size)
+        if who == "attacker":
+            money += quote.amount_out if side == "sell" else -quote.amount_in
+    return money
+
+
+def outcome(run, pool, sequence):
+    try:
+        return run(pool, sequence)
+    except LiquidityError as exc:
+        return ("LiquidityError", str(exc))
+
+
+OFF_GRID = st.fractions(min_value=Fraction(1, 7), max_value=10**5,
+                        max_denominator=10**4)
+# Sizes up to 1.5x the reserve, so that some buys drain it.
+SHARES = st.fractions(min_value=Fraction(1, 997), max_value=Fraction(3, 2),
+                      max_denominator=997)
+STEPS = st.lists(st.tuples(st.sampled_from(("attacker", "victim")),
+                           st.sampled_from(("buy", "sell")), SHARES),
+                 min_size=1, max_size=4)
+
+
+@given(OFF_GRID, OFF_GRID, STEPS)
+@settings(max_examples=400)
+def test_run_sequence_matches_fold_over_swap(e, m, steps):
+    pool = pool_init(e, m)
+    sequence = [(who, side, share * e) for who, side, share in steps]
+    assert (outcome(adversary._run_sequence, pool, sequence)
+            == outcome(fold_over_swap, pool, sequence))
+
+
+@pytest.mark.parametrize("sequence", [
+    [("attacker", "buy", Fraction(1000))],
+    [("victim", "buy", Fraction(600)), ("attacker", "buy", Fraction(400))],
+    [("attacker", "sell", Fraction(7, 3)),
+     ("victim", "buy", Fraction(3007, 3))],
+])
+def test_run_sequence_drain_raises_like_swap(sequence):
+    expected = outcome(fold_over_swap, POOL, sequence)
+    assert expected[0] == "LiquidityError"
+    assert outcome(adversary._run_sequence, POOL, sequence) == expected
+
+
+# -- exact statistics on integers ------------------------------------------------
+
+GRID = 10**12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 10**6, 10**6 + 1, -1, -2, -3,
+                               -(10**6), -(10**6) - 1])
+@pytest.mark.parametrize("offset", [Fraction(0), Fraction(1, 10**30),
+                                    -Fraction(1, 10**30), Fraction(1, 3)])
+def test_quantize_matches_round_at_half_grid_ties(k, offset):
+    p = (k + Fraction(1, 2) + offset) / GRID
+    assert adversary._quantize(p) == Fraction(round(p * GRID), GRID)
+
+
+@given(st.fractions(max_denominator=10**15))
+def test_quantize_matches_round(p):
+    assert adversary._quantize(p) == Fraction(round(p * GRID), GRID)
+
+
+def plain_std_err(samples) -> float:
+    n = len(samples)
+    mean = sum(samples, Fraction(0)) / n
+    var = sum((p - mean) ** 2 for p in samples) / (n - 1)
+    return math.sqrt(float(var) / n)
+
+
+@pytest.mark.parametrize("samples", [
+    (Fraction(1, 3), Fraction(-5, 7)),
+    (Fraction(2), Fraction(2)),
+    (Fraction(1, 3), Fraction(-5, 7), Fraction(11, 12), Fraction(10**20, 3**40),
+     Fraction(0), Fraction(-1, 10**12)),
+])
+def test_std_err_matches_fraction_formula(samples):
+    mean = sum(samples, Fraction(0)) / len(samples)
+    report = AttackReport(strategy="s", mode="m", trials=len(samples),
+                          mean_profit=mean, profit_samples=samples)
+    assert report.std_err() == plain_std_err(samples)
+
+
+def test_committed_mean_is_the_sample_mean():
+    report = run_frontrun(POOL, victim_buy(100), mode="committed", trials=200,
+                          rng=random.Random(5))
+    assert report.mean_profit == (sum(report.profit_samples, Fraction(0))
+                                  / len(report.profit_samples))
+    assert report.std_err() == plain_std_err(report.profit_samples)
 
 
 # -- frontrun ---------------------------------------------------------------------

@@ -290,6 +290,33 @@ def test_verify_fail_line_names_malformed_header(small_run, tmp_path,
     assert main(["verify", str(tmp_path / "t")]) == 2
 
 
+@pytest.mark.parametrize("field, value, cause", [
+    ("live", 5, "live must be a list of shard ids"),
+    ("live", [["shard-0"]], "live must be a list of shard ids"),
+    ("table", ["shard-0"], "table must be an object"),
+    ("masterHeight", "1", "masterHeight must be an integer"),
+])
+def test_verify_fail_line_names_malformed_anchors(small_run, tmp_path,
+                                                  field, value, cause):
+    """An unreadable anchors event gives a FAIL line, not a traceback."""
+    found = []
+
+    def first_anchors(ev):
+        if found or ev["event"] != "anchors":
+            return False
+        found.append(ev)
+        return True
+
+    def garble(ev):
+        ev[field] = value
+
+    fails, (line,) = edit_events(small_run, tmp_path / "t", first_anchors,
+                                 garble)
+    assert fails == [f"FAIL: anchor tables complete and bound (1 rounds) "
+                     f"(malformed anchors: {cause} at run.jsonl line {line})"]
+    assert main(["verify", str(tmp_path / "t")]) == 2
+
+
 @pytest.mark.parametrize("tamper", ["state root", "parent", "genesis"])
 def test_validate_and_verify_reject_the_same_header(small_run, tmp_path,
                                                      tamper):
