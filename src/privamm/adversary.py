@@ -205,6 +205,10 @@ def run_sandwich(pool: PoolState, victim_order: Optional[Order],
     profit is a single deterministic rational. Committed: victim side
     and size are drawn per trial and the three transactions are shuffled
     uniformly; the report aggregates the Monte-Carlo samples.
+
+    ``attacker_size`` is checked in both modes but used only in plaintext
+    mode: a committed trial draws the attacker's size from the victim
+    size range, as it draws the victim's.
     """
     attacker_size = Fraction(attacker_size)
     if attacker_size >= pool.E:
@@ -226,6 +230,11 @@ def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
     The exit executes against the pool (selling back the bought energy);
     marking at the post-victim spot without executing would overstate
     profit, since a lone buy always lifts its own mark.
+
+    ``attacker_size`` (the victim's size, or one drawn from the range,
+    when None) is checked in both modes but used only in plaintext mode:
+    a committed trial draws the attacker's size from the victim size
+    range, as it draws the victim's.
     """
     rng = rng or random.Random(0)
     size_range = victim_size_range or _default_range(pool)
@@ -235,6 +244,8 @@ def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
     attacker_size = Fraction(attacker_size)
     if attacker_size >= pool.E:
         raise LiquidityError("liquidity error: attacker size exceeds reserve")
+    if attacker_size <= 0:
+        raise ValueError("attacker size must be positive")
     return _attack("frontrun", _victim_in_any_slot, pool, victim_order,
                    attacker_size, mode, trials, rng, size_range)
 

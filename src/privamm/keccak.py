@@ -22,7 +22,7 @@ forms below are generated from one rotation and pi table:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Callable, Dict, Hashable, List, Sequence
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -177,3 +177,39 @@ def _absorb_group(padded: List[bytes], slots: List[int],
                 digests[slots[j]] = b"".join(w[8 * j : 8 * j + 8] for w in out)
             low = (1 << 64 * live) - 1
             lanes = [lane & low for lane in lanes]
+
+
+class DigestCache:
+    """A bounded memo of ``finish(keccak256(encode(key)))`` per key.
+
+    Calling it answers one key; ``many`` answers a list of keys and hashes
+    every key it does not hold in one `keccak256_many` batch. Past
+    ``size`` keys it forgets the oldest. It is the only place its values
+    are kept.
+    """
+
+    __slots__ = ("_encode", "_finish", "_size", "_values")
+
+    def __init__(self, encode: Callable[[Hashable], bytes],
+                 finish: Callable[[bytes], object], size: int = 4096):
+        self._encode = encode
+        self._finish = finish
+        self._size = size
+        self._values: Dict[Hashable, object] = {}
+
+    def __call__(self, key):
+        value = self._values.get(key)
+        return value if value is not None else self.many([key])[0]
+
+    def many(self, keys: Sequence[Hashable]) -> list:
+        values = self._values
+        missing = [k for k in dict.fromkeys(keys) if k not in values]
+        if not missing:
+            return [values[k] for k in keys]
+        digests = keccak256_many([self._encode(k) for k in missing])
+        fresh = dict(zip(missing, map(self._finish, digests)))
+        for key, value in fresh.items():
+            if len(values) >= self._size:
+                del values[next(iter(values))]
+            values[key] = value
+        return [fresh[k] if k in fresh else values[k] for k in keys]

@@ -18,7 +18,9 @@ its own header chain.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
-members vote for its exact header digest. Mempool entries carry only a
+members vote for its exact header digest. The proposal is a header made
+and hashed once by the caller; the votes, the block and the chain all
+reuse it. Mempool entries carry only a
 commitment and a balance proof — never a plaintext amount — and a proof
 is admitted only if it proves the sender's own account and walks to the
 state root of a header on the shard's own chain.
@@ -33,11 +35,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
-from .keccak import keccak256
+from .keccak import DigestCache, keccak256
 from .trie import BlockHeader, HeaderChain
 
 
@@ -301,10 +302,10 @@ def select_committee(eligible, epoch: int, f: int, seed) -> Committee:
     return Committee(epoch=epoch, members=tuple(rng.sample(eligible, n)), f=f)
 
 
-@lru_cache(maxsize=4096)
-def sender_address(sender: str) -> bytes:
-    """20-byte account address whose balance a sender's proof must show."""
-    return keccak256(sender.encode())[:20]
+#: The 20-byte account address whose balance a sender's proof must show:
+#: the first 20 bytes of the Keccak of the sender string.
+#: ``sender_address.many(senders)`` hashes every new sender in one batch.
+sender_address = DigestCache(str.encode, lambda digest: digest[:20])
 
 
 def submit_tx(shard: Shard, entry: MempoolEntry,
@@ -343,26 +344,26 @@ def tally_votes(committee: Committee, votes) -> List[bytes]:
             if len(voters) >= committee.quorum]
 
 
-def produce_block(shard: Shard, committee: Committee, votes, state_root: bytes,
-                  timestamp: int) -> Optional[BlockHeader]:
-    """Finalize one block iff the proposal digest reaches quorum.
+def produce_block(shard: Shard, committee: Committee, votes,
+                  proposal: BlockHeader) -> Optional[BlockHeader]:
+    """Finalize ``proposal`` iff its digest reaches quorum.
 
-    The proposal is the exact header that would extend the shard chain;
-    fewer than 2f+1 matching votes means no block this round.
+    The proposal is the header that extends the shard chain, hashed once
+    when it was made; fewer than 2f+1 votes for its digest means no block
+    this round. A proposal that does not extend the tip raises
+    `ChainError` and leaves the chain as it was.
     """
     if shard.failed:
         return None
-    proposal = shard.chain.next_header(state_root, timestamp).header_hash
-    if proposal not in tally_votes(committee, votes):
+    if proposal.header_hash not in tally_votes(committee, votes):
         return None
-    return shard.chain.append(state_root, timestamp)
+    return shard.chain.append(proposal)
 
 
-def honest_votes(committee: Committee, shard: Shard, state_root: bytes,
-                 timestamp: int) -> List[Vote]:
-    """Votes of all committee members for the canonical next header."""
-    proposal = shard.chain.next_header(state_root, timestamp).header_hash
-    return [Vote(node_id=m, digest=proposal) for m in committee.members]
+def honest_votes(committee: Committee, proposal: BlockHeader) -> List[Vote]:
+    """Votes of all committee members for the proposal's digest."""
+    return [Vote(node_id=m, digest=proposal.header_hash)
+            for m in committee.members]
 
 
 def update_anchor(master: Masterchain, shard: Shard) -> None:
@@ -384,7 +385,8 @@ def update_anchor(master: Masterchain, shard: Shard) -> None:
 
 def seal_anchors(master: Masterchain, timestamp: int) -> BlockHeader:
     """Append one masterchain block committing the current anchor table."""
-    return master.chain.append(master.anchor_root(), timestamp)
+    return master.chain.append(
+        master.chain.next_header(master.anchor_root(), timestamp))
 
 
 def drop_anchor(master: Masterchain, shard_id: str) -> None:

@@ -5,7 +5,9 @@ workchain shards, per-shard account tries and header chains, an init
 phase that opens each shard's pool from secret LP deposits, committed
 orders settled through single-round MPC, committee-voted block
 production, load-driven shard splits and merges, regional failures, and
-optional adversary experiments on the side.
+optional adversary experiments on the side. A block round settles every
+live shard first, then hashes all of their proposal headers in one
+Keccak batch, then lets each committee vote.
 
 Determinism is load-bearing: every random draw comes from a named
 stream derived from the scenario seed (one stream per shard, one for
@@ -35,7 +37,7 @@ from .sharding import (MempoolEntry, Shard, Topology, Workchain, drop_anchor,
                        honest_votes, produce_block, register_peer,
                        seal_anchors, select_committee, sender_address,
                        submit_tx, update_anchor)
-from .trie import AccountLeaf, HeaderChain, Trie
+from .trie import AccountLeaf, BlockHeader, HeaderChain, Trie
 
 
 class SimulationError(Exception):
@@ -52,11 +54,6 @@ METRICS_FIELDS = ("tick", "shard_id", "tx_count", "blocks", "anchors",
 def peer_address(peer_id: str) -> bytes:
     """A peer's account: the one its mempool sender ``account:<id>`` proves."""
     return sender_address(f"account:{peer_id}")
-
-
-def _load_address(shard_id: str) -> bytes:
-    """The account of a shard's load generator, sender ``load:<shard>``."""
-    return sender_address(f"load:{shard_id}")
 
 
 def _open_pool(e_s: int, m_s: int) -> Optional[ScaledPool]:
@@ -185,28 +182,32 @@ class Simulator:
         return min(self.config.committee_f, (len(shard.peers) - 1) // 3)
 
     def _build_runtime(self, shard: Shard, tick: int) -> ShardRuntime:
-        trie = Trie()
-        for pid in sorted(shard.peers):
-            trie = trie.update(
-                peer_address(pid),
-                AccountLeaf(nonce=self.nonces[pid], balance=self.balances[pid]),
-            )
-        load_addr = _load_address(shard.shard_id)
-        trie = trie.update(load_addr, AccountLeaf(nonce=0, balance=_LOAD_BALANCE))
+        # The peers' accounts, then the load generator's (sender
+        # ``load:<shard>``); their addresses are hashed in one batch, and
+        # update_many hashes their trie paths in a second.
+        peers = sorted(shard.peers)
+        addresses = sender_address.many(
+            [f"account:{pid}" for pid in peers] + [f"load:{shard.shard_id}"])
+        leaves = [AccountLeaf(nonce=self.nonces[pid], balance=self.balances[pid])
+                  for pid in peers]
+        leaves.append(AccountLeaf(nonce=0, balance=_LOAD_BALANCE))
+        trie = Trie().update_many(list(zip(addresses, leaves)))
+        load_addr = addresses[-1]
 
-        if shard.chain.tip.height == 0:
+        chain = shard.chain
+        if chain.tip.height == 0:
             # A new shard: its chain opens at this trie. A shard that has
             # run (a merged parent, a child of a second split) always has
             # blocks past genesis.
-            shard.chain = HeaderChain(genesis_state_root=trie.root(),
-                                      genesis_timestamp=tick)
-            first = shard.chain.tip
+            chain = shard.chain = HeaderChain(genesis_state_root=trie.root(),
+                                              genesis_timestamp=tick)
+            first = chain.tip
         else:
             # A shard back in service resumes the chain where it stopped.
-            first = shard.chain.append(trie.root(), tick)
+            first = chain.append(chain.next_header(trie.root(), tick))
         self._log_block(tick, shard.shard_id, first)
         for _ in range(self.config.confirmations):
-            header = shard.chain.append(trie.root(), tick)
+            header = chain.append(chain.next_header(trie.root(), tick))
             self._log_block(tick, shard.shard_id, header)
 
         f = self._fault_bound(shard)
@@ -457,7 +458,11 @@ class Simulator:
         )
 
     def _block_round(self, tick: int):
+        # Settle every live shard and pick its committee. Each shard's block
+        # event is emitted after its trades, and its header filled in once
+        # the round's proposals are hashed.
         round_counts: Dict[str, int] = {}
+        proposers = []
         for sid in sorted(self.runtimes):
             rt = self.runtimes[sid]
             tx_count = 0
@@ -470,22 +475,29 @@ class Simulator:
                         rt.shard.peers, epoch=rt.shard.chain.tip.height,
                         f=f, seed=f"{self.seed}/{sid}",
                     )
-                    votes = honest_votes(committee, rt.shard, rt.trie.root(),
-                                         tick)
-                    header = produce_block(rt.shard, committee, votes,
-                                           rt.trie.root(), tick)
-                    if header is not None:
-                        self._log_block(tick, sid, header)
-                        rt.trie_history[header.height] = rt.trie
-                        # Proofs read tip - confirmations; older heights
-                        # are never read again.
-                        rt.trie_history.pop(
-                            header.height - self.config.confirmations - 1,
-                            None)
-                        rt.shard.load_window.append(tx_count)
-                        rt.shard.mempool.clear()
-                        rt.txs_total += tx_count
+                    event = self.log.emit(tick, sid, "block", chain=sid)
+                    proposers.append((rt, committee, event))
             round_counts[sid] = tx_count
+
+        # The proposals do not depend on each other: one Keccak batch.
+        proposals = BlockHeader.make_many([
+            rt.shard.chain.proposal_fields(rt.trie.root(), tick)
+            for rt, _, _ in proposers])
+        for (rt, committee, event), proposal in zip(proposers, proposals):
+            votes = honest_votes(committee, proposal)
+            header = produce_block(rt.shard, committee, votes, proposal)
+            if header is None:
+                raise SimulationError(
+                    f"honest committee of {rt.shard_id} did not finalize")
+            event["header"] = header.to_json()
+            rt.trie_history[header.height] = rt.trie
+            # Proofs read tip - confirmations; older heights are never
+            # read again.
+            rt.trie_history.pop(header.height - self.config.confirmations - 1,
+                                None)
+            rt.shard.load_window.append(round_counts[rt.shard_id])
+            rt.shard.mempool.clear()
+            rt.txs_total += round_counts[rt.shard_id]
 
         # One masterchain block per round carries every shard's anchor.
         master = self.topology.master

@@ -28,10 +28,9 @@ against those digests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .keccak import keccak256, keccak256_many
+from .keccak import DigestCache, keccak256, keccak256_many
 from .rlp import RlpError, rlp_decode, rlp_encode
 
 LEAF_LEN = 112
@@ -130,11 +129,9 @@ def _nibbles(data: bytes) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
-def _address_path(address: bytes) -> bytes:
-    """Trie path of ``address``, one nibble per byte: pure and immutable, so
-    safe to cache, and its slices are the compact node paths."""
-    return bytes(_nibbles(keccak256(address)))
+#: Trie path of an address, one nibble per byte of its Keccak: pure and
+#: immutable, so safe to cache, and its slices are the compact node paths.
+_address_path = DigestCache(bytes, lambda digest: bytes(_nibbles(digest)))
 
 
 def hp_encode(nibbles, is_leaf: bool) -> bytes:
@@ -309,6 +306,15 @@ class Trie:
             raise ValueError("address must be 20 bytes")
         value = encode_account_leaf(acct)
         return Trie(_insert(self._root, _address_path(address), value))
+
+    def update_many(self, items: Sequence[Tuple[bytes, AccountLeaf]]) -> "Trie":
+        """`update` with each (address, account) in turn; the paths of the
+        addresses not yet seen are hashed in one batch first."""
+        _address_path.many([address for address, _ in items])
+        trie = self
+        for address, acct in items:
+            trie = trie.update(address, acct)
+        return trie
 
     # -- lookup / proofs ---------------------------------------------------
 
@@ -491,15 +497,19 @@ def _int_rlp(i: int) -> bytes:
     return i.to_bytes((i.bit_length() + 7) // 8, "big")
 
 
-@lru_cache(maxsize=16)
+def _header_rlp(height: int, parent_hash: bytes, timestamp: int,
+                state_root: bytes) -> bytes:
+    return rlp_encode([_int_rlp(height), parent_hash, _int_rlp(timestamp),
+                       state_root])
+
+
 def header_digest(height: int, parent_hash: bytes, timestamp: int,
                   state_root: bytes) -> bytes:
-    """Keccak of the RLP header. A proposal is hashed by its votes, by the
-    block producer and by the chain it is appended to, one call after the
-    other, so a small cache makes that one hash."""
-    return keccak256(
-        rlp_encode([_int_rlp(height), parent_hash, _int_rlp(timestamp), state_root])
-    )
+    """Keccak of the RLP header, one 136-byte block. A header is hashed
+    once, when it is made; `BlockHeader.make_many` hashes many in one
+    `keccak256_many` batch, and votes, block production and `append`
+    reuse the header they are handed."""
+    return keccak256(_header_rlp(height, parent_hash, timestamp, state_root))
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,6 +525,14 @@ class BlockHeader:
              state_root: bytes) -> "BlockHeader":
         return cls(height, parent_hash, timestamp, state_root,
                    header_digest(height, parent_hash, timestamp, state_root))
+
+    @classmethod
+    def make_many(cls, fields: Sequence[Tuple[int, bytes, int, bytes]]
+                  ) -> List["BlockHeader"]:
+        """``make`` for each ``(height, parent_hash, timestamp, state_root)``,
+        with every header hashed in one `keccak256_many` call."""
+        digests = keccak256_many([_header_rlp(*f) for f in fields])
+        return [cls(*f, digest) for f, digest in zip(fields, digests)]
 
     def to_json(self) -> dict:
         return {
@@ -558,6 +576,11 @@ def replay_headers(headers: Sequence[Tuple[str, BlockHeader]]
     return None
 
 
+#: Genesis of the empty chain at time 0, which every new shard and the
+#: masterchain start from: hashed once, here.
+_EMPTY_GENESIS = BlockHeader.make(0, GENESIS_PARENT, 0, EMPTY_ROOT)
+
+
 class HeaderChain:
     """A hash-linked list of block headers, genesis at height 0."""
 
@@ -565,27 +588,41 @@ class HeaderChain:
 
     def __init__(self, genesis_state_root: bytes = EMPTY_ROOT,
                  genesis_timestamp: int = 0):
-        self.headers: List[BlockHeader] = [
-            BlockHeader.make(0, GENESIS_PARENT, genesis_timestamp,
-                             genesis_state_root)
-        ]
+        if (genesis_state_root, genesis_timestamp) == (EMPTY_ROOT, 0):
+            genesis = _EMPTY_GENESIS
+        else:
+            genesis = BlockHeader.make(0, GENESIS_PARENT, genesis_timestamp,
+                                       genesis_state_root)
+        self.headers: List[BlockHeader] = [genesis]
 
     @property
     def tip(self) -> BlockHeader:
         return self.headers[-1]
 
+    def proposal_fields(self, state_root: bytes, timestamp: int
+                        ) -> Tuple[int, bytes, int, bytes]:
+        """The fields of the header that would extend the chain, for
+        `BlockHeader.make_many`."""
+        tip = self.tip
+        return tip.height + 1, tip.header_hash, timestamp, state_root
+
     def next_header(self, state_root: bytes, timestamp: int) -> BlockHeader:
         """The header that would extend the chain: a block's proposal."""
-        tip = self.tip
-        return BlockHeader.make(tip.height + 1, tip.header_hash, timestamp,
-                                state_root)
+        return BlockHeader.make(*self.proposal_fields(state_root, timestamp))
 
-    def append(self, state_root: bytes, timestamp: int) -> BlockHeader:
-        if timestamp < self.tip.timestamp:
+    def append(self, header: BlockHeader) -> BlockHeader:
+        """Add a proposal that extends the tip; its hash is not recomputed
+        (`validate` replays every digest)."""
+        tip = self.tip
+        if header.height != tip.height + 1 or header.parent_hash != tip.header_hash:
             raise ChainError(
-                f"timestamp regression: {timestamp} < {self.tip.timestamp}"
+                f"proposal at height {header.height} does not extend the tip "
+                f"at height {tip.height}"
             )
-        header = self.next_header(state_root, timestamp)
+        if header.timestamp < tip.timestamp:
+            raise ChainError(
+                f"timestamp regression: {header.timestamp} < {tip.timestamp}"
+            )
         self.headers.append(header)
         return header
 

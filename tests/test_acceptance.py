@@ -151,7 +151,7 @@ def test_c3_liquidity_totals_reveal_no_individual_deposit():
                                                     balance=balance))
         chain = HeaderChain(genesis_state_root=trie.root())
         for h in range(1, 3):
-            chain.append(trie.root(), h)
+            chain.append(chain.next_header(trie.root(), h))
         session = MpcSession(4, GROUP.q, seed=rng.randrange(2**63))
         log = RunLog()
         result = run_init_phase(
@@ -373,7 +373,7 @@ def test_c6_state_proofs_and_freshness_are_sound():
     # Freshness boundaries are exact in both dimensions.
     chain = HeaderChain(genesis_state_root=root)
     for h in range(1, 13):
-        chain.append(root, h * 10)
+        chain.append(chain.next_header(root, h * 10))
     header = chain.header_at(6)  # timestamp 60, six blocks on top
     assert check_freshness(chain, header, confirmations=6, window=40, now=100)
     assert not check_freshness(chain, header, confirmations=7, window=40,

@@ -257,6 +257,20 @@ def test_frontrun_rejects_draining_size():
                      attacker_size=Fraction(1000))
 
 
+@pytest.mark.parametrize("size", [Fraction(0), Fraction(-5)])
+@pytest.mark.parametrize("mode", ["plaintext", "committed"])
+def test_frontrun_rejects_non_positive_size(size, mode):
+    # The same check, text and order as run_sandwich: the reserve bound
+    # first, then the sign, before any trial runs.
+    for victim in (None, victim_buy(10)):
+        with pytest.raises(ValueError, match="attacker size must be positive"):
+            run_frontrun(POOL, victim, mode, attacker_size=size)
+        with pytest.raises(ValueError, match="attacker size must be positive"):
+            run_sandwich(POOL, victim, size, mode)
+    with pytest.raises(LiquidityError):
+        run_frontrun(POOL, None, mode, attacker_size=Fraction(1000))
+
+
 # -- arbitrage ---------------------------------------------------------------------
 
 POOL_A = pool_init(Fraction(100), Fraction(100))

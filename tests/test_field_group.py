@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privamm import field_group
 from privamm.field_group import (TEST_GROUP, GroupParams, Opening,
                                  ParameterError, RangeError,
                                  commitment_combine, commitment_combine_many,
@@ -140,11 +141,12 @@ GROUP_256 = group_setup(256, seed="group:99")
 
 
 def _exponent_cases(q):
-    """0, 1, q - 1, both sides of every 6-bit window edge below q (up to
-    2^252, the first digit of the top table row, for a 255-bit q), and 200
-    seeded random exponents."""
-    edges = [v for k in range(1, q.bit_length() // 6 + 1)
-             for v in ((1 << (6 * k)) - 1, 1 << (6 * k)) if v < q]
+    """0, 1, q - 1, both sides of every table window edge below q (with
+    7-bit windows and a 255-bit q, up to 2^252, the first digit of the top
+    table row), and 200 seeded random exponents."""
+    w = field_group._WINDOW
+    edges = [v for k in range(1, q.bit_length() // w + 1)
+             for v in ((1 << (w * k)) - 1, 1 << (w * k)) if v < q]
     rng = random.Random(f"commit-cases/{q}")
     return [0, 1, q - 1] + edges, [rng.randrange(q) for _ in range(200)]
 

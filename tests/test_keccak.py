@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privamm.keccak import (GROUP_WIDTH, _keccak_f, _keccak_f_packed,
-                            _slot_constants, keccak256, keccak256_many)
+from privamm import keccak as keccak_mod
+from privamm.keccak import (GROUP_WIDTH, DigestCache, _keccak_f,
+                            _keccak_f_packed, _slot_constants, keccak256,
+                            keccak256_many)
 
 # Well-known digests of the original Keccak-256 (pre-NIST padding).
 KNOWN_VECTORS = [
@@ -151,3 +153,42 @@ def test_rate_boundary_lengths(data):
 
 def test_accepts_bytearray():
     assert keccak256(bytearray(b"abc")) == keccak256(b"abc")
+
+
+# -- digest cache ------------------------------------------------------------------
+
+def counting_cache(monkeypatch, size=4096):
+    """A DigestCache over sender strings, and the list of the batches it
+    hashed."""
+    batches = []
+    real = keccak_mod.keccak256_many
+    monkeypatch.setattr(keccak_mod, "keccak256_many",
+                        lambda msgs: batches.append(list(msgs)) or real(msgs))
+    cache = DigestCache(str.encode, lambda d: d[:20], size=size)
+    return cache, batches
+
+
+def test_digest_cache_hashes_only_new_keys_in_one_batch(monkeypatch):
+    cache, batches = counting_cache(monkeypatch)
+    keys = ["a", "b", "a", "c"]
+    assert cache.many(keys) == [keccak256(k.encode())[:20] for k in keys]
+    assert batches == [[b"a", b"b", b"c"]]
+    assert cache("b") == keccak256(b"b")[:20]
+    assert cache.many(["c", "d", "a"])[1] == keccak256(b"d")[:20]
+    assert batches == [[b"a", b"b", b"c"], [b"d"]]
+    assert cache.many([]) == []
+
+
+def test_digest_cache_forgets_its_oldest_past_its_size(monkeypatch):
+    cache, batches = counting_cache(monkeypatch, size=3)
+    keys = [str(i) for i in range(5)]
+    # A batch larger than the cache still answers every key.
+    assert cache.many(keys) == [keccak256(k.encode())[:20] for k in keys]
+    cache.many(["2", "3", "4"])
+    assert len(batches) == 1
+    cache("0")
+    assert batches[-1] == [b"0"]
+    cache.many(["3", "4", "0"])
+    assert batches[-1] == [b"0"] and len(batches) == 2
+    cache("2")  # evicted by "0"
+    assert batches[-1] == [b"2"]

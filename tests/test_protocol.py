@@ -40,7 +40,7 @@ def build_ledger(balances, confirmations=CONFIRMATIONS):
         trie = trie.update(addr(name), AccountLeaf(nonce=0, balance=bal))
     chain = HeaderChain(genesis_state_root=trie.root(), genesis_timestamp=0)
     for i in range(1, confirmations + 1):
-        chain.append(trie.root(), i)
+        chain.append(chain.next_header(trie.root(), i))
     return trie, chain, chain.header_at(0)
 
 

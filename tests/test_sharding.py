@@ -22,8 +22,9 @@ from privamm.sharding import (AnchorError, Committee, CommitteeError,
 from privamm.rlp import rlp_encode
 from privamm.scenario import load_scenario
 from privamm.simulator import Simulator, peer_address
-from privamm.trie import (AccountLeaf, MptProof, Trie, encode_account_leaf,
-                          header_digest, hp_encode, prove_account)
+from privamm.trie import (AccountLeaf, ChainError, MptProof, Trie,
+                          encode_account_leaf, header_digest, hp_encode,
+                          prove_account)
 
 VK = balance_proof.setup()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -46,7 +47,7 @@ def valid_entry(shard, sender="alice", balance=1000, threshold=10, tick=0):
         trie = trie.update(account_of(f"neighbour-{i}"),
                            AccountLeaf(nonce=0, balance=1))
     trie = trie.update(account_of(sender), AccountLeaf(nonce=0, balance=balance))
-    header = shard.chain.append(trie.root(), timestamp=tick)
+    header = shard.chain.append(shard.chain.next_header(trie.root(), timestamp=tick))
     account = prove_account(trie, account_of(sender), block_height=header.height,
                             header_hash=header.header_hash)
     proof = balance_proof.prove(VK, account, threshold)
@@ -208,9 +209,12 @@ def build_shard(n_peers=4):
 def test_block_finalizes_with_quorum():
     _, shard, committee = build_shard()
     root = keccak256(b"state-1")
-    votes = honest_votes(committee, shard, root, timestamp=10)
-    header = produce_block(shard, committee, votes, root, timestamp=10)
-    assert header is not None
+    proposal = shard.chain.next_header(root, timestamp=10)
+    votes = honest_votes(committee, proposal)
+    assert {v.digest for v in votes} == {proposal.header_hash}
+    assert sorted(v.node_id for v in votes) == sorted(committee.members)
+    header = produce_block(shard, committee, votes, proposal)
+    assert header is proposal
     assert header.height == 1
     assert header.state_root == root
     assert shard.chain.validate() is None
@@ -219,8 +223,9 @@ def test_block_finalizes_with_quorum():
 def test_block_withheld_without_quorum():
     _, shard, committee = build_shard()
     root = keccak256(b"state-1")
-    votes = honest_votes(committee, shard, root, timestamp=10)[:2]
-    assert produce_block(shard, committee, votes, root, timestamp=10) is None
+    proposal = shard.chain.next_header(root, timestamp=10)
+    votes = honest_votes(committee, proposal)[:2]
+    assert produce_block(shard, committee, votes, proposal) is None
     assert shard.chain.tip.height == 0
 
 
@@ -229,15 +234,32 @@ def test_votes_for_other_header_do_not_count():
     root = keccak256(b"state-1")
     stale = header_digest(5, b"\x00" * 32, 10, root)
     votes = [Vote(m, stale) for m in committee.members]
-    assert produce_block(shard, committee, votes, root, timestamp=10) is None
+    proposal = shard.chain.next_header(root, timestamp=10)
+    assert produce_block(shard, committee, votes, proposal) is None
+    assert shard.chain.tip.height == 0
+
+
+def test_stale_proposal_does_not_extend_the_chain():
+    # A proposal made before the tip moved names the old tip as parent:
+    # even with a quorum for it, the chain refuses it and stays as it was.
+    _, shard, committee = build_shard()
+    stale = shard.chain.next_header(keccak256(b"state-1"), timestamp=10)
+    fresh = shard.chain.next_header(keccak256(b"state-2"), timestamp=10)
+    produce_block(shard, committee, honest_votes(committee, fresh), fresh)
+    with pytest.raises(ChainError, match="does not extend the tip"):
+        produce_block(shard, committee, honest_votes(committee, stale), stale)
+    assert shard.chain.tip is fresh
+    assert shard.chain.validate() is None
 
 
 def test_failed_shard_produces_nothing():
     _, shard, committee = build_shard()
     shard.failed = True
     root = keccak256(b"state-1")
-    votes = honest_votes(committee, shard, root, timestamp=10)
-    assert produce_block(shard, committee, votes, root, timestamp=10) is None
+    proposal = shard.chain.next_header(root, timestamp=10)
+    votes = honest_votes(committee, proposal)
+    assert produce_block(shard, committee, votes, proposal) is None
+    assert shard.chain.tip.height == 0
 
 
 # -- mempool -----------------------------------------------------------------------
@@ -365,8 +387,8 @@ def test_mempool_view_exposes_no_order_details():
 def test_anchor_records_head_and_seals_block():
     topo, shard, committee = build_shard()
     root = keccak256(b"state-1")
-    votes = honest_votes(committee, shard, root, timestamp=10)
-    produce_block(shard, committee, votes, root, timestamp=10)
+    proposal = shard.chain.next_header(root, timestamp=10)
+    produce_block(shard, committee, honest_votes(committee, proposal), proposal)
     update_anchor(topo.master, shard)
     header = seal_anchors(topo.master, timestamp=10)
     entry = topo.master.anchor_table["shard-0"]
@@ -500,7 +522,7 @@ def test_merge_restores_parent():
     shard.peers = list(locations)
     shard.lp_liquidity = {"a": Fraction(100), "b": Fraction(100)}
     shard.load_window = [9, 9]
-    shard.chain.append(b"\x01" * 32, timestamp=1)
+    shard.chain.append(shard.chain.next_header(b"\x01" * 32, timestamp=1))
     chain, headers = shard.chain, list(shard.chain.headers)
     child_a, child_b = split_shard(wc, shard, records_for(locations))
     child_a.lp_liquidity["a"] = Fraction(150)
@@ -544,7 +566,7 @@ def test_second_split_hands_back_the_same_children():
     root.peers = list(locations)
     records = records_for(locations)
     left, right = split_shard(wc, root, records)
-    left.chain.append(b"\x01" * 32, timestamp=1)
+    left.chain.append(left.chain.next_header(b"\x01" * 32, timestamp=1))
     left_headers = list(left.chain.headers)
     right.mempool.append("pending")
     right.load_window = [1, 1]

@@ -3,11 +3,14 @@
 import csv
 import json
 import shutil
+import sys
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from privamm import keccak as keccak_mod
 from privamm.cli import main, verify_artifacts
 from privamm.keccak import keccak256
 from privamm.scenario import load_scenario, parse_scenario
@@ -492,6 +495,67 @@ def test_verify_passes_on_merge_scenario(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert not [line for line in lines if line.startswith("FAIL")]
     assert "ok: block headers replay (35 headers)" in lines
+
+
+def test_round_proposals_hashed_in_one_batch_and_headers_once(tmp_path,
+                                                              monkeypatch):
+    """On ``merge``, every round's shard proposals are hashed by one
+    ``keccak256_many`` call when two or more shards are live, and each
+    header in run.jsonl is hashed exactly once in the whole run."""
+    real = {"keccak256": keccak_mod.keccak256,
+            "keccak256_many": keccak_mod.keccak256_many}
+    calls = []  # (name, digests) of each outermost call
+    depth = [0]
+
+    def wrapped(name):
+        def hashed(data):
+            depth[0] += 1
+            try:
+                out = real[name](data)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                calls.append((name, [out] if name == "keccak256" else out))
+            return out
+        return hashed
+
+    for module in [m for n, m in sys.modules.items()
+                   if n == "privamm" or n.startswith("privamm.")]:
+        for name in real:
+            if getattr(module, name, None) is real[name]:
+                monkeypatch.setattr(module, name, wrapped(name))
+    out = tmp_path / "merge"
+    assert main(["run", str(SCENARIOS / "merge.json"), "--out", str(out)]) == 0
+    monkeypatch.undo()
+
+    events = [json.loads(line)
+              for line in (out / "run.jsonl").read_text().splitlines()]
+    hashed = Counter(d for _, digests in calls for d in digests)
+    headers = [bytes.fromhex(e["header"]["headerHash"][2:])
+               for e in events if e["event"] == "block"]
+    assert len(headers) == 35
+    # The master's genesis is the empty chain's, hashed once at import.
+    empty_genesis = HeaderChain().tip.header_hash
+    assert hashed[empty_genesis] == 0
+    assert {hashed[h] for h in headers if h != empty_genesis} == {1}
+
+    # A round's proposals are the shard blocks logged at its tick before
+    # its master block; those logged after it open the chains of runtimes
+    # built by a split or a merge.
+    batches = [set(d) for name, d in calls if name == "keccak256_many"]
+    proposals, sealed = defaultdict(set), set()
+    for e in events:
+        if e["event"] != "block":
+            continue
+        if e["chain"] == "master":
+            sealed.add(e["tick"])
+        elif e["tick"] not in sealed:
+            proposals[e["tick"]].add(
+                bytes.fromhex(e["header"]["headerHash"][2:]))
+    shared = {t: p for t, p in proposals.items() if len(p) >= 2}
+    assert len(shared) >= 3
+    for tick, round_proposals in shared.items():
+        assert round_proposals in batches, tick
 
 
 def test_second_split_resumes_the_children_chains(tmp_path):

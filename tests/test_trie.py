@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privamm.keccak as keccak_mod
 import privamm.trie as trie_mod
 from privamm.keccak import keccak256
 from privamm.rlp import rlp_encode
-from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, ChainError,
-                          HeaderChain, MalformedLeafError, NotFoundError,
-                          Trie, UnforgeabilityError, VerificationError,
-                          check_freshness, decode_account_leaf,
-                          encode_account_leaf, header_digest, prove_account,
-                          verify_account_proof, verify_account_proofs)
+from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, BlockHeader,
+                          ChainError, HeaderChain, MalformedLeafError,
+                          NotFoundError, Trie, UnforgeabilityError,
+                          VerificationError, check_freshness,
+                          decode_account_leaf, encode_account_leaf,
+                          header_digest, prove_account, verify_account_proof,
+                          verify_account_proofs)
 
 
 def addr(i: int) -> bytes:
@@ -301,8 +303,8 @@ def test_genesis_shape():
 
 def test_append_links_parents():
     chain = HeaderChain()
-    h1 = chain.append(b"\x01" * 32, 10)
-    h2 = chain.append(b"\x02" * 32, 20)
+    h1 = chain.append(chain.next_header(b"\x01" * 32, 10))
+    h2 = chain.append(chain.next_header(b"\x02" * 32, 20))
     assert h1.parent_hash == chain.headers[0].header_hash
     assert h2.parent_hash == h1.header_hash
     assert chain.validate() is None
@@ -310,15 +312,15 @@ def test_append_links_parents():
 
 def test_timestamp_regression_rejected():
     chain = HeaderChain()
-    chain.append(b"\x01" * 32, 10)
+    chain.append(chain.next_header(b"\x01" * 32, 10))
     with pytest.raises(ChainError):
-        chain.append(b"\x02" * 32, 9)
+        chain.append(chain.next_header(b"\x02" * 32, 9))
 
 
 def test_historic_mutation_detected_at_first_descendant():
     chain = HeaderChain()
     for i in range(1, 6):
-        chain.append(bytes([i]) * 32, i * 10)
+        chain.append(chain.next_header(bytes([i]) * 32, i * 10))
     # Tamper with the header at height 2; its own digest no longer matches.
     victim = chain.headers[2]
     forged = type(victim).make(victim.height, victim.parent_hash,
@@ -334,7 +336,7 @@ def test_historic_mutation_detected_at_first_descendant():
 def test_parent_break_detected_at_descendant():
     chain = HeaderChain()
     for i in range(1, 6):
-        chain.append(bytes([i]) * 32, i * 10)
+        chain.append(chain.next_header(bytes([i]) * 32, i * 10))
     # Replace height 2 with a self-consistent header not linked to height 3.
     victim = chain.headers[2]
     replacement = type(victim).make(victim.height, victim.parent_hash,
@@ -348,7 +350,7 @@ def test_parent_break_detected_at_descendant():
 def chain_of(heights=10, step=10):
     chain = HeaderChain(genesis_timestamp=0)
     for i in range(1, heights + 1):
-        chain.append(bytes([i % 256]) * 32, i * step)
+        chain.append(chain.next_header(bytes([i % 256]) * 32, i * step))
     return chain
 
 
@@ -373,3 +375,41 @@ def test_freshness_rejects_forged_header():
     outsider = type(chain.tip).make(3, b"\x99" * 32, 30, b"\x88" * 32)
     with pytest.raises(UnforgeabilityError):
         check_freshness(chain, outsider, confirmations=1, window=10**6, now=100)
+
+
+def test_make_many_matches_make_one_by_one():
+    fields = [(h, bytes([h]) * 32, 10 * h, bytes([255 - h]) * 32)
+              for h in range(1, 6)]
+    assert BlockHeader.make_many(fields) == [BlockHeader.make(*f) for f in fields]
+    assert BlockHeader.make_many(fields[:1]) == [BlockHeader.make(*fields[0])]
+    assert BlockHeader.make_many([]) == []
+
+
+def test_append_refuses_a_header_that_does_not_extend_the_tip():
+    chain = HeaderChain()
+    stale = chain.next_header(b"\x01" * 32, 10)
+    chain.append(chain.next_header(b"\x02" * 32, 10))
+    tip = chain.tip
+    skipping = BlockHeader.make(tip.height + 2, tip.header_hash, 20, b"\x03" * 32)
+    for header in (stale, skipping):
+        with pytest.raises(ChainError, match="does not extend the tip"):
+            chain.append(header)
+    assert chain.tip is tip
+    assert chain.validate() is None
+
+
+def test_update_many_matches_update_one_by_one(monkeypatch):
+    # Addresses no other test uses, so none of their paths is cached yet.
+    items = [(keccak256(b"update-many/%d" % i)[:20], leaf(100 + i, nonce=i))
+             for i in range(40)]
+    batches = []
+    real = keccak_mod.keccak256_many
+    monkeypatch.setattr(keccak_mod, "keccak256_many",
+                        lambda msgs: batches.append(list(msgs)) or real(msgs))
+    batched = Trie().update_many(items)
+    monkeypatch.undo()
+    assert batches == [[a for a, _ in items]]
+    one_by_one = Trie()
+    for a, acct in items:
+        one_by_one = one_by_one.update(a, acct)
+    assert batched.root() == one_by_one.root()
