@@ -213,7 +213,7 @@ def _commit_tables(params: GroupParams) -> tuple:
 
     For a 255-bit q that is 37 rows of 128 entries per base: 9,472
     residues of 256 bits, about 0.65 MB for both bases, built in about
-    5 ms on first use.
+    6 ms on first use.
     """
     rows = -(-params.q.bit_length() // _WINDOW)
     return (_base_table(params.g, params.p, rows),

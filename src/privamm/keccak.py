@@ -208,8 +208,10 @@ class DigestCache:
             return [values[k] for k in keys]
         digests = keccak256_many([self._encode(k) for k in missing])
         fresh = dict(zip(missing, map(self._finish, digests)))
+        # Answer before storing: storing may forget a key asked for here.
+        out = [fresh[k] if k in fresh else values[k] for k in keys]
         for key, value in fresh.items():
             if len(values) >= self._size:
                 del values[next(iter(values))]
             values[key] = value
-        return [fresh[k] if k in fresh else values[k] for k in keys]
+        return out

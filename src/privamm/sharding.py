@@ -349,9 +349,10 @@ def produce_block(shard: Shard, committee: Committee, votes,
     """Finalize ``proposal`` iff its digest reaches quorum.
 
     The proposal is the header that extends the shard chain, hashed once
-    when it was made; fewer than 2f+1 votes for its digest means no block
-    this round. A proposal that does not extend the tip raises
-    `ChainError` and leaves the chain as it was.
+    when it was made by `BlockHeader.make`, `make_many` or `next_header`;
+    its digest is trusted here, not recomputed. Fewer than 2f+1 votes for
+    that digest means no block this round. A proposal that does not
+    extend the tip raises `ChainError` and leaves the chain as it was.
     """
     if shard.failed:
         return None

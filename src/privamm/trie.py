@@ -576,11 +576,6 @@ def replay_headers(headers: Sequence[Tuple[str, BlockHeader]]
     return None
 
 
-#: Genesis of the empty chain at time 0, which every new shard and the
-#: masterchain start from: hashed once, here.
-_EMPTY_GENESIS = BlockHeader.make(0, GENESIS_PARENT, 0, EMPTY_ROOT)
-
-
 class HeaderChain:
     """A hash-linked list of block headers, genesis at height 0."""
 
@@ -588,12 +583,10 @@ class HeaderChain:
 
     def __init__(self, genesis_state_root: bytes = EMPTY_ROOT,
                  genesis_timestamp: int = 0):
-        if (genesis_state_root, genesis_timestamp) == (EMPTY_ROOT, 0):
-            genesis = _EMPTY_GENESIS
-        else:
-            genesis = BlockHeader.make(0, GENESIS_PARENT, genesis_timestamp,
-                                       genesis_state_root)
-        self.headers: List[BlockHeader] = [genesis]
+        self.headers: List[BlockHeader] = [
+            BlockHeader.make(0, GENESIS_PARENT, genesis_timestamp,
+                             genesis_state_root)
+        ]
 
     @property
     def tip(self) -> BlockHeader:
@@ -611,8 +604,13 @@ class HeaderChain:
         return BlockHeader.make(*self.proposal_fields(state_root, timestamp))
 
     def append(self, header: BlockHeader) -> BlockHeader:
-        """Add a proposal that extends the tip; its hash is not recomputed
-        (`validate` replays every digest)."""
+        """Add a proposal that extends the tip.
+
+        The proposal must come from `BlockHeader.make`, `make_many` or
+        `next_header`: its height, parent link and timestamp are checked,
+        but its digest is trusted, not recomputed. Only `validate` replays
+        the digests.
+        """
         tip = self.tip
         if header.height != tip.height + 1 or header.parent_hash != tip.header_hash:
             raise ChainError(

@@ -192,3 +192,12 @@ def test_digest_cache_forgets_its_oldest_past_its_size(monkeypatch):
     assert batches[-1] == [b"0"] and len(batches) == 2
     cache("2")  # evicted by "0"
     assert batches[-1] == [b"2"]
+
+
+def test_digest_cache_answers_keys_it_forgets_while_storing(monkeypatch):
+    cache, batches = counting_cache(monkeypatch, size=2)
+    cache.many(["a", "b"])
+    # Storing "c" forgets "a", which this same call asks for.
+    assert cache.many(["a", "c"]) == [keccak256(b"a")[:20],
+                                      keccak256(b"c")[:20]]
+    assert batches == [[b"a", b"b"], [b"c"]]

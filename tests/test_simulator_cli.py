@@ -534,9 +534,11 @@ def test_round_proposals_hashed_in_one_batch_and_headers_once(tmp_path,
     headers = [bytes.fromhex(e["header"]["headerHash"][2:])
                for e in events if e["event"] == "block"]
     assert len(headers) == 35
-    # The master's genesis is the empty chain's, hashed once at import.
+    # The master's genesis is the empty chain's, which every new shard
+    # starts from too: hashed at most once per chain.
     empty_genesis = HeaderChain().tip.header_hash
-    assert hashed[empty_genesis] == 0
+    assert 1 <= hashed[empty_genesis] <= len({e["chain"] for e in events
+                                              if e["event"] == "block"})
     assert {hashed[h] for h in headers if h != empty_genesis} == {1}
 
     # A round's proposals are the shard blocks logged at its tick before
