@@ -28,7 +28,7 @@ from typing import List, Tuple
 from . import balance_proof
 from .field_group import GroupParams, Opening, pedersen_verify_opening
 from .scenario import ScenarioError, load_scenario
-from .sharding import anchor_root
+from .sharding import anchor_root, peer_sender, sender_address
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
 from .trie import BlockHeader, replay_headers
 
@@ -171,7 +171,8 @@ class _Verifier:
 
     def _verify_proofs(self, events, vk, roots) -> None:
         """Parse every proof, then check those before the first malformed
-        one or the first that names an unknown header in one batch."""
+        one or the first that names an unknown header in one batch. Each
+        must prove its event actor's own account, as `submit_tx` demands."""
         items = []
         owners = []
         bad = ""
@@ -195,12 +196,17 @@ class _Verifier:
             items.append((proof, roots[header_hash]))
             owners.append((n, ev["actor"]))
         results = balance_proof.verify_many(vk, items)
-        for i, result in enumerate(results):
-            if isinstance(result, balance_proof.VerificationError):
-                n, actor = owners[i]
-                bad = f"balance proof for {actor}: {result}{_at_line(n)}"
-                count = i + 1
-                break
+        addresses = sender_address.many(
+            [peer_sender(actor) for _, actor in owners])
+        for i, ((proof, _), result) in enumerate(zip(items, results)):
+            if proof.account.address != addresses[i]:
+                result = "proof is for another account"
+            elif not isinstance(result, balance_proof.VerificationError):
+                continue
+            n, actor = owners[i]
+            bad = f"balance proof for {actor}: {result}{_at_line(n)}"
+            count = i + 1
+            break
         self.check(not bad, f"balance and account proofs replay ({count} proofs)", bad)
 
     def _verify_anchors(self, events, headers) -> None:

@@ -18,6 +18,9 @@ rounding, and only after finalization publishes the new public reserves.
 Plaintext order sizes never appear in any public record before their
 sanctioned reveal point.
 
+Both phases lock an amount the same way, with `lock_amount`: prove the
+balance, commit, and deal the opening to the committee as shares.
+
 All token quantities are fixed-point integers at scale 10^6; the public
 pool state is the scaled pair (E_s, M_s) tracking the exact rational
 reference within one scaled unit.
@@ -110,9 +113,6 @@ class LpDeposit:
 @dataclass(slots=True)
 class InitRecord:
     lp_id: str
-    commitment: Optional[int]
-    proof: Optional[balance_proof.Proof]
-    shares_delivered: bool = False
     included_in_X: bool = False
     reason: str = ""
 
@@ -140,15 +140,43 @@ def check_share_commitment_consistency(params: GroupParams, commitment: int,
     return field_group.pedersen_commit(params, x, r) == commitment
 
 
-def _fresh_account_proof(trie, chain, proof_header, address, confirmations,
-                         window, now):
-    """Prove the account and bind the proof to a fresh enough header."""
+@dataclass(frozen=True, slots=True)
+class Lock:
+    """A locked amount's proof, commitment, opening and opening shares."""
+
+    proof: balance_proof.Proof
+    commitment: int
+    opening: Opening
+    value_shares: list
+    blind_shares: list
+
+
+def lock_amount(amount: int, what: str, threshold: int, address: bytes,
+                params: GroupParams, n: int, trie, chain, proof_header, vk,
+                confirmations: int, window: int, now: int,
+                rng: random.Random, tag: bytes) -> Lock:
+    """Prove ``address`` holds ``threshold``, commit to ``amount`` and
+    deal the opening to n parties as shares.
+
+    The proof draws nothing from ``rng``; the blinding factor, the amount's
+    shares and the blinding factor's shares are drawn in that order.
+    Raises `PhaseError` for an amount (named ``what``) outside Z_q or a
+    stale header, `balance_proof.ProvingError` for a short balance.
+    """
+    if not 0 < amount < params.q:
+        raise PhaseError(f"{what} outside the exponent field")
     if not trie_mod.check_freshness(chain, proof_header, confirmations,
                                     window, now):
-        return None
-    return trie_mod.prove_account(trie, address,
-                                  block_height=proof_header.height,
-                                  header_hash=proof_header.header_hash)
+        raise PhaseError("account proof not fresh")
+    mpt_proof = trie_mod.prove_account(trie, address,
+                                       block_height=proof_header.height,
+                                       header_hash=proof_header.header_hash)
+    proof = balance_proof.prove(vk, mpt_proof, threshold)
+    opening = Opening(x=amount, r=rng.randrange(params.q))
+    commitment = field_group.pedersen_commit(params, opening.x, opening.r)
+    value_shares = mpc.share_secret(amount, n, rng, params.q, tag)
+    blind_shares = mpc.share_secret(opening.r, n, rng, params.q, tag)
+    return Lock(proof, commitment, opening, value_shares, blind_shares)
 
 
 def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
@@ -173,53 +201,32 @@ def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
     records: List[InitRecord] = []
     share_rows = []
     for lp in lps:
-        record = InitRecord(lp_id=lp.lp_id, commitment=None, proof=None)
+        record = InitRecord(lp_id=lp.lp_id)
         records.append(record)
         try:
-            x_scaled = scale_quantity(lp.liquidity_e)
+            lock = lock_amount(
+                scale_quantity(lp.liquidity_e), "deposit", threshold_scaled,
+                lp.address, params, session.n, trie, chain, proof_header, vk,
+                confirmations, window, now, rng, f"init:{lp.lp_id}".encode(),
+            )
         except PhaseError as exc:
             record.reason = str(exc)
-            log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
-            continue
-        if not 0 < x_scaled < params.q:
-            record.reason = "deposit outside the exponent field"
-            log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
-            continue
-
-        mpt_proof = _fresh_account_proof(
-            trie, chain, proof_header, lp.address, confirmations, window, now
-        )
-        if mpt_proof is None:
-            record.reason = "account proof not fresh"
-            log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
-            continue
-
-        try:
-            proof = balance_proof.prove(vk, mpt_proof, threshold_scaled)
         except balance_proof.ProvingError as exc:
             record.reason = f"balance proof failed: {exc}"
+        else:
+            log.emit(tick, lp.lp_id, "init_balance_proof",
+                     proof=lock.proof.to_json())
+            log.emit(tick, lp.lp_id, "init_commitment",
+                     commitment=str(lock.commitment))
+            if check_share_commitment_consistency(params, lock.commitment,
+                                                  lock.value_shares,
+                                                  lock.blind_shares):
+                record.included_in_X = True
+                share_rows.append(lock.value_shares)
+            else:
+                record.reason = "shares inconsistent with commitment"
+        if record.reason:
             log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
-            continue
-        record.proof = proof
-        log.emit(tick, lp.lp_id, "init_balance_proof", proof=proof.to_json())
-
-        r = rng.randrange(params.q)
-        commitment = field_group.pedersen_commit(params, x_scaled % params.q, r)
-        record.commitment = commitment
-        log.emit(tick, lp.lp_id, "init_commitment", commitment=str(commitment))
-
-        tag = f"init:{lp.lp_id}".encode()
-        x_shares = mpc.share_secret(x_scaled, session.n, rng, params.q, tag)
-        r_shares = mpc.share_secret(r, session.n, rng, params.q, tag)
-        record.shares_delivered = True
-        if not check_share_commitment_consistency(params, commitment,
-                                                  x_shares, r_shares):
-            record.reason = "shares inconsistent with commitment"
-            log.emit(tick, lp.lp_id, "init_exclusion", reason=record.reason)
-            continue
-
-        record.included_in_X = True
-        share_rows.append(x_shares)
 
     X = session.secure_sum(share_rows)
     log.emit(tick, "committee", "init_liquidity_total", X=str(X))
@@ -238,8 +245,7 @@ def run_init_phase(lps, session: MpcSession, params: GroupParams, trie,
 class TradeSession:
     trader_id: str
     side: str
-    commitment: int
-    proof: balance_proof.Proof
+    lock: Lock
     triple_id: str
     pool_before: ScaledPool
     pool_after: Optional[ScaledPool] = None
@@ -248,7 +254,6 @@ class TradeSession:
     revealed: bool = False
     voided: bool = False
     void_reason: str = ""
-    opening: Optional[Opening] = None
 
 
 def run_trading_phase(order: Order, trader_address: bytes,
@@ -264,34 +269,25 @@ def run_trading_phase(order: Order, trader_address: bytes,
     blinding factor (exponent field) plus shares of the signed deltas
     (m, e) over the settlement field. Exactly one online broadcast round
     is consumed. ``poison=True`` models a byzantine trader delivering
-    shares that do not match its commitment; the order is voided.
+    shares that do not match its commitment; the order is voided. A
+    balance below y raises `balance_proof.ProvingError` before anything
+    is logged or drawn.
     """
     if session.modulus != P_MPC:
         raise PhaseError("settlement shares must live in the MPC field")
     e_scaled = scale_quantity(order.quantity_e)
-    y_locked = e_scaled
-    if not 0 < y_locked < params.q:
-        raise PhaseError("locked amount outside the exponent field")
-
-    mpt_proof = _fresh_account_proof(
-        trie, chain, proof_header, trader_address, confirmations, window, now
+    lock = lock_amount(
+        e_scaled, "locked amount", e_scaled, trader_address, params,
+        session.n, trie, chain, proof_header, vk, confirmations, window, now,
+        rng, f"lock:{order.trader_id}:{tick}".encode(),
     )
-    if mpt_proof is None:
-        raise PhaseError("account proof not fresh")
-    proof = balance_proof.prove(vk, mpt_proof, y_locked)
-
-    r_prime = rng.randrange(params.q)
-    commitment = field_group.pedersen_commit(params, y_locked % params.q,
-                                             r_prime)
     # Pre-reveal, the public record carries the commitment alone; the
     # proof (whose threshold equals the locked amount) follows the pool
     # update, which already discloses the net size.
     log.emit(tick, order.trader_id, "order_committed",
-             commitment=str(commitment))
+             commitment=str(lock.commitment))
 
-    tag = f"lock:{order.trader_id}:{tick}".encode()
-    y_shares = mpc.share_secret(y_locked, session.n, rng, params.q, tag)
-    r_shares = mpc.share_secret(r_prime, session.n, rng, params.q, tag)
+    y_shares = lock.value_shares
     if poison:
         bad = y_shares[0]
         y_shares = [
@@ -303,15 +299,13 @@ def run_trading_phase(order: Order, trader_address: bytes,
     trade = TradeSession(
         trader_id=order.trader_id,
         side=order.side,
-        commitment=commitment,
-        proof=proof,
+        lock=lock,
         triple_id=triple.triple_id,
         pool_before=pool_pub,
-        opening=Opening(x=y_locked % params.q, r=r_prime),
     )
 
-    if not check_share_commitment_consistency(params, commitment, y_shares,
-                                              r_shares):
+    if not check_share_commitment_consistency(params, lock.commitment,
+                                              y_shares, lock.blind_shares):
         trade.voided = True
         trade.void_reason = "shares inconsistent with commitment"
         log.emit(tick, "committee", "order_voided", trader=order.trader_id,
@@ -379,9 +373,10 @@ def reveal_and_settle(trade: TradeSession, log: RunLog, tick: int,
     # The pool delta already exposes the net trade size, so the proof
     # (threshold = locked amount) becomes publishable only now.
     log.emit(tick, trade.trader_id, "trade_proof_published",
-             proof=trade.proof.to_json())
-    if reveal_commitment and trade.opening is not None:
+             proof=trade.lock.proof.to_json())
+    if reveal_commitment:
+        opening = trade.lock.opening
         log.emit(tick, trade.trader_id, "commitment_opened",
-                 y=str(trade.opening.x), r=str(trade.opening.r))
+                 y=str(opening.x), r=str(opening.r))
     trade.revealed = True
     return pool.E_s, pool.M_s

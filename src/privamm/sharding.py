@@ -50,10 +50,6 @@ class CommitteeError(ValueError):
     """Not enough eligible nodes, or malformed committee shape."""
 
 
-class AnchorError(ValueError):
-    """Attempt to anchor an unfinalized or unknown shard head."""
-
-
 class ZoneError(ValueError):
     """Zone lookup failed."""
 
@@ -308,6 +304,16 @@ def select_committee(eligible, epoch: int, f: int, seed) -> Committee:
 sender_address = DigestCache(str.encode, lambda digest: digest[:20])
 
 
+def peer_sender(peer_id: str) -> str:
+    """The mempool sender whose account is the peer's own."""
+    return f"account:{peer_id}"
+
+
+def peer_address(peer_id: str) -> bytes:
+    """A peer's account: the one its mempool sender proves."""
+    return sender_address(peer_sender(peer_id))
+
+
 def submit_tx(shard: Shard, entry: MempoolEntry,
               vk: balance_proof.VerificationKey) -> dict:
     """Queue a committed order after checking its balance proof.
@@ -368,15 +374,12 @@ def honest_votes(committee: Committee, proposal: BlockHeader) -> List[Vote]:
 
 
 def update_anchor(master: Masterchain, shard: Shard) -> None:
-    """Write one shard's finalized head into the anchor table.
+    """Write one shard's chain tip into the anchor table.
 
-    The head must be the shard chain's actual tip (an orphaned or
-    fabricated header is rejected). A failed shard's unchanged head stays
-    in the table flagged stale rather than being dropped or overwritten.
+    A failed shard's unchanged head stays in the table flagged stale
+    rather than being dropped or overwritten.
     """
     head = shard.chain.tip
-    if shard.chain.headers[head.height].header_hash != head.header_hash:
-        raise AnchorError("head is not on the shard chain")
     master.anchor_table[shard.shard_id] = {
         "height": head.height,
         "hash": "0x" + head.header_hash.hex(),

@@ -33,11 +33,12 @@ from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
                        reveal_and_settle, run_init_phase, run_trading_phase,
                        round_fraction)
 from .scenario import AdversarySpec, ScenarioConfig, TradeSpec
-from .sharding import (MempoolEntry, Shard, Topology, Workchain, drop_anchor,
-                       honest_votes, produce_block, register_peer,
-                       seal_anchors, select_committee, sender_address,
-                       submit_tx, update_anchor)
-from .trie import AccountLeaf, BlockHeader, HeaderChain, Trie
+from .sharding import (Committee, MempoolEntry, Shard, Topology, Workchain,
+                       drop_anchor, honest_votes, peer_address, peer_sender,
+                       produce_block, register_peer, seal_anchors,
+                       select_committee, sender_address, submit_tx,
+                       update_anchor)
+from .trie import MAX_NONCE, AccountLeaf, BlockHeader, HeaderChain, Trie
 
 
 class SimulationError(Exception):
@@ -49,11 +50,6 @@ _LOAD_BALANCE = 10**30
 
 METRICS_FIELDS = ("tick", "shard_id", "tx_count", "blocks", "anchors",
                   "adversary_profit")
-
-
-def peer_address(peer_id: str) -> bytes:
-    """A peer's account: the one its mempool sender ``account:<id>`` proves."""
-    return sender_address(f"account:{peer_id}")
 
 
 def _open_pool(e_s: int, m_s: int) -> Optional[ScaledPool]:
@@ -98,6 +94,8 @@ class ShardRuntime:
     shard: Shard
     trie: Trie
     rng: random.Random
+    # Faults the committee tolerates; None for a shard without peers.
+    fault_bound: Optional[int] = None
     session: Optional[MpcSession] = None
     pool: Optional[ScaledPool] = None
     queue: List[Tuple[int, int, TradeSpec]] = dc_field(default_factory=list)
@@ -106,7 +104,6 @@ class ShardRuntime:
     # state the proof header actually committed, not the live state.
     trie_history: Dict[int, Trie] = dc_field(default_factory=dict)
     anchor_rounds: int = 0
-    txs_total: int = 0
     trades_settled: int = 0
     shadow_profit: Fraction = Fraction(0)
 
@@ -171,23 +168,13 @@ class Simulator:
         for shard in self.topology.all_shards():
             self.runtimes[shard.shard_id] = self._build_runtime(shard, tick=0)
 
-    def _fault_bound(self, shard: Shard) -> Optional[int]:
-        """Largest usable f for this shard, capped by the configured bound.
-
-        A shard left with fewer than four peers after a split still runs:
-        it just tolerates fewer (possibly zero) faults.
-        """
-        if not shard.peers:
-            return None
-        return min(self.config.committee_f, (len(shard.peers) - 1) // 3)
-
     def _build_runtime(self, shard: Shard, tick: int) -> ShardRuntime:
         # The peers' accounts, then the load generator's (sender
         # ``load:<shard>``); their addresses are hashed in one batch, and
         # update_many hashes their trie paths in a second.
         peers = sorted(shard.peers)
         addresses = sender_address.many(
-            [f"account:{pid}" for pid in peers] + [f"load:{shard.shard_id}"])
+            [peer_sender(pid) for pid in peers] + [f"load:{shard.shard_id}"])
         leaves = [AccountLeaf(nonce=self.nonces[pid], balance=self.balances[pid])
                   for pid in peers]
         leaves.append(AccountLeaf(nonce=0, balance=_LOAD_BALANCE))
@@ -210,9 +197,13 @@ class Simulator:
             header = chain.append(chain.next_header(trie.root(), tick))
             self._log_block(tick, shard.shard_id, header)
 
-        f = self._fault_bound(shard)
+        # The configured bound, capped by the peers: a shard left with
+        # fewer than four peers after a split still runs, tolerating fewer
+        # (possibly zero) faults, but settles privately only with f >= 1.
+        f = (min(self.config.committee_f, (len(peers) - 1) // 3)
+             if peers else None)
         session = None
-        if f is not None and 3 * f + 1 >= 2:
+        if f:
             session = MpcSession(3 * f + 1, modulus=P_MPC,
                                  seed=f"{self.seed}/mpc/{shard.shard_id}")
 
@@ -228,11 +219,23 @@ class Simulator:
             shard=shard,
             trie=trie,
             rng=random.Random(f"{self.seed}/shard/{shard.shard_id}"),
+            fault_bound=f,
             session=session,
             load_proof=load_proof,
             trie_history={first.height + h: trie
                           for h in range(self.config.confirmations + 1)},
         )
+
+    def _committee(self, rt: ShardRuntime, epoch: int) -> Committee:
+        return select_committee(rt.shard.peers, epoch=epoch, f=rt.fault_bound,
+                                seed=f"{self.seed}/{rt.shard_id}")
+
+    def _proof_point(self, rt: ShardRuntime) -> Tuple[BlockHeader, Trie]:
+        """The header ``confirmations`` below the tip, and the trie it
+        committed: what every balance proof on the shard is built on."""
+        chain = rt.shard.chain
+        header = chain.header_at(chain.tip.height - self.config.confirmations)
+        return header, rt.trie_history[header.height]
 
     def _log_block(self, tick: int, chain_id: str, header) -> None:
         self.log.emit(tick, chain_id, "block", chain=chain_id,
@@ -248,17 +251,14 @@ class Simulator:
                         if pid in lp_by_id]
             if not resident:
                 continue
-            f = self._fault_bound(rt.shard)
-            if f is None or 3 * f + 1 < 2:
+            if rt.session is None:
                 raise SimulationError(
                     f"shard {sid} has liquidity providers but no usable committee"
                 )
-            n = 3 * f + 1
-            committee = select_committee(rt.shard.peers, epoch=0, f=f,
-                                         seed=f"{self.seed}/{sid}")
+            committee = self._committee(rt, epoch=0)
             self.log.emit(0, sid, "committee", epoch=0,
                           members=list(committee.members))
-            session = MpcSession(n, modulus=self.params.q,
+            session = MpcSession(rt.session.n, modulus=self.params.q,
                                  seed=f"{self.seed}/initmpc/{sid}")
             self.init_sessions.append(session)
             rng = random.Random(f"{self.seed}/initrng/{sid}")
@@ -267,12 +267,9 @@ class Simulator:
                           liquidity_e=lp.liquidity_e)
                 for lp in resident
             ]
-            proof_header = rt.shard.chain.header_at(
-                rt.shard.chain.tip.height - self.config.confirmations
-            )
+            proof_header, proof_trie = self._proof_point(rt)
             result = run_init_phase(
-                deposits, session, self.params,
-                rt.trie_history[proof_header.height], rt.shard.chain,
+                deposits, session, self.params, proof_trie, rt.shard.chain,
                 proof_header, self.vk,
                 confirmations=self.config.confirmations,
                 window=self.config.window, now=0,
@@ -392,20 +389,24 @@ class Simulator:
             self._reject(tick, spec, "limit rate violated")
             return False
 
-        proof_header = rt.shard.chain.header_at(
-            rt.shard.chain.tip.height - self.config.confirmations
-        )
+        # The leaf stores the nonce that settling this order would raise.
+        if self.nonces[spec.trader_id] >= MAX_NONCE:
+            self._reject(tick, spec, f"account nonce limit {MAX_NONCE} reached")
+            return False
+        proof_header, proof_trie = self._proof_point(rt)
         try:
             trade = run_trading_phase(
                 order, peer_address(spec.trader_id), rt.pool, rt.session,
-                self.params, rt.trie_history[proof_header.height],
-                rt.shard.chain, proof_header,
+                self.params, proof_trie, rt.shard.chain, proof_header,
                 self.vk, confirmations=self.config.confirmations,
                 window=self.config.window, now=tick, rng=rt.rng,
                 log=self.log, tick=tick,
             )
         except PhaseError as exc:
             raise SimulationError(str(exc)) from exc
+        except balance_proof.ProvingError as exc:
+            self._reject(tick, spec, f"balance proof failed: {exc}")
+            return False
         if trade.voided:
             self.counters["voided"] += 1
             return False
@@ -469,12 +470,8 @@ class Simulator:
             if not rt.shard.failed:
                 tx_count += self._inject_load(rt, tick)
                 tx_count += self._settle_queue(rt, tick)
-                f = self._fault_bound(rt.shard)
-                if f is not None:
-                    committee = select_committee(
-                        rt.shard.peers, epoch=rt.shard.chain.tip.height,
-                        f=f, seed=f"{self.seed}/{sid}",
-                    )
+                if rt.fault_bound is not None:
+                    committee = self._committee(rt, rt.shard.chain.tip.height)
                     event = self.log.emit(tick, sid, "block", chain=sid)
                     proposers.append((rt, committee, event))
             round_counts[sid] = tx_count
@@ -497,7 +494,6 @@ class Simulator:
                                 None)
             rt.shard.load_window.append(round_counts[rt.shard_id])
             rt.shard.mempool.clear()
-            rt.txs_total += round_counts[rt.shard_id]
 
         # One masterchain block per round carries every shard's anchor.
         master = self.topology.master
@@ -513,9 +509,7 @@ class Simulator:
                       live=live)
 
         for sid in sorted(round_counts):
-            rt = self.runtimes.get(sid)
-            if rt is None:
-                continue
+            rt = self.runtimes[sid]
             profit = rt.shadow_profit
             self.metrics_rows.append({
                 "tick": tick,
@@ -631,7 +625,7 @@ class Simulator:
                 "failed": rt.shard.failed,
                 "blocks": rt.shard.blocks_produced(),
                 "anchorRounds": rt.anchor_rounds,
-                "txs": rt.txs_total,
+                "txs": sum(rt.shard.load_window),
                 "tradesSettled": rt.trades_settled,
                 "pool": rt.pool.to_json() if rt.pool else None,
             })

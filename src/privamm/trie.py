@@ -34,6 +34,8 @@ from .keccak import DigestCache, keccak256, keccak256_many
 from .rlp import RlpError, rlp_decode, rlp_encode
 
 LEAF_LEN = 112
+#: Largest account nonce: a leaf holds its nonce as one canonical RLP byte.
+MAX_NONCE = 0x7F
 GENESIS_PARENT = b"\x00" * 32
 ZERO32 = b"\x00" * 32
 
@@ -79,7 +81,7 @@ def encode_account_leaf(acct: AccountLeaf) -> bytes:
     Layout: f8 6e | nonce | a0 + 32-byte balance | a0 + storage root |
     a0 + code hash | 89 + 9 reserved zero bytes.
     """
-    if not 0 <= acct.nonce <= 0x7F:
+    if not 0 <= acct.nonce <= MAX_NONCE:
         raise MalformedLeafError("nonce must fit one canonical RLP byte")
     if not 0 <= acct.balance < 1 << 256:
         raise MalformedLeafError("balance must be a 256-bit unsigned integer")
@@ -103,7 +105,7 @@ def decode_account_leaf(data: bytes) -> AccountLeaf:
         raise MalformedLeafError(f"account leaf must be {LEAF_LEN} bytes")
     if data[0:2] != b"\xf8\x6e":
         raise MalformedLeafError("bad list header")
-    if data[2] > 0x7F:
+    if data[2] > MAX_NONCE:
         raise MalformedLeafError("bad nonce byte")
     if data[3] != 0xA0 or data[36] != 0xA0 or data[69] != 0xA0:
         raise MalformedLeafError("missing 32-byte item marker")

@@ -7,6 +7,7 @@ on purpose.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -46,6 +47,15 @@ GOLDEN = {
         "metrics.csv": "40faa64eef499d77fd53eafae6ffa2710fccaad3c0119fc6f8432e547464d79b",
         "attack_report.csv": "ccf5874ef6693e798f58d8b1ad568f0b7ed81fecdbf80b3d23f4fe9ef7322cb2",
     },
+}
+
+
+#: ``logSha256`` of each benchmark workload in ``perfbench/workloads.py`` at
+#: seed 1.
+BENCH_LOG_SHA256 = {
+    "trade-heavy": "6e165774789861c672b40df9712f5ea404c608282873fb773b22015c59842edc",
+    "load-split": "3c83821e6c2da5dbcf48cd9dba1994419732c985a5516ce602612bea6428c163",
+    "mev-sweep": "b8e6a2e530446b222278e9eafef45334b7c61870557039659c94a4f54fe0d872",
 }
 
 
@@ -109,3 +119,16 @@ def test_run_and_verify_do_not_depend_on_hash_seed(tmp_path):
 def test_drain_scenario_exits_2(tmp_path):
     assert main(["run", str(SCENARIOS / "drain.json"),
                  "--out", str(tmp_path / "drain")]) == 2
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_LOG_SHA256))
+def test_bench_workload_logs_match_pinned_digests(workload, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(workloads.GENERATORS[workload](1)))
+    out = tmp_path / workload
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    assert artifact_digests(out)["logSha256"] == BENCH_LOG_SHA256[workload]

@@ -339,8 +339,9 @@ def test_trading_rejects_exponent_field_session():
 def test_commitment_opens_to_locked_amount():
     order = order_for("t1", "buy", Fraction(10))
     trade, _, _ = trade_once(order)
-    assert trade.opening == Opening(x=10 * SCALE, r=trade.opening.r)
-    assert pedersen_verify_opening(PARAMS, trade.commitment, trade.opening)
+    lock = trade.lock
+    assert lock.opening == Opening(x=10 * SCALE, r=lock.opening.r)
+    assert pedersen_verify_opening(PARAMS, lock.commitment, lock.opening)
 
 
 # -- reveal --------------------------------------------------------------------
@@ -370,7 +371,7 @@ def test_reveal_publishes_pool_and_opening():
     (ev,) = [e for e in log.events if e["event"] == "trade_proof_published"]
     assert set(ev) == {"tick", "actor", "event", "proof"}
     proof = balance_proof.Proof.from_json(ev["proof"])
-    assert proof == trade.proof and proof.threshold == 10 * SCALE
+    assert proof == trade.lock.proof and proof.threshold == 10 * SCALE
     _, _, header = build_ledger({"t1": 10**12})
     assert proof.account.header_hash == header.header_hash
     assert balance_proof.verify(VK, proof, header.state_root).balance == 10**12

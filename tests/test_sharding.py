@@ -3,7 +3,6 @@
 import itertools
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +10,17 @@ from hypothesis import strategies as st
 
 from privamm import balance_proof
 from privamm.keccak import keccak256
-from privamm.sharding import (AnchorError, Committee, CommitteeError,
-                              MempoolEntry, PeerRecord, RegistrationError,
-                              Topology, Vote, Workchain, Zone,
-                              ZoneError, drop_anchor, honest_votes,
-                              merge_shards, produce_block, rebalance_shards,
-                              register_peer, seal_anchors, select_committee,
-                              sender_address, split_shard, submit_tx,
-                              tally_votes, update_anchor, zones_tile)
+from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
+                              PeerRecord, RegistrationError, Topology, Vote,
+                              Workchain, Zone, ZoneError, drop_anchor,
+                              honest_votes, merge_shards, peer_address,
+                              produce_block, rebalance_shards, register_peer,
+                              seal_anchors, select_committee, sender_address,
+                              split_shard, submit_tx, tally_votes,
+                              update_anchor, zones_tile)
 from privamm.rlp import rlp_encode
 from privamm.scenario import load_scenario
-from privamm.simulator import Simulator, peer_address
+from privamm.simulator import Simulator
 from privamm.trie import (AccountLeaf, ChainError, MptProof, Trie,
                           encode_account_leaf, header_digest, hp_encode,
                           prove_account)
@@ -413,18 +412,6 @@ def test_failed_shard_anchor_goes_stale_not_absent():
     shard.failed = True
     update_anchor(topo.master, shard)
     assert topo.master.anchor_table["shard-0"]["stale"] is True
-
-
-def test_orphaned_head_rejected():
-    topo, shard, _ = build_shard()
-    forged_tip = type(shard.chain.tip).make(0, shard.chain.tip.parent_hash,
-                                            99, b"\xff" * 32)
-    fake = SimpleNamespace(
-        shard_id="shard-0", failed=False,
-        chain=SimpleNamespace(tip=forged_tip, headers=shard.chain.headers),
-    )
-    with pytest.raises(AnchorError, match="not on the shard chain"):
-        update_anchor(topo.master, fake)
 
 
 def test_drop_anchor_removes_entry():

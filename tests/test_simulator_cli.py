@@ -15,7 +15,7 @@ from privamm.cli import main, verify_artifacts
 from privamm.keccak import keccak256
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import Simulator
-from privamm.trie import BlockHeader, HeaderChain
+from privamm.trie import MAX_NONCE, BlockHeader, HeaderChain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -100,6 +100,71 @@ def test_limit_rejection_logged_not_fatal(small_run):
     assert len(rejected) == 1
     assert rejected[0]["actor"] == "p3"
     assert "limit" in rejected[0]["reason"]
+
+
+def smoke_with(tmp_path, edit) -> Path:
+    """Run the smoke scenario after ``edit`` changes it; returns the
+    artifact directory."""
+    scenario = json.loads((SCENARIOS / "smoke.json").read_text())
+    edit(scenario)
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "out"
+    assert run_cli(scenario, out) == 0
+    return out
+
+
+def run_events(out: Path) -> list:
+    return [json.loads(l) for l in (out / "run.jsonl").read_text().splitlines()]
+
+
+def test_order_above_balance_rejected_not_fatal(tmp_path):
+    """A trader whose balance cannot cover the locked amount fails its
+    balance proof: the order is rejected, later orders settle, and the
+    artifacts verify."""
+    def low_balance(scenario):
+        (p4,) = [p for p in scenario["peers"] if p["peer_id"] == "p4"]
+        p4["balance"] = "5"
+
+    out = smoke_with(tmp_path, low_balance)
+    events = run_events(out)
+    rejected = [n for n, ev in enumerate(events)
+                if ev["event"] == "order_rejected" and ev["actor"] == "p4"]
+    assert rejected
+    first = events[rejected[0]]
+    assert first["reason"] == "balance proof failed: balance below threshold"
+    assert any(ev["event"] == "trade_settled"
+               for ev in events[rejected[0]:])
+    assert verify_artifacts(str(out))[0] == 0
+
+
+def test_orders_past_the_nonce_limit_rejected_not_fatal(tmp_path):
+    """A leaf holds its nonce in one RLP byte, so a trader settles at most
+    MAX_NONCE trades. Later orders, placed after all others arrive, are
+    rejected without other events or draws: the log is that of a run
+    without them, plus the rejections."""
+    def one_unit_trades(count):
+        def edit(scenario):
+            scenario["trades"] = [
+                {"tick": 1 + i // 3 if i < MAX_NONCE else 50, "trader_id": "p4",
+                 "side": "buy" if i % 2 == 0 else "sell",
+                 "quantity_e": "1", "limit_rate": "2" if i % 2 == 0 else "0.5"}
+                for i in range(count)
+            ]
+        return edit
+
+    out = smoke_with(tmp_path / "over", one_unit_trades(150))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["trades"]["settled"] == MAX_NONCE
+    assert summary["trades"]["rejected"] == 150 - MAX_NONCE
+    events = run_events(out)
+    reasons = {ev["reason"] for ev in events if ev["event"] == "order_rejected"}
+    assert reasons == {f"account nonce limit {MAX_NONCE} reached"}
+    assert verify_artifacts(str(out))[0] == 0
+
+    within = run_events(smoke_with(tmp_path / "within",
+                                   one_unit_trades(MAX_NONCE)))
+    kept = [ev for ev in events if ev["event"] != "order_rejected"]
+    assert kept == within
 
 
 def test_verify_passes_on_fresh_run(small_run):
@@ -398,6 +463,36 @@ def test_verify_rejects_public_data_forgery(small_run, tmp_path):
                                             fabricate)
     assert fail.endswith("(balance proof for p3: root hash mismatch at node 0 "
                          f"at run.jsonl line {line})")
+
+
+def test_verify_binds_each_proof_to_its_actor(tmp_path):
+    """Swapping two traders' first published proofs keeps every proof
+    valid on its own, but each now proves another actor's account."""
+    src = tmp_path / "smoke"
+    assert main(["run", str(SCENARIOS / "smoke.json"), "--out", str(src)]) == 0
+    events = run_events(src)
+    proof_lines = [n for n, ev in enumerate(events, 1) if "proof" in ev]
+    first = {}
+    for n in proof_lines:
+        ev = events[n - 1]
+        if ev["event"] == "trade_proof_published":
+            first.setdefault(ev["actor"], (n, ev["proof"]))
+    (p4_line, p4_proof), (p5_line, p5_proof) = first["p4"], first["p5"]
+    swap = {p4_line: p5_proof, p5_line: p4_proof}
+    seen = []
+
+    def swapped(ev):
+        seen.append(ev)
+        return len(seen) in swap
+
+    fails, lines = edit_events(src, tmp_path / "t", swapped,
+                               lambda ev: ev.update(proof=swap[len(seen)]))
+    assert sorted(lines) == sorted(swap)
+    count = proof_lines.index(min(swap)) + 1
+    actor = events[min(swap) - 1]["actor"]
+    assert fails == [f"FAIL: balance and account proofs replay ({count} proofs) "
+                     f"(balance proof for {actor}: proof is for another "
+                     f"account at run.jsonl line {min(swap)})"]
 
 
 def test_verify_catches_missing_anchor(small_run, tmp_path):
