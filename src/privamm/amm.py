@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-Rational = Fraction
-
 
 class AmmError(Exception):
     """Base class for market-maker failures."""

@@ -9,9 +9,11 @@ verification key, final shard states, and a digest of the event log).
 ``privamm verify DIR`` re-checks the artifacts from scratch: every block
 header digest and parent link, every balance proof (its statement tag,
 its account proof walked to the state root of the block it names, and
-balance >= threshold), anchor-table completeness and its binding into the
-masterchain, constant-product bounds on published pools, and every
-commitment opening. Exit codes: 0 success, 1 configuration or usage
+balance >= threshold), anchor-table completeness, its binding into the
+masterchain and each entry's binding to its shard's logged header,
+constant-product bounds on published pools, and every commitment
+opening. An event that cannot be read fails its pass with a
+``malformed`` line. Exit codes: 0 success, 1 configuration or usage
 error, 2 runtime invariant or verification failure.
 """
 
@@ -128,6 +130,9 @@ class _Verifier:
 
         try:
             events = [json.loads(line) for line in log_bytes.splitlines()]
+            for n, ev in enumerate(events, 1):
+                if not isinstance(ev, dict):
+                    raise ValueError(f"event is not an object{_at_line(n)}")
         except ValueError as exc:
             self.check(False, "run.jsonl well-formed", str(exc))
             return EXIT_RUNTIME
@@ -138,7 +143,7 @@ class _Verifier:
         self._verify_anchors(events, headers)
         self._verify_pools(events)
         self._verify_openings(events, params)
-        self._verify_tables(summary)
+        self._verify_tables()
         return EXIT_RUNTIME if self.failed else EXIT_OK
 
     # -- individual passes ---------------------------------------------------
@@ -183,6 +188,7 @@ class _Verifier:
                 continue
             count += 1
             try:
+                actor = ev["actor"]
                 proof = balance_proof.Proof.from_json(ev["proof"])
             except (ValueError, KeyError, TypeError) as exc:
                 bad = f"malformed proof: {exc}{_at_line(n)}"
@@ -191,10 +197,10 @@ class _Verifier:
             if header_hash not in roots:
                 # No line number: the benchmark in perfbench/ matches this
                 # detail exactly as a known failure of one workload.
-                bad = f"account proof for {ev['actor']} names an unknown header"
+                bad = f"account proof for {actor} names an unknown header"
                 break
             items.append((proof, roots[header_hash]))
-            owners.append((n, ev["actor"]))
+            owners.append((n, actor))
         results = balance_proof.verify_many(vk, items)
         addresses = sender_address.many(
             [peer_sender(actor) for _, actor in owners])
@@ -212,6 +218,8 @@ class _Verifier:
     def _verify_anchors(self, events, headers) -> None:
         master_root_at = {h.height: h.state_root for chain, h in headers
                           if chain == "master"}
+        held = {(chain, h.height): "0x" + h.header_hash.hex()
+                for chain, h in headers}
         bad = ""
         count = 0
         heights = []
@@ -229,6 +237,10 @@ class _Verifier:
                     raise TypeError("table must be an object")
                 if type(height) is not int:
                     raise TypeError("masterHeight must be an integer")
+                entries = [(sid, entry["height"], entry["hash"])
+                           for sid, entry in table.items()]
+                if any(type(h) is not int for _, h, _ in entries):
+                    raise TypeError("anchor heights must be integers")
             except (KeyError, TypeError) as exc:
                 bad = f"malformed anchors: {exc}{_at_line(n)}"
                 break
@@ -239,6 +251,12 @@ class _Verifier:
                 break
             if master_root_at.get(height) != anchor_root(table):
                 bad = f"anchor table not bound at height {height}{_at_line(n)}"
+                break
+            # Each entry must name the header the log holds for its chain.
+            forged = [f"{sid}#{h}" for sid, h, digest in entries
+                      if held.get((sid, h)) != digest]
+            if forged:
+                bad = f"anchor names no logged header at {forged[0]}{_at_line(n)}"
                 break
         if not bad:
             # Every masterchain block after genesis seals exactly one
@@ -257,12 +275,17 @@ class _Verifier:
             if ev.get("event") not in ("pool_opened", "pool_published"):
                 continue
             count += 1
-            e_s, m_s, c2 = int(ev["Es"]), int(ev["Ms"]), int(ev["C2"])
+            try:
+                tick = ev["tick"]
+                e_s, m_s, c2 = int(ev["Es"]), int(ev["Ms"]), int(ev["C2"])
+            except (KeyError, ValueError, TypeError) as exc:
+                bad = f"malformed pool: {exc}{_at_line(n)}"
+                break
             if e_s <= 0 or m_s <= 0:
-                bad = f"non-positive reserves at tick {ev['tick']}{_at_line(n)}"
+                bad = f"non-positive reserves at tick {tick}{_at_line(n)}"
                 break
             if 2 * abs(e_s * m_s - c2) > e_s:
-                bad = f"pool off the curve at tick {ev['tick']}{_at_line(n)}"
+                bad = f"pool off the curve at tick {tick}{_at_line(n)}"
                 break
         self.check(not bad, f"published pools on the constant-product curve "
                             f"({count} states)", bad)
@@ -272,22 +295,30 @@ class _Verifier:
         bad = ""
         count = 0
         for n, ev in enumerate(events, 1):
-            if ev.get("event") in ("order_committed", "init_commitment"):
-                last_commitment[ev["actor"]] = int(ev["commitment"])
-            elif ev.get("event") == "commitment_opened":
+            kind = ev.get("event")
+            if kind not in ("order_committed", "init_commitment",
+                            "commitment_opened"):
+                continue
+            try:
+                actor = ev["actor"]
+                if kind != "commitment_opened":
+                    last_commitment[actor] = int(ev["commitment"])
+                    continue
                 count += 1
-                commitment = last_commitment.get(ev["actor"])
-                if commitment is None:
-                    bad = (f"opening without commitment by "
-                           f"{ev['actor']}{_at_line(n)}")
-                    break
+                commitment = last_commitment.get(actor)
                 opening = Opening(x=int(ev["y"]), r=int(ev["r"]))
-                if not pedersen_verify_opening(params, commitment, opening):
-                    bad = f"opening by {ev['actor']} does not verify{_at_line(n)}"
-                    break
+            except (KeyError, ValueError, TypeError) as exc:
+                bad = f"malformed {kind}: {exc}{_at_line(n)}"
+                break
+            if commitment is None:
+                bad = f"opening without commitment by {actor}{_at_line(n)}"
+                break
+            if not pedersen_verify_opening(params, commitment, opening):
+                bad = f"opening by {actor} does not verify{_at_line(n)}"
+                break
         self.check(not bad, f"commitment openings verify ({count} openings)", bad)
 
-    def _verify_tables(self, summary) -> None:
+    def _verify_tables(self) -> None:
         metrics = self._read("metrics.csv")
         if metrics is None:
             return

@@ -46,7 +46,6 @@ _ROTATIONS = sorted({1, *_RHO} - {0})
 _MASK = (1 << 64) - 1
 _RATE_BYTES = 136
 _RATE_LANES = 17
-_DIGEST_BYTES = 32
 
 #: States permuted together by ``keccak256_many``. On real proof batches
 #: (236 to 1,327 messages) 192 to 512 slots timed within 10% of each other

@@ -99,6 +99,12 @@ class ScaledPool:
                          M=Fraction(self.C2, SCALE * self.E_s),
                          C=Fraction(self.C2, SCALE * SCALE))
 
+    def money_delta(self, e_delta: int) -> int:
+        """Signed change of the money reserve when the energy reserve
+        moves by ``e_delta``: the new reserve is C2 / (E_s + e_delta),
+        rounded. A buy's money cost."""
+        return round_fraction(Fraction(self.C2, self.E_s + e_delta)) - self.M_s
+
     def to_json(self) -> dict:
         return {"Es": str(self.E_s), "Ms": str(self.M_s), "C2": str(self.C2)}
 
@@ -313,15 +319,10 @@ def run_trading_phase(order: Order, trader_address: bytes,
         return trade
 
     # Signed reserve deltas: a buy removes energy and adds money.
-    if order.side == "buy":
-        e_delta = -e_scaled
-    else:
-        e_delta = e_scaled
-    new_E = pool_pub.E_s + e_delta
-    if new_E <= 0:
+    e_delta = -e_scaled if order.side == "buy" else e_scaled
+    if pool_pub.E_s + e_delta <= 0:
         raise PhaseError("trade would drain the pool")
-    new_M = round_fraction(Fraction(pool_pub.C2, new_E))
-    m_delta = new_M - pool_pub.M_s
+    m_delta = pool_pub.money_delta(e_delta)
 
     delta_tag = f"delta:{order.trader_id}:{tick}".encode()
     m_shares = mpc.share_secret(mpc.encode_signed(m_delta), session.n, rng,

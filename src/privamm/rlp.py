@@ -7,8 +7,6 @@ decoding. Trie nodes depend on this for tamper detection.
 
 from __future__ import annotations
 
-RlpItem = "bytes | list"
-
 
 class RlpError(ValueError):
     """Malformed or non-canonical RLP input."""

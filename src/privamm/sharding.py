@@ -12,9 +12,10 @@ and one header chain, for its whole life, across every split and merge:
 a merge hands back the parent the children split from, a second split of
 a zone hands back the children of its first, and each chain resumes
 where it stopped. Pool reserves are not kept here: the simulator divides
-and sums them by the LP deposits each child carries. The masterchain
-records every shard head in an anchor table and hashes that table into
-its own header chain.
+and sums them by the LP deposits each child carries. Each masterchain
+block rebuilds the anchor table from the live shards' heads when it is
+sealed and hashes that table into its own header chain, so the table is
+always the one the master tip commits to.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
@@ -217,16 +218,12 @@ class Workchain:
 
 
 class Masterchain:
-    """Backbone chain: validator registry plus the shard anchor table."""
+    """Backbone chain: validator registry plus the last sealed anchor table."""
 
     def __init__(self):
         self.validators: Dict[str, PeerRecord] = {}
-        self.keys: set = set()
         self.anchor_table: Dict[str, dict] = {}
         self.chain = HeaderChain()
-
-    def anchor_root(self) -> bytes:
-        return anchor_root(self.anchor_table)
 
 
 def anchor_root(table: Dict[str, dict]) -> bytes:
@@ -273,7 +270,7 @@ def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
     master = topology.master
     if peer_id in master.validators:
         raise RegistrationError(f"peer id {peer_id!r} already registered")
-    if key in master.keys:
+    if any(rec.key == key for rec in master.validators.values()):
         raise RegistrationError(f"key {key!r} already registered")
     lat, lon = Fraction(lat), Fraction(lon)
     shard = topology.shard_for(lat, lon)
@@ -281,7 +278,6 @@ def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
         raise RegistrationError(f"location ({lat}, {lon}) outside all zones")
     master.validators[peer_id] = PeerRecord(peer_id=peer_id, lat=lat, lon=lon,
                                             key=key, stake=stake)
-    master.keys.add(key)
     shard.peers.append(peer_id)
     return shard
 
@@ -373,29 +369,22 @@ def honest_votes(committee: Committee, proposal: BlockHeader) -> List[Vote]:
             for m in committee.members]
 
 
-def update_anchor(master: Masterchain, shard: Shard) -> None:
-    """Write one shard's chain tip into the anchor table.
+def seal_anchors(master: Masterchain, shards, timestamp: int) -> BlockHeader:
+    """Rebuild the anchor table from the live ``shards`` and append one
+    masterchain block committing it.
 
-    A failed shard's unchanged head stays in the table flagged stale
-    rather than being dropped or overwritten.
+    Each entry is a shard's chain tip, sorted by shard id. A failed
+    shard's unchanged head stays in the table flagged stale; a retired
+    shard is not handed in and has no entry.
     """
-    head = shard.chain.tip
-    master.anchor_table[shard.shard_id] = {
-        "height": head.height,
-        "hash": "0x" + head.header_hash.hex(),
-        "stale": shard.failed,
+    master.anchor_table = {
+        shard.shard_id: {"height": shard.chain.tip.height,
+                         "hash": "0x" + shard.chain.tip.header_hash.hex(),
+                         "stale": shard.failed}
+        for shard in sorted(shards, key=lambda s: s.shard_id)
     }
-
-
-def seal_anchors(master: Masterchain, timestamp: int) -> BlockHeader:
-    """Append one masterchain block committing the current anchor table."""
     return master.chain.append(
-        master.chain.next_header(master.anchor_root(), timestamp))
-
-
-def drop_anchor(master: Masterchain, shard_id: str) -> None:
-    """Remove a retired shard's entry (used after splits and merges)."""
-    master.anchor_table.pop(shard_id, None)
+        master.chain.next_header(anchor_root(master.anchor_table), timestamp))
 
 
 def split_shard(workchain: Workchain, shard: Shard,

@@ -31,13 +31,12 @@ from .amm import (LiquidityError, Order, OrderRejected, PoolState,
 from .mpc import SCALE, MpcSession, P_MPC
 from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
                        reveal_and_settle, run_init_phase, run_trading_phase,
-                       round_fraction)
+                       round_fraction, scale_quantity)
 from .scenario import AdversarySpec, ScenarioConfig, TradeSpec
 from .sharding import (Committee, MempoolEntry, Shard, Topology, Workchain,
-                       drop_anchor, honest_votes, peer_address, peer_sender,
-                       produce_block, register_peer, seal_anchors,
-                       select_committee, sender_address, submit_tx,
-                       update_anchor)
+                       honest_votes, peer_address, peer_sender, produce_block,
+                       register_peer, seal_anchors, select_committee,
+                       sender_address, submit_tx)
 from .trie import MAX_NONCE, AccountLeaf, BlockHeader, HeaderChain, Trie
 
 
@@ -133,13 +132,11 @@ class Simulator:
         self.vk: Optional[balance_proof.VerificationKey] = None
         self.topology: Optional[Topology] = None
         self.runtimes: Dict[str, ShardRuntime] = {}
-        # Account registry is the single source of truth; shard tries are
-        # projections of it onto the resident peer set.
-        self.balances: Dict[str, int] = {}
-        self.nonces: Dict[str, int] = {}
+        # One leaf per peer; shard tries project it onto their residents.
+        self.accounts: Dict[str, AccountLeaf] = {}
         self.pending: List[Tuple[int, int, TradeSpec]] = []
-        self.init_sessions: List[MpcSession] = []
-        self.retired_sessions: List[MpcSession] = []
+        # Every MPC session the run opened, live or retired.
+        self.sessions: List[MpcSession] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -161,8 +158,8 @@ class Simulator:
                 self.topology, peer.peer_id, peer.lat, peer.lon,
                 key=peer.key, stake=peer.stake,
             )
-            self.balances[peer.peer_id] = peer.balance
-            self.nonces[peer.peer_id] = 0
+            self.accounts[peer.peer_id] = AccountLeaf(nonce=0,
+                                                      balance=peer.balance)
             self.log.emit(0, peer.peer_id, "peer_registered",
                           shard=shard.shard_id)
         for shard in self.topology.all_shards():
@@ -175,8 +172,7 @@ class Simulator:
         peers = sorted(shard.peers)
         addresses = sender_address.many(
             [peer_sender(pid) for pid in peers] + [f"load:{shard.shard_id}"])
-        leaves = [AccountLeaf(nonce=self.nonces[pid], balance=self.balances[pid])
-                  for pid in peers]
+        leaves = [self.accounts[pid] for pid in peers]
         leaves.append(AccountLeaf(nonce=0, balance=_LOAD_BALANCE))
         trie = Trie().update_many(list(zip(addresses, leaves)))
         load_addr = addresses[-1]
@@ -206,6 +202,7 @@ class Simulator:
         if f:
             session = MpcSession(3 * f + 1, modulus=P_MPC,
                                  seed=f"{self.seed}/mpc/{shard.shard_id}")
+            self.sessions.append(session)
 
         # One proof against the first block covers every load transaction.
         load_proof = balance_proof.prove(
@@ -260,7 +257,7 @@ class Simulator:
                           members=list(committee.members))
             session = MpcSession(rt.session.n, modulus=self.params.q,
                                  seed=f"{self.seed}/initmpc/{sid}")
-            self.init_sessions.append(session)
+            self.sessions.append(session)
             rng = random.Random(f"{self.seed}/initrng/{sid}")
             deposits = [
                 LpDeposit(lp_id=lp.lp_id, address=peer_address(lp.lp_id),
@@ -362,18 +359,19 @@ class Simulator:
                 settled += 1
         return settled
 
-    def _reject(self, tick: int, spec: TradeSpec, reason: str):
+    def _reject(self, tick: int, spec: TradeSpec, reason: str) -> bool:
+        """Log the order's rejection; False, as the order did not settle."""
         self.counters["rejected"] += 1
         self.log.emit(tick, spec.trader_id, "order_rejected", side=spec.side,
                       reason=reason)
+        return False
 
     def _settle_one(self, rt: ShardRuntime, spec: TradeSpec, tick: int) -> bool:
         if rt.pool is None:
-            self._reject(tick, spec, "no pool on this shard")
-            return False
+            return self._reject(tick, spec, "no pool on this shard")
         if rt.session is None:
-            self._reject(tick, spec, "committee too small for private settlement")
-            return False
+            return self._reject(tick, spec,
+                                "committee too small for private settlement")
         order = Order(side=spec.side, quantity_e=spec.quantity_e,
                       limit_rate=spec.limit_rate, trader_id=spec.trader_id)
 
@@ -386,13 +384,20 @@ class Simulator:
         except LiquidityError as exc:
             raise SimulationError(str(exc)) from exc
         except OrderRejected:
-            self._reject(tick, spec, "limit rate violated")
-            return False
+            return self._reject(tick, spec, "limit rate violated")
 
         # The leaf stores the nonce that settling this order would raise.
-        if self.nonces[spec.trader_id] >= MAX_NONCE:
-            self._reject(tick, spec, f"account nonce limit {MAX_NONCE} reached")
-            return False
+        account = self.accounts[spec.trader_id]
+        if account.nonce >= MAX_NONCE:
+            return self._reject(tick, spec,
+                                f"account nonce limit {MAX_NONCE} reached")
+        # A buy's money cost is debited from the balance; a balance below
+        # the locked amount is left to the balance proof to refuse.
+        e_scaled = scale_quantity(spec.quantity_e)
+        cost = rt.pool.money_delta(-e_scaled) if spec.side == "buy" else 0
+        if e_scaled <= account.balance < cost:
+            return self._reject(tick, spec,
+                                "balance does not cover the money cost")
         proof_header, proof_trie = self._proof_point(rt)
         try:
             trade = run_trading_phase(
@@ -405,8 +410,7 @@ class Simulator:
         except PhaseError as exc:
             raise SimulationError(str(exc)) from exc
         except balance_proof.ProvingError as exc:
-            self._reject(tick, spec, f"balance proof failed: {exc}")
-            return False
+            return self._reject(tick, spec, f"balance proof failed: {exc}")
         if trade.voided:
             self.counters["voided"] += 1
             return False
@@ -446,17 +450,12 @@ class Simulator:
             )
 
     def _debit_trader(self, rt: ShardRuntime, trader_id: str, m_delta: int):
-        new_balance = self.balances[trader_id] - m_delta
-        if new_balance < 0:
-            raise SimulationError(
-                f"account {trader_id} cannot cover settled cost"
-            )
-        self.balances[trader_id] = new_balance
-        self.nonces[trader_id] += 1
-        rt.trie = rt.trie.update(
-            peer_address(trader_id),
-            AccountLeaf(nonce=self.nonces[trader_id], balance=new_balance),
-        )
+        old = self.accounts[trader_id]
+        if old.balance < m_delta:
+            raise SimulationError(f"account {trader_id} cannot cover settled cost")
+        leaf = AccountLeaf(nonce=old.nonce + 1, balance=old.balance - m_delta)
+        self.accounts[trader_id] = leaf
+        rt.trie = rt.trie.update(peer_address(trader_id), leaf)
 
     def _block_round(self, tick: int):
         # Settle every live shard and pick its committee. Each shard's block
@@ -497,16 +496,14 @@ class Simulator:
 
         # One masterchain block per round carries every shard's anchor.
         master = self.topology.master
-        for sid in sorted(self.runtimes):
-            update_anchor(master, self.runtimes[sid].shard)
-            self.runtimes[sid].anchor_rounds += 1
-        header = seal_anchors(master, tick)
+        for rt in self.runtimes.values():
+            rt.anchor_rounds += 1
+        header = seal_anchors(master, self.topology.all_shards(), tick)
         self._log_block(tick, "master", header)
-        live = sorted(sid for sid in self.runtimes
-                      if not self.runtimes[sid].shard.failed)
+        table = master.anchor_table
+        live = [sid for sid in table if not table[sid]["stale"]]
         self.log.emit(tick, "master", "anchors", masterHeight=header.height,
-                      table=dict(sorted(master.anchor_table.items())),
-                      live=live)
+                      table=table, live=live)
 
         for sid in sorted(round_counts):
             rt = self.runtimes[sid]
@@ -531,40 +528,30 @@ class Simulator:
                                                master.validators)
             for event in events:
                 if event["event"] == "split":
-                    self._apply_split(event, tick)
+                    self._reshard([event["parent"]], event["children"], tick)
                 else:
-                    self._apply_merge(event, tick)
+                    self._reshard(event["children"], [event["merged"]], tick)
                 record = {"tick": tick, **event}
                 self.shard_events.append(record)
                 payload = {k: v for k, v in event.items() if k != "event"}
                 self.log.emit(tick, "system", f"shard_{event['event']}",
                               **payload)
 
-    def _retire_runtime(self, shard_id: str) -> ShardRuntime:
-        rt = self.runtimes.pop(shard_id)
-        if rt.session is not None:
-            self.retired_sessions.append(rt.session)
-        drop_anchor(self.topology.master, shard_id)
-        return rt
-
-    def _apply_split(self, event: dict, tick: int):
-        parent_rt = self._retire_runtime(event["parent"])
-        child_a = self.topology.shard_by_id(event["children"][0])
-        child_b = self.topology.shard_by_id(event["children"][1])
-        pools = split_pool(parent_rt.pool, child_a, child_b)
-        for child, pool in zip((child_a, child_b), pools):
-            rt = self._build_runtime(child, tick)
-            self.runtimes[child.shard_id] = rt
+    def _reshard(self, retired_ids: List[str], new_ids: List[str], tick: int):
+        """Retire the runtimes of a split's parent or a merge's children,
+        open runtimes for the shards that replace them, hand over the
+        pools and route the retired queues."""
+        retired = [self.runtimes.pop(sid) for sid in retired_ids]
+        shards = [self.topology.shard_by_id(sid) for sid in new_ids]
+        # The retired pools are summed (a split has one), then divided
+        # between two children by LP weight (a merge has one shard).
+        pool = merge_pools(rt.pool for rt in retired)
+        pools = split_pool(pool, *shards) if len(shards) == 2 else [pool]
+        for shard, pool in zip(shards, pools):
+            rt = self._build_runtime(shard, tick)
             rt.pool = pool
-        self._route(parent_rt.queue)
-
-    def _apply_merge(self, event: dict, tick: int):
-        retired = [self._retire_runtime(cid) for cid in event["children"]]
-        merged = self.topology.shard_by_id(event["merged"])
-        rt = self._build_runtime(merged, tick)
-        self.runtimes[merged.shard_id] = rt
-        rt.pool = merge_pools(r.pool for r in retired)
-        self._route([item for r in retired for item in r.queue])
+            self.runtimes[shard.shard_id] = rt
+        self._route([item for rt in retired for item in rt.queue])
 
     # -- adversary experiments -------------------------------------------------
 
@@ -605,11 +592,7 @@ class Simulator:
     def _mpc_totals(self) -> dict:
         totals = {"offline_rounds": 0, "online_rounds": 0, "messages": 0,
                   "offline_messages": 0}
-        sessions = self.init_sessions + self.retired_sessions + [
-            rt.session for _, rt in sorted(self.runtimes.items())
-            if rt.session is not None
-        ]
-        for session in sessions:
+        for session in self.sessions:
             for key, value in session.log.to_json().items():
                 totals[key] += value
         return totals
@@ -640,7 +623,7 @@ class Simulator:
             "shards": shards,
             "master": {
                 "height": master.chain.tip.height,
-                "anchorTable": dict(sorted(master.anchor_table.items())),
+                "anchorTable": master.anchor_table,
             },
             "mpc": self._mpc_totals(),
             "trades": dict(self.counters),

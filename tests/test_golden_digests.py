@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from privamm.cli import main
+from privamm.cli import main, verify_artifacts
+from privamm.sharding import anchor_root
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -89,11 +90,39 @@ def artifact_digests(out: Path) -> dict:
     }
 
 
+def assert_summary_table_is_sealed(out: Path) -> None:
+    """summary.json's anchor table is the one the master tip commits to."""
+    summary = json.loads((out / "summary.json").read_text())
+    events = [json.loads(line)
+              for line in (out / "run.jsonl").read_text().splitlines()]
+    (*_, tip) = [ev["header"] for ev in events
+                 if ev["event"] == "block" and ev["chain"] == "master"]
+    root = anchor_root(summary["master"]["anchorTable"])
+    assert "0x" + root.hex() == tip["stateRoot"]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_scenario_artifacts_match_pinned_digests(name, tmp_path):
     out = tmp_path / name
     assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
     assert artifact_digests(out) == GOLDEN[name]
+    assert_summary_table_is_sealed(out)
+    assert verify_artifacts(str(out))[0] == 0
+
+
+def test_summary_anchor_table_is_sealed_after_a_last_round_split(tmp_path):
+    """Cut at 21 ticks, ``merge`` splits its shard in its last block
+    round; the summary keeps the table that round's master block sealed."""
+    scenario = json.loads((SCENARIOS / "merge.json").read_text())
+    scenario["ticks"] = 21
+    path = tmp_path / "merge21.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "merge21"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [ev["event"] for ev in summary["shardEvents"]] == ["split"]
+    assert summary["shardEvents"][0]["tick"] == 20
+    assert_summary_table_is_sealed(out)
 
 
 def test_run_and_verify_do_not_depend_on_hash_seed(tmp_path):

@@ -12,12 +12,12 @@ from privamm import balance_proof
 from privamm.keccak import keccak256
 from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
                               PeerRecord, RegistrationError, Topology, Vote,
-                              Workchain, Zone, ZoneError, drop_anchor,
+                              Workchain, Zone, ZoneError, anchor_root,
                               honest_votes, merge_shards, peer_address,
                               produce_block, rebalance_shards, register_peer,
                               seal_anchors, select_committee, sender_address,
                               split_shard, submit_tx, tally_votes,
-                              update_anchor, zones_tile)
+                              zones_tile)
 from privamm.rlp import rlp_encode
 from privamm.scenario import load_scenario
 from privamm.simulator import Simulator
@@ -388,38 +388,40 @@ def test_anchor_records_head_and_seals_block():
     root = keccak256(b"state-1")
     proposal = shard.chain.next_header(root, timestamp=10)
     produce_block(shard, committee, honest_votes(committee, proposal), proposal)
-    update_anchor(topo.master, shard)
-    header = seal_anchors(topo.master, timestamp=10)
+    header = seal_anchors(topo.master, topo.all_shards(), timestamp=10)
+    assert topo.master.chain.tip is header
     entry = topo.master.anchor_table["shard-0"]
     assert entry["height"] == 1
     assert entry["hash"] == "0x" + shard.chain.tip.header_hash.hex()
     assert entry["stale"] is False
-    assert header.state_root == topo.master.anchor_root()
+    assert header.state_root == anchor_root(topo.master.anchor_table)
 
 
 def test_anchor_root_is_keccak_of_canonical_table():
-    topo, shard, _ = build_shard()
-    update_anchor(topo.master, shard)
+    topo, _, _ = build_shard()
+    header = seal_anchors(topo.master, topo.all_shards(), timestamp=1)
     import json
     blob = json.dumps(topo.master.anchor_table, sort_keys=True,
                       separators=(",", ":"))
-    assert topo.master.anchor_root() == keccak256(blob.encode())
+    assert header.state_root == keccak256(blob.encode())
 
 
 def test_failed_shard_anchor_goes_stale_not_absent():
     topo, shard, _ = build_shard()
-    update_anchor(topo.master, shard)
+    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
     shard.failed = True
-    update_anchor(topo.master, shard)
+    seal_anchors(topo.master, topo.all_shards(), timestamp=2)
     assert topo.master.anchor_table["shard-0"]["stale"] is True
 
 
-def test_drop_anchor_removes_entry():
+def test_retired_shard_has_no_anchor():
     topo, shard, _ = build_shard()
-    update_anchor(topo.master, shard)
-    seal_anchors(topo.master, timestamp=1)
-    drop_anchor(topo.master, "shard-0")
-    assert "shard-0" not in topo.master.anchor_table
+    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
+    child_a, child_b = split_shard(topo.workchains[0], shard,
+                                   topo.master.validators)
+    seal_anchors(topo.master, topo.all_shards(), timestamp=2)
+    assert list(topo.master.anchor_table) == [child_a.shard_id,
+                                              child_b.shard_id]
 
 
 # -- splitting and merging -----------------------------------------------------------

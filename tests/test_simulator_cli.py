@@ -137,6 +137,34 @@ def test_order_above_balance_rejected_not_fatal(tmp_path):
     assert verify_artifacts(str(out))[0] == 0
 
 
+def test_buy_costing_more_than_the_balance_rejected_not_fatal(tmp_path):
+    """p4's balance covers the 10 units it locks but not the money a buy
+    of 10 costs once p5's buy of 200 has raised the price. The order is
+    rejected before anything else is logged or drawn, and the run ends
+    normally and verifies."""
+    def trades(with_p4):
+        def edit(scenario):
+            (p4,) = [p for p in scenario["peers"] if p["peer_id"] == "p4"]
+            p4["balance"] = "10.5"
+            scenario["trades"] = [
+                {"tick": 5, "trader_id": "p5", "side": "buy",
+                 "quantity_e": "200", "limit_rate": "100"},
+                {"tick": 15, "trader_id": "p4", "side": "buy",
+                 "quantity_e": "10", "limit_rate": "100"},
+            ][:2 if with_p4 else 1]
+        return edit
+
+    out = smoke_with(tmp_path / "with", trades(True))
+    events = run_events(out)
+    rejected = [(ev["actor"], ev["reason"]) for ev in events
+                if ev["event"] == "order_rejected"]
+    assert rejected == [("p4", "balance does not cover the money cost")]
+    assert verify_artifacts(str(out))[0] == 0
+
+    without = run_events(smoke_with(tmp_path / "without", trades(False)))
+    assert [ev for ev in events if ev["event"] != "order_rejected"] == without
+
+
 def test_orders_past_the_nonce_limit_rejected_not_fatal(tmp_path):
     """A leaf holds its nonce in one RLP byte, so a trader settles at most
     MAX_NONCE trades. Later orders, placed after all others arrive, are
@@ -244,6 +272,7 @@ def test_verify_catches_log_edit(small_run, tmp_path):
 def edit_events(small_run, out, select, edit):
     """Copy the artifacts, apply ``edit`` to every event ``select``s, and
     re-pin the log digest so that the log digest check still passes.
+    ``edit`` changes the event in place or returns what replaces it.
     Returns the FAIL lines and the edited events' 1-based line numbers."""
     edited = []
 
@@ -252,9 +281,10 @@ def edit_events(small_run, out, select, edit):
         for i, line in enumerate(lines):
             ev = json.loads(line)
             if select(ev):
-                edit(ev)
-                lines[i] = json.dumps(ev, sort_keys=True,
-                                      separators=(",", ":"))
+                replacement = edit(ev)
+                lines[i] = json.dumps(ev if replacement is None
+                                      else replacement,
+                                      sort_keys=True, separators=(",", ":"))
                 edited.append(i + 1)
         blob = "\n".join(lines) + "\n"
         (d / "run.jsonl").write_bytes(blob.encode())
@@ -330,6 +360,23 @@ def test_verify_fail_line_names_tampered_header(small_run, tmp_path):
                         f"at run.jsonl line {line})")
 
 
+def first_of(kind):
+    """An ``edit_events`` selector for the first event of ``kind``."""
+    found = []
+
+    def select(ev):
+        if found or ev["event"] != kind:
+            return False
+        found.append(ev)
+        return True
+    return select
+
+
+def without(field):
+    """An ``edit_events`` edit that drops ``field`` from the event."""
+    return lambda ev: {k: v for k, v in ev.items() if k != field}
+
+
 @pytest.mark.parametrize("field, value, cause", [
     ("parentHash", "0xzz", "non-hexadecimal number"),
     ("height", "3", "height and timestamp must be non-negative integers"),
@@ -338,18 +385,10 @@ def test_verify_fail_line_names_tampered_header(small_run, tmp_path):
 def test_verify_fail_line_names_malformed_header(small_run, tmp_path,
                                                  field, value, cause):
     """An unreadable header gives a FAIL line, not a traceback."""
-    found = []
-
-    def first_block(ev):
-        if found or ev["event"] != "block":
-            return False
-        found.append(ev)
-        return True
-
     def garble(ev):
         (ev if field == "chain" else ev["header"])[field] = value
 
-    fails, (line,) = edit_events(small_run, tmp_path / "t", first_block,
+    fails, (line,) = edit_events(small_run, tmp_path / "t", first_of("block"),
                                  garble)
     fail = fails[0]
     assert fail.startswith("FAIL: block headers replay (1 headers) "
@@ -367,22 +406,69 @@ def test_verify_fail_line_names_malformed_header(small_run, tmp_path,
 def test_verify_fail_line_names_malformed_anchors(small_run, tmp_path,
                                                   field, value, cause):
     """An unreadable anchors event gives a FAIL line, not a traceback."""
-    found = []
-
-    def first_anchors(ev):
-        if found or ev["event"] != "anchors":
-            return False
-        found.append(ev)
-        return True
-
-    def garble(ev):
-        ev[field] = value
-
-    fails, (line,) = edit_events(small_run, tmp_path / "t", first_anchors,
-                                 garble)
+    fails, (line,) = edit_events(small_run, tmp_path / "t",
+                                 first_of("anchors"),
+                                 lambda ev: ev.update({field: value}))
     assert fails == [f"FAIL: anchor tables complete and bound (1 rounds) "
                      f"(malformed anchors: {cause} at run.jsonl line {line})"]
     assert main(["verify", str(tmp_path / "t")]) == 2
+
+
+@pytest.mark.parametrize("kind, edit, label, cause", [
+    ("pool_published", lambda ev: ev.update(Es="x"),
+     "published pools on the constant-product curve",
+     "malformed pool: invalid literal for int() with base 10: 'x'"),
+    ("pool_published", without("C2"),
+     "published pools on the constant-product curve", "malformed pool: 'C2'"),
+    ("commitment_opened", lambda ev: ev.update(y="zz"),
+     "commitment openings verify", "malformed commitment_opened: "
+     "invalid literal for int() with base 10: 'zz'"),
+    ("order_committed", lambda ev: ev.update(commitment="zz"),
+     "commitment openings verify", "malformed order_committed: "
+     "invalid literal for int() with base 10: 'zz'"),
+    ("trade_proof_published", without("actor"),
+     "balance and account proofs replay", "malformed proof: 'actor'"),
+    ("parameters", lambda ev: [1, 2], "run.jsonl well-formed",
+     "event is not an object"),
+], ids=["pool-reserve", "pool-no-C2", "opening", "commitment",
+        "proof-no-actor", "not-an-object"])
+def test_verify_fail_line_names_malformed_event(small_run, tmp_path, kind,
+                                                edit, label, cause):
+    """An unreadable event gives a FAIL line naming it, not a traceback."""
+    fails, (line,) = edit_events(small_run, tmp_path / "t", first_of(kind),
+                                 edit)
+    (fail,) = fails
+    assert fail.startswith(f"FAIL: {label}")
+    assert fail.endswith(f"({cause} at run.jsonl line {line})")
+    assert main(["verify", str(tmp_path / "t")]) == 2
+
+
+def test_verify_catches_a_forged_shard_tip(small_run, tmp_path):
+    """The last shard block swapped for a header with another state root
+    still links to its parent, but the anchor table that sealed it names
+    the original."""
+    events = run_events(small_run)
+    last = max(n for n, ev in enumerate(events, 1)
+               if ev["event"] == "block" and ev["chain"] == "shard-0")
+    seen = []
+
+    def last_shard_block(ev):
+        seen.append(ev)
+        return len(seen) == last
+
+    def forge(ev):
+        h = BlockHeader.from_json(ev["header"])
+        ev["header"] = BlockHeader.make(h.height, h.parent_hash, h.timestamp,
+                                        b"\xee" * 32).to_json()
+
+    fails, _ = edit_events(small_run, tmp_path / "t", last_shard_block, forge)
+    anchors = [n for n, ev in enumerate(events, 1) if ev["event"] == "anchors"]
+    sealed = min(n for n in anchors if n > last)
+    height = events[last - 1]["header"]["height"]
+    assert fails == [
+        f"FAIL: anchor tables complete and bound "
+        f"({anchors.index(sealed) + 1} rounds) (anchor names no logged "
+        f"header at shard-0#{height} at run.jsonl line {sealed})"]
 
 
 @pytest.mark.parametrize("tamper", ["state root", "parent", "genesis"])
