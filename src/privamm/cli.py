@@ -32,7 +32,7 @@ from .field_group import GroupParams, Opening, pedersen_verify_opening
 from .scenario import ScenarioError, load_scenario
 from .sharding import anchor_root, peer_sender, sender_address
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
-from .trie import BlockHeader, replay_headers
+from .trie import BlockHeader, header_digests, replay_headers
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,9 +149,12 @@ class _Verifier:
     # -- individual passes ---------------------------------------------------
 
     def _verify_chains(self, events) -> Tuple[list, dict]:
-        """Replay every header's digest and parent link; returns the
-        ``(chain, header)`` pairs read before any malformed one, and the
-        headerHash -> stateRoot map of those before the first bad one."""
+        """Replay every header's digest and parent link, all headers
+        hashed in one batch; returns the ``(chain, header)`` pairs read
+        before any malformed one, and the headerHash -> stateRoot map of
+        every one of those whose own digest matches. A broken link or a
+        bad genesis fails this pass alone: the headers after it still
+        back the proofs that name them."""
         headers, line_nos, bad = [], [], ""
         for n, ev in enumerate(events, 1):
             if ev.get("event") != "block":
@@ -165,14 +168,16 @@ class _Verifier:
             except (ValueError, KeyError, TypeError) as exc:
                 bad = f"malformed header: {exc}{_at_line(n)}"
                 break
-        fault = replay_headers(headers)
-        good = headers
+        digests = header_digests([h for _, h in headers])
+        fault = replay_headers(headers, digests)
         if fault is not None:
             i, cause = fault
-            good, line_nos = headers[:i], line_nos[:i + 1]
+            line_nos = line_nos[:i + 1]
             bad = f"{cause}{_at_line(line_nos[-1])}"
         self.check(not bad, f"block headers replay ({len(line_nos)} headers)", bad)
-        return headers, {h.header_hash: h.state_root for _, h in good}
+        return headers, {h.header_hash: h.state_root
+                         for (_, h), digest in zip(headers, digests)
+                         if h.header_hash == digest}
 
     def _verify_proofs(self, events, vk, roots) -> None:
         """Parse every proof, then check those before the first malformed

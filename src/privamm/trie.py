@@ -508,10 +508,20 @@ def _header_rlp(height: int, parent_hash: bytes, timestamp: int,
 def header_digest(height: int, parent_hash: bytes, timestamp: int,
                   state_root: bytes) -> bytes:
     """Keccak of the RLP header, one 136-byte block. A header is hashed
-    once, when it is made; `BlockHeader.make_many` hashes many in one
-    `keccak256_many` batch, and votes, block production and `append`
-    reuse the header they are handed."""
+    once, when it is made; votes, block production and `append` reuse the
+    header they are handed. `BlockHeader.make_many` and `replay_headers`
+    hash many headers in one `keccak256_many` batch instead."""
     return keccak256(_header_rlp(height, parent_hash, timestamp, state_root))
+
+
+def _hash32(obj: dict, key: str) -> bytes:
+    """The 32-byte hash ``to_json`` writes under ``key``: ``0x`` and 64
+    lowercase hex digits, nothing else."""
+    text = obj[key]
+    raw = bytes.fromhex(text[2:])
+    if len(raw) != 32 or text != "0x" + raw.hex():
+        raise ValueError(f"{key} must be 0x and 64 lowercase hex digits")
+    return raw
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,22 +561,35 @@ class BlockHeader:
         height, timestamp = obj["height"], obj["timestamp"]
         if not all(type(i) is int and i >= 0 for i in (height, timestamp)):
             raise ValueError("height and timestamp must be non-negative integers")
-        parent, root, digest = (bytes.fromhex(obj[key][2:]) for key in
+        parent, root, digest = (_hash32(obj, key) for key in
                                 ("parentHash", "stateRoot", "headerHash"))
         return cls(height, parent, timestamp, root, digest)
 
 
-def replay_headers(headers: Sequence[Tuple[str, BlockHeader]]
+def header_digests(headers: Sequence[BlockHeader]) -> List[bytes]:
+    """Each header's digest recomputed from its fields, whatever its
+    ``header_hash`` says, in one `keccak256_many` call."""
+    return keccak256_many([_header_rlp(h.height, h.parent_hash, h.timestamp,
+                                       h.state_root) for h in headers])
+
+
+def replay_headers(headers: Sequence[Tuple[str, BlockHeader]],
+                   digests: Optional[Sequence[bytes]] = None
                    ) -> Optional[Tuple[int, str]]:
     """The header-chain rule over ``(chain id, header)`` pairs in append
     order: each hash is its header's digest, a chain opens with a genesis
     (height 0, zero parent), and each later header sits one above its
     chain's last and names it as parent. Returns the index of the first
-    header that breaks the rule and why, or None."""
+    header that breaks the rule and why, or None.
+
+    ``digests`` are the headers' recomputed digests, from `header_digests`;
+    without them every header is hashed here, in one batch."""
+    if digests is None:
+        digests = header_digests([h for _, h in headers])
     tips: dict = {}
-    for i, (chain, h) in enumerate(headers):
-        if h.header_hash != header_digest(h.height, h.parent_hash,
-                                          h.timestamp, h.state_root):
+    for i, ((chain, h), digest) in enumerate(zip(headers, digests,
+                                                 strict=True)):
+        if h.header_hash != digest:
             return i, f"digest mismatch at {chain}#{h.height}"
         tip = tips.get(chain)
         if tip is None:

@@ -507,6 +507,63 @@ def test_validate_and_verify_reject_the_same_header(small_run, tmp_path,
                         f"({cause} at run.jsonl line {line})")
 
 
+def test_verify_rejects_a_hash_field_that_is_not_canonical(small_run,
+                                                           tmp_path):
+    """A height-3 header whose parentHash starts ``zz`` and whose stateRoot
+    starts ``QQ`` still has 32 bytes of hex after its first two
+    characters, but it is not what ``to_json`` writes."""
+    def garble(ev):
+        header = ev["header"]
+        header["parentHash"] = "zz" + header["parentHash"][2:]
+        header["stateRoot"] = "QQ" + header["stateRoot"][2:]
+
+    events = run_events(small_run)
+    fails, (line,) = edit_events(
+        small_run, tmp_path / "t",
+        lambda ev: ev["event"] == "block" and ev["chain"] == "shard-0"
+        and ev["header"]["height"] == 3, garble)
+    count = sum(ev["event"] == "block" for ev in events[:line])
+    assert fails[0] == (f"FAIL: block headers replay ({count} headers) "
+                        f"(malformed header: parentHash must be 0x and 64 "
+                        f"lowercase hex digits at run.jsonl line {line})")
+    assert main(["verify", str(tmp_path / "t")]) == 2
+
+
+def test_a_broken_link_fails_the_header_pass_alone(tmp_path):
+    """On ``merge``, one shard header relinked to a parent not on its
+    chain fails the header replay; the proofs that name headers logged
+    after it still find them, so every other pass is ok."""
+    src = tmp_path / "merge"
+    assert main(["run", str(SCENARIOS / "merge.json"), "--out", str(src)]) == 0
+    events = run_events(src)
+    named = {ev["proof"]["account"]["headerHash"] for ev in events
+             if "proof" in ev}
+    named |= {entry["hash"] for ev in events if ev["event"] == "anchors"
+              for entry in ev["table"].values()}
+    blocks = [(n, ev) for n, ev in enumerate(events, 1)
+              if ev["event"] == "block"]
+    # The first shard header no proof or anchor names, with a header
+    # logged after it that a proof names.
+    line, victim = next(
+        (n, ev) for n, ev in blocks if ev["chain"] != "master"
+        and ev["header"]["headerHash"] not in named
+        and any(m > n and later["header"]["headerHash"] in named
+                for m, later in blocks))
+
+    def relink(ev):
+        h = BlockHeader.from_json(ev["header"])
+        ev["header"] = BlockHeader.make(h.height, b"\x11" * 32, h.timestamp,
+                                        h.state_root).to_json()
+
+    fails, edited = edit_events(src, tmp_path / "t",
+                                lambda ev: ev == victim, relink)
+    assert edited == [line]
+    count = sum(n <= line for n, _ in blocks)
+    assert fails == [f"FAIL: block headers replay ({count} headers) "
+                     f"(broken link at {victim['chain']}#"
+                     f"{victim['header']['height']} at run.jsonl line {line})"]
+
+
 def test_verify_batch_reports_the_first_failing_proof(small_run, tmp_path):
     """The proof pass checks all proofs in one batch and still names the
     first one that fails, here the second of the log and its last."""

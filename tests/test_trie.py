@@ -1,6 +1,7 @@
 """Account trie, proofs, header chains, and the freshness rule."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, BlockHeader,
                           NotFoundError, Trie, UnforgeabilityError,
                           VerificationError, check_freshness,
                           decode_account_leaf, encode_account_leaf,
-                          header_digest, prove_account, verify_account_proof,
-                          verify_account_proofs)
+                          header_digest, prove_account, replay_headers,
+                          verify_account_proof, verify_account_proofs)
 
 
 def addr(i: int) -> bytes:
@@ -343,6 +344,124 @@ def test_parent_break_detected_at_descendant():
                                     victim.timestamp, b"\xff" * 32)
     chain.headers[2] = replacement
     assert chain.validate() == 3
+
+
+def reference_fault(headers):
+    """The header-chain rule folded one header at a time over
+    ``header_digest``, as ``replay_headers`` is documented to apply it."""
+    tips = {}
+    for i, (chain, h) in enumerate(headers):
+        if h.header_hash != header_digest(h.height, h.parent_hash,
+                                          h.timestamp, h.state_root):
+            return i, f"digest mismatch at {chain}#{h.height}"
+        if chain not in tips:
+            if h.height != 0 or h.parent_hash != GENESIS_PARENT:
+                return i, f"bad genesis for {chain}"
+        elif (h.height != tips[chain].height + 1
+              or h.parent_hash != tips[chain].header_hash):
+            return i, f"broken link at {chain}#{h.height}"
+        tips[chain] = h
+    return None
+
+
+def interleaved(schedule):
+    """``(chain id, header)`` pairs for chains ``c0``, ``c1``, ... growing in
+    the order ``schedule`` names them; each opens with its genesis."""
+    chains, pairs = {}, []
+    for k in schedule:
+        chain = chains.get(k)
+        if chain is None:
+            chain = chains[k] = HeaderChain(bytes([k]) * 32, k)
+            header = chain.tip
+        else:
+            header = chain.append(chain.next_header(
+                bytes([len(pairs) % 256]) * 32, chain.tip.timestamp + 1))
+        pairs.append((f"c{k}", header))
+    return pairs
+
+
+def tampered(header, kind, salt):
+    """One tamper of ``header``; all but the digest flip re-hash it."""
+    if kind == "flip":
+        field = ("parent_hash", "state_root", "header_hash")[salt % 3]
+        value = bytearray(getattr(header, field))
+        value[salt % 32] ^= 1 + salt % 255
+        return replace(header, **{field: bytes(value)})
+    if kind == "relink":
+        parent = bytes([salt % 256]) * 31 + b"\x01"
+        return BlockHeader.make(header.height, parent, header.timestamp,
+                                header.state_root)
+    if kind == "skip":
+        return BlockHeader.make(header.height + 1 + salt % 3,
+                                header.parent_hash, header.timestamp,
+                                header.state_root)
+    assert kind == "genesis" and header.height == 0
+    return BlockHeader.make(1 + salt % 3, GENESIS_PARENT, header.timestamp,
+                            header.state_root)
+
+
+@settings(max_examples=60)
+@given(chains=st.integers(2, 4), data=st.data(),
+       kind=st.sampled_from(["flip", "relink", "skip", "genesis"]),
+       salt=st.integers(0, 10**6))
+def test_replay_headers_matches_a_one_by_one_fold(chains, data, kind, salt):
+    schedule = list(range(chains)) + data.draw(
+        st.lists(st.integers(0, chains - 1), max_size=12))
+    pairs = interleaved(data.draw(st.permutations(schedule)))
+    assert replay_headers(pairs) is None
+    if kind == "genesis":
+        i = next(i for i, (_, h) in enumerate(pairs) if h.height == 0)
+    else:
+        i = data.draw(st.integers(0, len(pairs) - 1))
+    chain, header = pairs[i]
+    pairs[i] = (chain, tampered(header, kind, salt))
+    fault = replay_headers(pairs)
+    assert fault is not None and fault[0] <= i
+    assert fault == reference_fault(pairs)
+
+
+def test_replay_headers_hashes_every_header_in_one_batch(monkeypatch):
+    pairs = interleaved([0, 1, 0, 0, 1, 2, 2, 0])
+    broken = list(pairs)
+    broken[3] = (broken[3][0], tampered(broken[3][1], "relink", 7))
+    chain = chain_of(5)
+    singles, batches = [], []
+    real, real_many = trie_mod.keccak256, trie_mod.keccak256_many
+    monkeypatch.setattr(trie_mod, "keccak256",
+                        lambda data: singles.append(data) or real(data))
+    monkeypatch.setattr(trie_mod, "keccak256_many",
+                        lambda msgs: batches.append(list(msgs))
+                        or real_many(msgs))
+    assert replay_headers(pairs[:2]) is None
+    assert replay_headers(pairs) is None
+    assert replay_headers(broken) == (3, "broken link at c0#2")
+    assert chain.validate() is None
+    monkeypatch.undo()
+    assert singles == []
+    assert [len(b) for b in batches] == [2, 8, 8, 6]
+
+
+def test_replay_headers_of_nothing_is_none():
+    assert replay_headers([]) is None
+
+
+@pytest.mark.parametrize("field", ["parentHash", "stateRoot", "headerHash"])
+@pytest.mark.parametrize("garble", [
+    lambda text: "zz" + text[2:],
+    lambda text: "0x" + text[2:].upper(),
+    lambda text: text[:-2],
+    lambda text: text + "00",
+], ids=["prefix", "uppercase", "31-bytes", "33-bytes"])
+def test_header_from_json_requires_canonical_hashes(field, garble):
+    obj = BlockHeader.make(3, b"\xab" * 32, 30, b"\xcd" * 32).to_json()
+    assert BlockHeader.from_json(obj).to_json() == obj
+    text = obj[field]
+    obj[field] = garble(text)
+    assert obj[field] != text
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be 0x and 64 lowercase hex "
+                             f"digits$"):
+        BlockHeader.from_json(obj)
 
 
 # -- freshness -----------------------------------------------------------------------
