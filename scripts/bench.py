@@ -10,11 +10,13 @@ comparing a parent commit unpacked in ``../parent`` with this checkout:
     python3 scripts/bench.py 13 --checkout parent=../parent \\
         --checkout change=. --rounds 5 --seconds 40
 
-The file records the machine and the Python version and, for each
-checkout and workload, the ``logSha256`` of its artifacts and each
-end-to-end metric named in BENCHMARK.json: the value of every round and
-their median. A round whose perfbench run is not ``correct`` is counted
-under ``failed`` and leaves no values.
+The file records the machine, the Python version, each checkout's git
+commit and whether its files differ from that commit (both null for a
+directory that is not a git work tree) and, for each checkout and
+workload, the ``logSha256`` of its artifacts and each end-to-end metric
+named in BENCHMARK.json: the value of every round and their median. A
+round whose perfbench run exits non-zero, ends without a JSON report or
+is not ``correct`` is counted under ``failed`` and leaves no values.
 """
 
 from __future__ import annotations
@@ -61,19 +63,38 @@ def machine() -> dict:
             "implementation": platform.python_implementation()}
 
 
+def revision(checkout: Path) -> dict:
+    """The git commit ``checkout`` is at and whether its files differ from
+    it; both None unless ``checkout`` is the top of a git work tree."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != checkout:
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
 def perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` of ``checkout``: its logSha256 and metrics
-    (None when the run was not correct)."""
+    (None unless the run exited 0 with a ``correct`` JSON report)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    report = json.loads(lines[-1]) if lines else {"correct": False}
     sha = SHA_LINE.search(proc.stdout)
-    return {"logSha256": sha[1] if sha else None,
-            "metrics": ({name: m["value"] for name, m in report["metrics"].items()}
-                        if report["correct"] else None)}
+    lines = proc.stdout.strip().splitlines()
+    try:
+        report = json.loads(lines[-1]) if proc.returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        report = None
+    metrics = None
+    if isinstance(report, dict) and report.get("correct"):
+        metrics = {name: m["value"] for name, m in report["metrics"].items()}
+    return {"logSha256": sha[1] if sha else None, "metrics": metrics}
 
 
 def main(argv=None) -> int:
@@ -84,6 +105,7 @@ def main(argv=None) -> int:
     for item in args.checkout or [f"current={ROOT}"]:
         label, _, path = item.partition("=")
         checkouts[label] = Path(path).resolve()
+    revisions = {label: revision(path) for label, path in checkouts.items()}
 
     results = {label: {w["name"]: {"logSha256": [], "failed": 0,
                                    "rounds": {n: [] for n in names}}
@@ -118,6 +140,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "command": (f"perfbench/run.py --seed {args.seed} --seconds "
                     f"{args.seconds} --trace 0, {args.rounds} rounds"),
+        "checkouts": revisions,
         "results": results,
     }, indent=1) + "\n")
     print(out)

@@ -8,8 +8,18 @@ in a random order relative to the victim (the attacker is assumed to
 hold inventory, so a back leg can execute before the front leg as a
 short sale). Four of the six orderings leave the attacker's two legs
 adjacent, which is an exact round-trip wash; the remaining two are a
-sandwich and an anti-sandwich whose signs flip with the victim's side —
-with the victim side unknown, expected profit collapses to noise.
+sandwich and an anti-sandwich whose signs flip with the victim's side.
+
+A committed report measures the attacker's mean profit and its standard
+error over the trials; it does not show that the profit is zero. The
+front-run has no anti-sandwich to cancel the convexity of the price
+C/E in the victim's size: on a 1000/1000 pool with a buy victim of 100
+its committed mean stays positive (t = 9.0 and 6.8 at 20,000 trials for
+two seeds), while the committed sandwich reads t = 1.3 and 2.4. A
+committed trial also draws the attacker's size from the victim size
+range, so ``attacker_size`` changes only plaintext results. ROADMAP.md
+("Test the MEV claim with enough trials to see a bias") plans to state
+the expected premium and test the committed means against it.
 
 Arbitrage across two pools needs no mempool knowledge (spot prices are
 public after each reveal), so the privacy layer does not suppress it;
@@ -18,17 +28,20 @@ the optimal size equalizes post-trade marginal prices.
 Profit is always the attacker's net money-token delta over its own
 executed trades, in exact rational arithmetic. On the curve M = C/E a buy
 and a sell both change the trader's money by C*(1/E_before - 1/E_after),
-so a sequence is replayed on integer numerators and denominators of E and
-only its result becomes a `Fraction`. The report statistics are exact on
-integers too: every sample is scaled to one common denominator.
+so a sequence is replayed on integers (`_replay`). A committed trial
+draws its sizes as integer numerators over SCALE and rounds its result
+onto the 1e-12 statistics grid with one integer ``divmod``; a report
+keeps every sample as an integer numerator over one common denominator
+and computes its mean and standard error from those integers once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Tuple
 
 from .amm import (LiquidityError, Order, PoolState, QuantityError,
@@ -44,47 +57,64 @@ _SELL = "sell"
 _STAT_GRID = 10**12
 
 
-def _quantize(p: Fraction) -> Fraction:
-    """``round(p * _STAT_GRID) / _STAT_GRID``: nearest, ties to even."""
-    q, r = divmod(p.numerator * _STAT_GRID, p.denominator)
-    if 2 * r > p.denominator or (2 * r == p.denominator and q & 1):
+def _on_grid(n: int, d: int) -> int:
+    """``round(n / d * _STAT_GRID)`` for d > 0: nearest, ties to even."""
+    q, r = divmod(n * _STAT_GRID, d)
+    if 2 * r > d or (2 * r == d and q & 1):
         q += 1
-    return Fraction(q, _STAT_GRID)
-
-
-def _scaled(samples) -> Tuple[list, int]:
-    """The samples' numerators over one common denominator L, and L."""
-    dens = {p.denominator for p in samples}
-    lcm = math.lcm(*dens)
-    factor = {d: lcm // d for d in dens}
-    return [p.numerator * factor[p.denominator] for p in samples], lcm
+    return q
 
 
 @dataclass(frozen=True, slots=True)
 class AttackReport:
+    """Profit samples as integer numerators over one common denominator.
+
+    The mean and the standard error are computed from those integers once,
+    when the report is built.
+    """
     strategy: str
     mode: str
-    trials: int
-    mean_profit: Fraction
-    profit_samples: Tuple[Fraction, ...]
+    numerators: Tuple[int, ...]
+    denominator: int
+    mean_profit: Fraction = field(init=False)
+    _std_err: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ks, n, den = self.numerators, len(self.numerators), self.denominator
+        total = sum(ks)
+        object.__setattr__(self, "mean_profit", Fraction(total, n * den))
+        se = 0.0
+        if n >= 2:
+            # var = (n*sum(k^2) - sum(k)^2) / (n*(n-1)*L^2) is the rational
+            # sum((p - mean)^2) / (n-1), and int / int rounds it as float()
+            # would.
+            var = ((n * sum(map(mul, ks, ks)) - total * total)
+                   / (n * (n - 1) * den * den))
+            se = math.sqrt(var / n)
+        object.__setattr__(self, "_std_err", se)
+
+    @classmethod
+    def exact(cls, strategy: str, mode: str, profit: Fraction,
+              trials: int = 1) -> "AttackReport":
+        """``trials`` copies of one exact profit."""
+        return cls(strategy, mode, (profit.numerator,) * trials,
+                   profit.denominator)
+
+    @property
+    def trials(self) -> int:
+        return len(self.numerators)
+
+    @property
+    def profit_samples(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.denominator) for k in self.numerators)
 
     def std_err(self) -> float:
-        n = len(self.profit_samples)
-        if n < 2:
-            return 0.0
-        # var = (n*sum(k^2) - sum(k)^2) / (n*(n-1)*L^2) is the rational
-        # sum((p - mean)^2) / (n-1), and int / int rounds it as float() would.
-        ks, lcm = _scaled(self.profit_samples)
-        total = sum(ks)
-        var = ((n * sum(k * k for k in ks) - total * total)
-               / (n * (n - 1) * lcm * lcm))
-        return math.sqrt(var / n)
+        return self._std_err
 
     def t_stat(self) -> float:
-        se = self.std_err()
-        if se == 0.0:
+        if self._std_err == 0.0:
             return 0.0 if self.mean_profit == 0 else math.inf
-        return float(self.mean_profit) / se
+        return float(self.mean_profit) / self._std_err
 
     def to_csv_row(self) -> dict:
         return {
@@ -93,38 +123,62 @@ class AttackReport:
             "trials": str(self.trials),
             "mean_profit": f"{self.mean_profit.numerator}/"
                            f"{self.mean_profit.denominator}",
-            "std_err": f"{self.std_err():.12g}",
+            "std_err": f"{self._std_err:.12g}",
         }
+
+
+def _replay(en: int, ed: int, qd: int, steps) -> Tuple[int, int]:
+    """Execute (who, side, qn) steps of qn/qd energy on the reserve en/ed;
+    the attacker's money delta divided by C, as (numerator, denominator).
+
+    On the curve M = C/E a buy pays C*e/(E*(E-e)) = C*(1/(E-e) - 1/E) and
+    a sell of e receives C*e/(E*(E+e)) = C*(1/E - 1/(E+e)): either way the
+    trader's money changes by C*(1/E_before - 1/E_after). Every size is
+    over qd, so the reserve stays x/D with D = ed*qd and x an integer, and
+    1/E_before - 1/E_after = D*(x_after - x_before)/(x_before*x_after).
+    The attacker's sum of those fractions is kept as one integer pair. A
+    step raises what `amm.swap` would.
+    """
+    x = en * qd
+    sn, sd = 0, 1
+    for who, side, qn in steps:
+        if qn <= 0:
+            raise QuantityError(f"{side} quantity must be positive")
+        if side == _BUY:
+            after = x - qn * ed
+            if after <= 0:
+                raise LiquidityError(
+                    f"liquidity error: buy of {Fraction(qn, qd)} would "
+                    f"drain reserve {Fraction(x, ed * qd)}")
+        else:
+            after = x + qn * ed
+        if who == "attacker":
+            p = x * after
+            sn, sd = sn * p + (after - x) * sd, sd * p
+        x = after
+    return ed * qd * sn, sd
 
 
 def _run_sequence(pool: PoolState, sequence) -> Fraction:
     """Execute (who, side, size) steps in order; attacker money delta.
 
-    On the curve M = C/E a buy pays C*e/(E*(E-e)) = C*(1/(E-e) - 1/E) and
-    a sell of e receives C*e/(E*(E+e)) = C*(1/E - 1/(E+e)): either way the
-    trader's money changes by C*(1/E_before - 1/E_after). So E = en/ed and
-    the attacker's sum of those terms, sn/sd, stay integer pairs, and one
-    `Fraction` is built at the end. A step raises what `amm.swap` would.
+    The sizes are brought to one common denominator for `_replay`.
     """
-    en, ed = pool.E.numerator, pool.E.denominator
-    sn, sd = 0, 1
-    for who, side, size in sequence:
-        qn, qd = size.numerator, size.denominator
-        if qn <= 0:
-            raise QuantityError(f"{side} quantity must be positive")
-        if side == _BUY:
-            an = en * qd - qn * ed
-            if an <= 0:
-                raise LiquidityError(f"liquidity error: buy of {size} would "
-                                     f"drain reserve {Fraction(en, ed)}")
-        else:
-            an = en * qd + qn * ed
-        ad = ed * qd
-        if who == "attacker":
-            # sn/sd += ed/en - ad/an
-            sn, sd = sn * en * an + (ed * an - ad * en) * sd, sd * en * an
-        en, ed = an, ad
+    sizes = [Fraction(size) for _, _, size in sequence]
+    qd = math.lcm(*(s.denominator for s in sizes))
+    steps = [(who, side, s.numerator * (qd // s.denominator))
+             for (who, side, _), s in zip(sequence, sizes)]
+    sn, sd = _replay(pool.E.numerator, pool.E.denominator, qd, steps)
     return Fraction(pool.C.numerator * sn, pool.C.denominator * sd)
+
+
+def _trial(curve: Tuple[int, int, int, int], steps) -> int:
+    """One committed trial: (who, side, qn) steps of qn/SCALE energy on
+    the curve (E numerator, E denominator, C numerator, C denominator),
+    replayed and rounded to a numerator over ``_STAT_GRID``."""
+    en, ed, cn, cd = curve
+    sn, sd = _replay(en, ed, SCALE, steps)
+    return _on_grid(cn * sn, cd * sd)
 
 
 def _draw_size(rng: random.Random,
@@ -140,7 +194,7 @@ def _default_range(pool: PoolState) -> Tuple[Fraction, Fraction]:
     return (Fraction(1, 100) * pool.E, Fraction(1, 10) * pool.E)
 
 
-def _legs_around(victim, size: Fraction) -> list:
+def _legs_around(victim, size) -> list:
     """The attacker's buy and sell legs of ``size``, the victim between."""
     steps = [("attacker", _BUY, size), ("attacker", _SELL, size)]
     if victim is not None:
@@ -171,27 +225,25 @@ def _attack(strategy: str, arrange, pool: PoolState,
         victim = (None if victim_order is None else
                   ("victim", victim_order.side, victim_order.quantity_e))
         # Deterministic: every trial would replay the same sequence.
-        samples = [_run_sequence(pool, _legs_around(victim, attacker_size))] * trials
-    elif mode == "committed":
-        lo = int(size_range[0] * SCALE)
-        hi = int(size_range[1] * SCALE)
-        samples = []
-        for _ in range(trials):
-            victim = None
-            if victim_order is not None:
-                size = Fraction(rng.randint(lo, hi), SCALE)
-                victim = ("victim", rng.choice((_BUY, _SELL)), size)
-            size = Fraction(rng.randint(lo, hi), SCALE)
-            steps = _legs_around(victim, size)
-            arrange(rng, steps)
-            samples.append(_quantize(_run_sequence(pool, steps)))
-    else:
+        return AttackReport.exact(
+            strategy, mode,
+            _run_sequence(pool, _legs_around(victim, attacker_size)), trials)
+    if mode != "committed":
         raise ValueError(f"unknown mode {mode!r}")
-
-    ks, lcm = _scaled(samples)
-    mean = Fraction(sum(ks), len(samples) * lcm)
-    return AttackReport(strategy=strategy, mode=mode, trials=trials,
-                        mean_profit=mean, profit_samples=tuple(samples))
+    lo = int(size_range[0] * SCALE)
+    hi = int(size_range[1] * SCALE)
+    curve = (pool.E.numerator, pool.E.denominator,
+             pool.C.numerator, pool.C.denominator)
+    ks = []
+    for _ in range(trials):
+        victim = None
+        if victim_order is not None:
+            size = rng.randint(lo, hi)
+            victim = ("victim", rng.choice((_BUY, _SELL)), size)
+        steps = _legs_around(victim, rng.randint(lo, hi))
+        arrange(rng, steps)
+        ks.append(_trial(curve, steps))
+    return AttackReport(strategy, mode, tuple(ks), _STAT_GRID)
 
 
 def run_sandwich(pool: PoolState, victim_order: Optional[Order],
@@ -298,15 +350,12 @@ def run_arbitrage(pool_a: PoolState, pool_b: PoolState,
     if mode not in ("plaintext", "committed"):
         raise ValueError(f"unknown mode {mode!r}")
     if spot_price(pool_a) == spot_price(pool_b):
-        return AttackReport(strategy="arbitrage", mode=mode, trials=1,
-                            mean_profit=Fraction(0),
-                            profit_samples=(Fraction(0),))
+        return AttackReport.exact("arbitrage", mode, Fraction(0))
     cheap, rich = ((pool_a, pool_b)
                    if spot_price(pool_a) < spot_price(pool_b)
                    else (pool_b, pool_a))
     e_star = optimal_arbitrage_size(cheap, rich)
     _, buy = swap(cheap, _BUY, e_star)
     _, sell = swap(rich, _SELL, e_star)
-    profit = sell.amount_out - buy.amount_in
-    return AttackReport(strategy="arbitrage", mode=mode, trials=1,
-                        mean_profit=profit, profit_samples=(profit,))
+    return AttackReport.exact("arbitrage", mode,
+                              sell.amount_out - buy.amount_in)

@@ -131,6 +131,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _positive(value, where: str) -> Fraction:
+    q = parse_quantity(value, where)
+    if q <= 0:
+        raise ScenarioError(where, f"must be positive, got {value!r}")
+    return q
+
+
 def _int(value, where: str, minimum: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(where, f"expected integer, got {value!r}")
@@ -301,34 +308,46 @@ def parse_scenario(obj: dict) -> ScenarioConfig:
         mode = a.get("mode", "plaintext")
         if mode not in ("plaintext", "committed"):
             raise ScenarioError(f"{where}.mode", f"unknown mode {mode!r}")
+        victim_side = victim_quantity = victim_range = None
         victim = a.get("victim")
+        if victim is not None:
+            if not isinstance(victim, dict):
+                raise ScenarioError(f"{where}.victim",
+                                    "expected an object with side and quantity_e")
+            victim_side = _require(victim, "side", f"{where}.victim")
+            if victim_side not in ("buy", "sell"):
+                raise ScenarioError(f"{where}.victim.side",
+                                    f"expected buy or sell, got {victim_side!r}")
+            victim_quantity = _positive(
+                _require(victim, "quantity_e", f"{where}.victim"),
+                f"{where}.victim.quantity_e")
         vrange = a.get("victim_size_range")
+        if vrange is not None:
+            if not isinstance(vrange, (list, tuple)) or len(vrange) != 2:
+                raise ScenarioError(f"{where}.victim_size_range",
+                                    "expected two quantities [lo, hi]")
+            victim_range = tuple(_positive(v, f"{where}.victim_size_range")
+                                 for v in vrange)
+            if victim_range[0] > victim_range[1]:
+                raise ScenarioError(f"{where}.victim_size_range",
+                                    "lo must not exceed hi")
         adversaries.append(
             AdversarySpec(
                 strategy=strategy,
                 mode=mode,
                 trials=_int(a.get("trials", 1), f"{where}.trials", 1),
-                pool_e=parse_quantity(_require(a, "pool_e", where),
-                                      f"{where}.pool_e"),
-                pool_m=parse_quantity(_require(a, "pool_m", where),
-                                      f"{where}.pool_m"),
+                pool_e=_positive(_require(a, "pool_e", where), f"{where}.pool_e"),
+                pool_m=_positive(_require(a, "pool_m", where), f"{where}.pool_m"),
                 attacker_size=(
-                    parse_quantity(a["attacker_size"], f"{where}.attacker_size")
+                    _positive(a["attacker_size"], f"{where}.attacker_size")
                     if "attacker_size" in a else None
                 ),
-                victim_side=victim.get("side") if victim else None,
-                victim_quantity=(
-                    parse_quantity(victim["quantity_e"], f"{where}.victim.quantity_e")
-                    if victim else None
-                ),
-                victim_range=(
-                    tuple(parse_quantity(v, f"{where}.victim_size_range")
-                          for v in vrange)
-                    if vrange else None
-                ),
-                pool_b_e=(parse_quantity(a["pool_b_e"], f"{where}.pool_b_e")
+                victim_side=victim_side,
+                victim_quantity=victim_quantity,
+                victim_range=victim_range,
+                pool_b_e=(_positive(a["pool_b_e"], f"{where}.pool_b_e")
                           if "pool_b_e" in a else None),
-                pool_b_m=(parse_quantity(a["pool_b_m"], f"{where}.pool_b_m")
+                pool_b_m=(_positive(a["pool_b_m"], f"{where}.pool_b_m")
                           if "pool_b_m" in a else None),
             )
         )

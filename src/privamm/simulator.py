@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from . import balance_proof, field_group, sharding, trie as trie_mod
 from .adversary import AttackReport, run_arbitrage, run_frontrun, run_sandwich
 from .amm import (LiquidityError, Order, OrderRejected, PoolState,
-                  apply_trade, pool_init)
+                  QuantityError, apply_trade, pool_init)
 from .mpc import SCALE, MpcSession, P_MPC
 from .protocol import (LpDeposit, PhaseError, RunLog, ScaledPool,
                        reveal_and_settle, run_init_phase, run_trading_phase,
@@ -557,7 +557,13 @@ class Simulator:
 
     def _run_adversaries(self, tick: int):
         for i, spec in enumerate(self.config.adversaries):
-            report = self._one_adversary(spec, i)
+            # Draws that drain the experiment's pool end the run, as a
+            # draining trade does.
+            try:
+                report = self._one_adversary(spec, i)
+            except (LiquidityError, QuantityError) as exc:
+                raise SimulationError(
+                    f"adversary experiment {i}: {exc}") from exc
             row = report.to_csv_row()
             self.attack_rows.append(row)
             self.log.emit(tick, "adversary", "attack_report",
@@ -568,7 +574,7 @@ class Simulator:
         pool = pool_init(spec.pool_e, spec.pool_m)
         victim = None
         if spec.victim_quantity is not None:
-            victim = Order(side=spec.victim_side or "buy",
+            victim = Order(side=spec.victim_side,
                            quantity_e=spec.victim_quantity,
                            limit_rate=Fraction(10**12))
         if spec.strategy == "sandwich":

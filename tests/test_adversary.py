@@ -188,18 +188,115 @@ def test_run_sequence_drain_raises_like_swap(sequence):
 GRID = 10**12
 
 
+def quantize(p: Fraction) -> Fraction:
+    """The Fraction reference for the statistics grid: Python's ``round``,
+    nearest with ties to even."""
+    return Fraction(round(p * GRID), GRID)
+
+
+def on_grid(p: Fraction) -> Fraction:
+    return Fraction(adversary._on_grid(p.numerator, p.denominator), GRID)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 10**6, 10**6 + 1, -1, -2, -3,
                                -(10**6), -(10**6) - 1])
 @pytest.mark.parametrize("offset", [Fraction(0), Fraction(1, 10**30),
                                     -Fraction(1, 10**30), Fraction(1, 3)])
 def test_quantize_matches_round_at_half_grid_ties(k, offset):
     p = (k + Fraction(1, 2) + offset) / GRID
-    assert adversary._quantize(p) == Fraction(round(p * GRID), GRID)
+    assert on_grid(p) == quantize(p)
+    # Any representation of p rounds the same way.
+    assert (adversary._on_grid(p.numerator * 7, p.denominator * 7)
+            == adversary._on_grid(p.numerator, p.denominator))
 
 
 @given(st.fractions(max_denominator=10**15))
 def test_quantize_matches_round(p):
-    assert adversary._quantize(p) == Fraction(round(p * GRID), GRID)
+    assert on_grid(p) == quantize(p)
+
+
+# -- one committed trial on integers against Fractions -----------------------------
+
+SCALE = 10**6
+
+
+def reference_trial(pool, sequence) -> Fraction:
+    """A committed trial in Fractions: a fold over ``amm.swap``, then the
+    statistics grid."""
+    return quantize(fold_over_swap(pool, sequence))
+
+
+def integer_trial(pool, sequence) -> Fraction:
+    curve = (pool.E.numerator, pool.E.denominator,
+             pool.C.numerator, pool.C.denominator)
+    steps = [(who, side, int(size * SCALE)) for who, side, size in sequence]
+    return Fraction(adversary._trial(curve, steps), GRID)
+
+
+RESERVES = st.fractions(min_value=Fraction(1, 3), max_value=10**4,
+                        max_denominator=10**3)
+# Grid sizes up to 1.2x the reserve, so that some buys drain it.
+GRID_SHARES = st.integers(1, 1200)
+
+
+@st.composite
+def committed_trials(draw):
+    pool = pool_init(draw(RESERVES), draw(RESERVES))
+    unit = max(1, int(pool.E * SCALE) // 1000)
+
+    def size():
+        return Fraction(draw(GRID_SHARES) * unit
+                        + draw(st.integers(0, unit - 1)), SCALE)
+
+    legs = [("attacker", "buy", size()), ("attacker", "sell", size())]
+    if draw(st.booleans()):
+        legs.insert(1, ("victim", draw(st.sampled_from(("buy", "sell"))),
+                        size()))
+    return pool, list(draw(st.permutations(legs)))
+
+
+@given(committed_trials())
+@settings(max_examples=400)
+def test_integer_trial_matches_fraction_reference(case):
+    pool, sequence = case
+    assert (outcome(integer_trial, pool, sequence)
+            == outcome(reference_trial, pool, sequence))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 10**9])
+@pytest.mark.parametrize("sequence", [
+    [("attacker", "buy", Fraction(50)), ("victim", "buy", Fraction(100)),
+     ("attacker", "sell", Fraction(50))],
+    [("attacker", "sell", Fraction(123457, 10**6)),
+     ("victim", "buy", Fraction(3)), ("attacker", "buy", Fraction(1, 10**6))],
+    [("victim", "sell", Fraction(7)), ("attacker", "buy", Fraction(11)),
+     ("attacker", "sell", Fraction(5, 2))],
+])
+def test_integer_trial_rounds_half_grid_ties_to_even(sequence, k):
+    # With C = 1 the fold gives the delta per unit of C, s; the pool whose
+    # C puts the profit exactly at +-(k + 1/2) grid steps is a tie.
+    e = Fraction(1000)
+    s = fold_over_swap(pool_init(e, 1 / e), sequence)
+    c = abs((k + Fraction(1, 2)) / (GRID * s))
+    pool = pool_init(e, c / e)
+    profit = fold_over_swap(pool, sequence)
+    assert abs(profit * GRID) == k + Fraction(1, 2)
+    assert integer_trial(pool, sequence) == reference_trial(pool, sequence)
+
+
+@pytest.mark.parametrize("sequence", [
+    [("attacker", "buy", Fraction(1000))],
+    [("victim", "buy", Fraction(600)), ("attacker", "buy", Fraction(400))],
+    [("attacker", "sell", Fraction(5, 2)), ("victim", "buy", Fraction(2005, 2)),
+     ("attacker", "buy", Fraction(1))],
+    [("attacker", "sell", Fraction(1, 10**6)),
+     ("attacker", "buy", Fraction(1000000001, 10**6)),
+     ("victim", "buy", Fraction(1))],
+])
+def test_integer_trial_drain_raises_like_swap(sequence):
+    expected = outcome(reference_trial, POOL, sequence)
+    assert expected[0] == "LiquidityError"
+    assert outcome(integer_trial, POOL, sequence) == expected
 
 
 def plain_std_err(samples) -> float:
@@ -216,9 +313,10 @@ def plain_std_err(samples) -> float:
      Fraction(0), Fraction(-1, 10**12)),
 ])
 def test_std_err_matches_fraction_formula(samples):
-    mean = sum(samples, Fraction(0)) / len(samples)
-    report = AttackReport(strategy="s", mode="m", trials=len(samples),
-                          mean_profit=mean, profit_samples=samples)
+    den = math.lcm(*(p.denominator for p in samples))
+    report = AttackReport("s", "m", tuple(int(p * den) for p in samples), den)
+    assert report.profit_samples == samples
+    assert report.mean_profit == sum(samples, Fraction(0)) / len(samples)
     assert report.std_err() == plain_std_err(samples)
 
 
@@ -228,6 +326,34 @@ def test_committed_mean_is_the_sample_mean():
     assert report.mean_profit == (sum(report.profit_samples, Fraction(0))
                                   / len(report.profit_samples))
     assert report.std_err() == plain_std_err(report.profit_samples)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: run_sandwich(POOL, victim_buy(100), Fraction(50), "plaintext",
+                         trials=5),
+    lambda: run_frontrun(POOL, victim_buy(100), "plaintext", trials=1),
+    lambda: run_sandwich(POOL, victim_buy(100), Fraction(50), "committed",
+                         trials=300, rng=random.Random("csv")),
+    lambda: run_frontrun(POOL, None, "committed", trials=300,
+                         rng=random.Random("csv")),
+    lambda: run_sandwich(POOL, None, Fraction(50), "committed", trials=20,
+                         rng=random.Random("csv")),
+], ids=["plain-sandwich", "plain-frontrun", "committed-sandwich",
+        "committed-frontrun", "committed-no-victim"])
+def test_report_row_and_t_stat_match_the_fraction_formula(make):
+    report = make()
+    samples = report.profit_samples
+    mean = sum(samples, Fraction(0)) / len(samples)
+    se = plain_std_err(samples) if len(samples) > 1 else 0.0
+    assert report.to_csv_row() == {
+        "strategy": report.strategy, "mode": report.mode,
+        "trials": str(len(samples)),
+        "mean_profit": f"{mean.numerator}/{mean.denominator}",
+        "std_err": f"{se:.12g}"}
+    if se == 0.0:
+        assert report.t_stat() == (0.0 if mean == 0 else math.inf)
+    else:
+        assert report.t_stat() == float(mean) / se
 
 
 # -- frontrun ---------------------------------------------------------------------
@@ -353,10 +479,9 @@ def test_csv_row_exact_rational_rendering():
 
 
 def test_report_statistics():
-    report = AttackReport(strategy="s", mode="m", trials=4,
-                          mean_profit=Fraction(5, 2),
-                          profit_samples=(Fraction(1), Fraction(2),
-                                          Fraction(3), Fraction(4)))
+    report = AttackReport("s", "m", (1, 2, 3, 4), 1)
+    assert report.trials == 4
+    assert report.mean_profit == Fraction(5, 2)
     # Sample variance of 1..4 is 5/3; the standard error is sqrt(5/12).
     assert abs(report.std_err() - (5 / 12) ** 0.5) < 1e-12
     assert report.t_stat() == pytest.approx(2.5 / (5 / 12) ** 0.5)

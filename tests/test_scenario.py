@@ -180,6 +180,41 @@ def test_adversary_strategy_and_mode_validated():
             dict(base, strategy="sandwich", mode="psychic")]))
 
 
+SANDWICH = {"strategy": "sandwich", "mode": "committed", "pool_e": "1000",
+            "pool_m": "1000", "attacker_size": "50",
+            "victim": {"side": "buy", "quantity_e": "100"},
+            "victim_size_range": ["10", "100"]}
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"victim_size_range": ["100", "10"]}, "victim_size_range"),
+    ({"victim_size_range": "10"}, "victim_size_range"),
+    ({"victim_size_range": ["10"]}, "victim_size_range"),
+    ({"victim_size_range": ["10", "20", "30"]}, "victim_size_range"),
+    ({"victim_size_range": ["0", "20"]}, "victim_size_range"),
+    ({"victim": {"side": "buy"}}, "victim.quantity_e"),
+    ({"victim": {"quantity_e": "100"}}, "victim.side"),
+    ({"victim": "buy"}, "victim"),
+    ({"victim": {"side": "hold", "quantity_e": "100"}}, "victim.side"),
+    ({"victim": {"side": "buy", "quantity_e": "-1"}}, "victim.quantity_e"),
+    ({"attacker_size": "0"}, "attacker_size"),
+    ({"pool_e": "0"}, "pool_e"),
+])
+def test_adversary_spec_fields_validated(edit, field):
+    bad = dict(SANDWICH, **edit)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(scenario(adversary=[bad]))
+    assert info.value.field_path == f"$.adversary[0].{field}"
+
+
+def test_adversary_victim_and_range_parsed():
+    (adv,) = parse_scenario(scenario(adversary=[
+        dict(SANDWICH, victim={"side": "sell", "quantity_e": "2.5"},
+             victim_size_range=["10", "10"])])).adversaries
+    assert (adv.victim_side, adv.victim_quantity) == ("sell", Fraction(5, 2))
+    assert adv.victim_range == (Fraction(10), Fraction(10))
+
+
 def test_adversary_accepts_single_object():
     cfg = parse_scenario(scenario(adversary={
         "strategy": "arbitrage", "pool_e": "100", "pool_m": "100",

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import platform
+import subprocess
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -77,3 +78,63 @@ def test_bench_alternates_checkouts_and_takes_medians(tmp_path):
     assert b["mev-sweep"]["failed"] == 2
     assert b["mev-sweep"]["rounds"]["run_s"] == [3.0]
     assert "not_end_to_end" not in a["load-split"]["rounds"]
+
+
+FLAKY_PERFBENCH = '''
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open("calls", "a") as log:
+    log.write(args["--workload"] + "\\n")
+calls = sum(1 for _ in open("calls"))
+print(f"workload {args['--workload']}, seed 1, trace 0, logSha256 x{calls}")
+if calls == 3:
+    print("Traceback (most recent call last): a crash after the digest")
+    sys.exit(0)
+print(json.dumps({"correct": True, "metrics": {
+    "run_s": {"value": float(calls), "unit": "s"}}}))
+sys.exit(1 if calls == 2 else 0)
+'''
+
+
+def git(checkout, *args):
+    subprocess.run(["git", "-C", str(checkout), "-c", "user.name=bench",
+                    "-c", "user.email=bench@example.org", *args],
+                   check=True, capture_output=True)
+
+
+def test_bench_records_commits_and_counts_bad_runs_as_failed(tmp_path):
+    """Each checkout's commit and dirty flag are recorded (null outside a
+    git work tree), and a run that exits non-zero or whose last line is
+    not JSON is a failed round, not an exception."""
+    for label in ("clean", "dirty", "plain"):
+        checkout = tmp_path / label
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(FLAKY_PERFBENCH)
+        if label != "plain":
+            (checkout / ".gitignore").write_text("calls\n")
+            git(checkout, "init", "-q")
+            git(checkout, "add", "-A")
+            git(checkout, "commit", "-q", "-m", "stub")
+    (tmp_path / "dirty" / "perfbench" / "run.py").write_text(
+        FLAKY_PERFBENCH + "\n")
+    out = tmp_path / "BENCH_2.json"
+    bench = load_script("bench")
+    code = bench.main(["2", "--rounds", "1", "--seconds", "1",
+                       "--out", str(out)]
+                      + [f"--checkout={label}={tmp_path / label}"
+                         for label in ("clean", "dirty", "plain")])
+    assert code == 1
+    report = json.loads(out.read_text())
+    head = subprocess.run(["git", "-C", str(tmp_path / "clean"), "rev-parse",
+                           "HEAD"], capture_output=True, text=True).stdout
+    checkouts = report["checkouts"]
+    assert checkouts["clean"] == {"commit": head.strip(), "dirty": False}
+    assert checkouts["dirty"]["dirty"] is True
+    assert len(checkouts["dirty"]["commit"]) == 40
+    assert checkouts["plain"] == {"commit": None, "dirty": None}
+    for label in ("clean", "dirty", "plain"):
+        results = report["results"][label]
+        first, second, third = results.values()
+        assert first["failed"] == 0 and first["rounds"]["run_s"] == [1.0]
+        assert second["failed"] == 1 and second["rounds"] == {}
+        assert third["failed"] == 1 and third["logSha256"] == ["x3"]

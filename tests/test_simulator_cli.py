@@ -243,6 +243,15 @@ def test_pool_draining_scenario_exits_2(tmp_path, capsys):
     assert "liquidity error" in capsys.readouterr().err
 
 
+def test_draining_adversary_experiment_exits_2(tmp_path, capsys):
+    smoke = json.loads((SCENARIOS / "smoke.json").read_text())
+    smoke["adversary"][1]["victim_size_range"] = ["10", "5000"]
+    assert run_cli(smoke, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "runtime error: adversary experiment 1: liquidity error" in err
+    assert "Traceback" not in err
+
+
 def test_verify_on_non_directory_exits_1(tmp_path):
     assert main(["verify", str(tmp_path / "nothing")]) == 1
 
