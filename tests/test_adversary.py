@@ -13,6 +13,7 @@ from privamm.adversary import (AttackReport, optimal_arbitrage_size,
                                run_arbitrage, run_frontrun, run_sandwich)
 from privamm.amm import (LiquidityError, Order, pool_init, quote_buy,
                          quote_sell, swap)
+from privamm.mpc import SCALE
 
 POOL = pool_init(Fraction(1000), Fraction(1000))
 
@@ -216,9 +217,6 @@ def test_quantize_matches_round(p):
 
 
 # -- one committed trial on integers against Fractions -----------------------------
-
-SCALE = 10**6
-
 
 def reference_trial(pool, sequence) -> Fraction:
     """A committed trial in Fractions: a fold over ``amm.swap``, then the
