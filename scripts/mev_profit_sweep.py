@@ -23,6 +23,13 @@ FIELDS = ["strategy", "mode", "attacker_size", "trials",
           "mean_profit", "std_err", "t_stat"]
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pool-e", default="1000",
@@ -35,7 +42,7 @@ def parse_args(argv=None):
                         default="buy")
     parser.add_argument("--sizes", default="10,25,50,100,200",
                         help="comma-separated attacker sizes to sweep")
-    parser.add_argument("--trials", type=int, default=2000,
+    parser.add_argument("--trials", type=positive_int, default=2000,
                         help="Monte-Carlo trials per committed-mode cell")
     parser.add_argument("--seed", default="mev-sweep")
     parser.add_argument("--out", help="write CSV here instead of stdout")

@@ -214,6 +214,11 @@ def _victim_in_any_slot(rng: random.Random, steps: list) -> None:
         steps.insert(rng.randrange(3), steps.pop(1))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _attack(strategy: str, arrange, pool: PoolState,
             victim_order: Optional[Order], attacker_size: Fraction, mode: str,
             trials: int, rng: random.Random,
@@ -262,6 +267,7 @@ def run_sandwich(pool: PoolState, victim_order: Optional[Order],
     mode: a committed trial draws the attacker's size from the victim
     size range, as it draws the victim's.
     """
+    _check_trials(trials)
     attacker_size = Fraction(attacker_size)
     if attacker_size >= pool.E:
         raise LiquidityError("liquidity error: attacker size exceeds reserve")
@@ -288,6 +294,7 @@ def run_frontrun(pool: PoolState, victim_order: Optional[Order], mode: str,
     a committed trial draws the attacker's size from the victim size
     range, as it draws the victim's.
     """
+    _check_trials(trials)
     rng = rng or random.Random(0)
     size_range = victim_size_range or _default_range(pool)
     if attacker_size is None:

@@ -13,11 +13,11 @@ a trade's proof is published only after the pool update reveals its size.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
+from .rlp import canonical_json
 from .trie import (AccountLeaf, MalformedLeafError, MptProof,
                    VerificationError, decode_account_leaf,
                    verify_account_proof, verify_account_proofs)
@@ -61,8 +61,8 @@ class Proof:
 def setup() -> VerificationKey:
     """The statement's key: a digest of its name and version."""
     desc = {"name": "balance-at-least", "version": 2}
-    blob = json.dumps(desc, sort_keys=True, separators=(",", ":"))
-    return VerificationKey(digest=hashlib.sha256(blob.encode()).digest())
+    return VerificationKey(
+        digest=hashlib.sha256(canonical_json(desc).encode()).digest())
 
 
 def prove(vk: VerificationKey, account: MptProof, threshold: int) -> Proof:

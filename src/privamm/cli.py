@@ -42,10 +42,16 @@ ATTACK_FIELDS = ("strategy", "mode", "trials", "mean_profit", "std_err")
 
 
 def write_artifacts(out_dir: str, sim: Simulator, summary: dict) -> None:
+    """Write the four artifacts. The event log goes to disk one line at a
+    time and each line's bytes feed the log digest as they are written,
+    so no joined copy of the log is ever built."""
     os.makedirs(out_dir, exist_ok=True)
-    log_bytes = sim.log.to_jsonl().encode()
+    log_digest = hashlib.sha256()
     with open(os.path.join(out_dir, "run.jsonl"), "wb") as fh:
-        fh.write(log_bytes)
+        for line in sim.log.lines():
+            data = line.encode()
+            fh.write(data)
+            log_digest.update(data)
 
     with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
@@ -58,7 +64,7 @@ def write_artifacts(out_dir: str, sim: Simulator, summary: dict) -> None:
         writer.writerows(sim.attack_rows)
 
     summary = dict(summary)
-    summary["logSha256"] = hashlib.sha256(log_bytes).hexdigest()
+    summary["logSha256"] = log_digest.hexdigest()
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -28,16 +28,16 @@ reference within one scaled unit.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import balance_proof, field_group, mpc, trie as trie_mod
 from .amm import Order, PoolState
 from .field_group import GroupParams, Opening
 from .mpc import SCALE, MpcSession, P_MPC
+from .rlp import canonical_json
 
 
 class PhaseError(Exception):
@@ -59,11 +59,13 @@ class RunLog:
         self.events.append(record)
         return record
 
+    def lines(self) -> Iterator[str]:
+        """Each event's canonical JSON line, in order, made as it is read."""
+        for e in self.events:
+            yield canonical_json(e) + "\n"
+
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self.events
-        )
+        return "".join(self.lines())
 
 
 def scale_quantity(q: Fraction) -> int:

@@ -3,9 +3,16 @@
 Canonical form only: the decoder rejects non-minimal length fields and
 single bytes wrapped in a long form, so every byte sequence has at most one
 decoding. Trie nodes depend on this for tamper detection.
+
+``canonical_json`` is the one canonical JSON text the package hashes or
+logs: sorted keys, no whitespace. One encoder serves every call.
 """
 
 from __future__ import annotations
+
+import json
+
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class RlpError(ValueError):

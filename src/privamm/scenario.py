@@ -138,6 +138,15 @@ def _positive(value, where: str) -> Fraction:
     return q
 
 
+def _positive_field(obj: dict, key: str, where: str,
+                    required: bool) -> Optional[Fraction]:
+    """A positive quantity at ``obj[key]``; None when absent and not
+    ``required``."""
+    if key not in obj and not required:
+        return None
+    return _positive(_require(obj, key, where), f"{where}.{key}")
+
+
 def _int(value, where: str, minimum: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(where, f"expected integer, got {value!r}")
@@ -338,17 +347,15 @@ def parse_scenario(obj: dict) -> ScenarioConfig:
                 trials=_int(a.get("trials", 1), f"{where}.trials", 1),
                 pool_e=_positive(_require(a, "pool_e", where), f"{where}.pool_e"),
                 pool_m=_positive(_require(a, "pool_m", where), f"{where}.pool_m"),
-                attacker_size=(
-                    _positive(a["attacker_size"], f"{where}.attacker_size")
-                    if "attacker_size" in a else None
-                ),
+                attacker_size=_positive_field(
+                    a, "attacker_size", where, strategy == "sandwich"),
                 victim_side=victim_side,
                 victim_quantity=victim_quantity,
                 victim_range=victim_range,
-                pool_b_e=(_positive(a["pool_b_e"], f"{where}.pool_b_e")
-                          if "pool_b_e" in a else None),
-                pool_b_m=(_positive(a["pool_b_m"], f"{where}.pool_b_m")
-                          if "pool_b_m" in a else None),
+                pool_b_e=_positive_field(
+                    a, "pool_b_e", where, strategy == "arbitrage"),
+                pool_b_m=_positive_field(
+                    a, "pool_b_m", where, strategy == "arbitrage"),
             )
         )
 

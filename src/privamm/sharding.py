@@ -32,7 +32,6 @@ tolerance.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
 from .keccak import DigestCache, keccak256
+from .rlp import canonical_json
 from .trie import BlockHeader, HeaderChain
 
 
@@ -228,8 +228,7 @@ class Masterchain:
 
 def anchor_root(table: Dict[str, dict]) -> bytes:
     """Keccak of an anchor table's canonical JSON: a master block's state root."""
-    blob = json.dumps(table, sort_keys=True, separators=(",", ":"))
-    return keccak256(blob.encode())
+    return keccak256(canonical_json(table).encode())
 
 
 class Topology:

@@ -578,8 +578,6 @@ class Simulator:
                            quantity_e=spec.victim_quantity,
                            limit_rate=Fraction(10**12))
         if spec.strategy == "sandwich":
-            if spec.attacker_size is None:
-                raise SimulationError("sandwich experiment needs attacker_size")
             return run_sandwich(pool, victim, spec.attacker_size, spec.mode,
                                 trials=spec.trials, rng=rng,
                                 victim_size_range=spec.victim_range)
@@ -588,8 +586,6 @@ class Simulator:
                                 attacker_size=spec.attacker_size,
                                 trials=spec.trials, rng=rng,
                                 victim_size_range=spec.victim_range)
-        if spec.pool_b_e is None or spec.pool_b_m is None:
-            raise SimulationError("arbitrage experiment needs a second pool")
         pool_b = pool_init(spec.pool_b_e, spec.pool_b_m)
         return run_arbitrage(pool, pool_b, mode=spec.mode)
 

@@ -395,6 +395,21 @@ def test_frontrun_rejects_non_positive_size(size, mode):
         run_frontrun(POOL, None, mode, attacker_size=Fraction(1000))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("mode", ["plaintext", "committed"])
+def test_attacks_reject_fewer_than_one_trial(trials, mode):
+    # Checked before any draw: a front-run without a victim or a size
+    # would otherwise draw its size first.
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_sandwich(POOL, victim_buy(10), Fraction(50), mode,
+                     trials=trials, rng=rng)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_frontrun(POOL, None, mode, trials=trials, rng=rng)
+    assert rng.getstate() == state
+
+
 # -- arbitrage ---------------------------------------------------------------------
 
 POOL_A = pool_init(Fraction(100), Fraction(100))

@@ -207,6 +207,13 @@ def test_adversary_spec_fields_validated(edit, field):
     assert info.value.field_path == f"$.adversary[0].{field}"
 
 
+def test_frontrun_needs_no_attacker_size():
+    frontrun = {k: v for k, v in SANDWICH.items() if k != "attacker_size"}
+    (adv,) = parse_scenario(scenario(adversary=[
+        dict(frontrun, strategy="frontrun")])).adversaries
+    assert adv.attacker_size is None
+
+
 def test_adversary_victim_and_range_parsed():
     (adv,) = parse_scenario(scenario(adversary=[
         dict(SANDWICH, victim={"side": "sell", "quantity_e": "2.5"},

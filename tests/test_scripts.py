@@ -7,6 +7,8 @@ import platform
 import subprocess
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -27,6 +29,16 @@ def test_mev_profit_sweep_csv_is_pinned(tmp_path):
     assert len(rows) == 1 + 2 * 2 * 2  # sizes x strategies x modes
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "825c3d6a2f40a2f4e2af3cfcb4bc632b7837b31fd705af477f689c3d64089dfa")
+
+
+def test_mev_profit_sweep_rejects_fewer_than_one_trial(capsys):
+    sweep = load_script("mev_profit_sweep")
+    with pytest.raises(SystemExit) as info:
+        sweep.main(["--trials", "0"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --trials: must be at least 1, got 0" in err
 
 
 FAKE_PERFBENCH = '''

@@ -1,6 +1,7 @@
 """End-to-end runs: artifacts, verification, tamper detection, exit codes."""
 
 import csv
+import hashlib
 import json
 import shutil
 import sys
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from privamm import keccak as keccak_mod
-from privamm.cli import main, verify_artifacts
+from privamm.cli import main, verify_artifacts, write_artifacts
 from privamm.keccak import keccak256
+from privamm.protocol import RunLog
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import Simulator
 from privamm.trie import MAX_NONCE, BlockHeader, HeaderChain
@@ -201,6 +203,42 @@ def test_verify_passes_on_fresh_run(small_run):
     assert all(line.startswith("ok:") for line in lines)
 
 
+@pytest.fixture(scope="module")
+def merge_sim():
+    """The merge scenario, run once: its block events get their header
+    after the round's batch, so they are edited after they are emitted."""
+    sim = Simulator(load_scenario(str(SCENARIOS / "merge.json")))
+    return sim, sim.run()
+
+
+def test_streamed_log_equals_the_joined_log(merge_sim, tmp_path):
+    sim, summary = merge_sim
+    write_artifacts(str(tmp_path), sim, summary)
+    log_bytes = (tmp_path / "run.jsonl").read_bytes()
+    assert log_bytes == sim.log.to_jsonl().encode()
+    assert any(b'"event":"block","header":' in line
+               for line in log_bytes.splitlines())
+
+
+def test_log_digest_is_the_digest_of_the_file(merge_sim, tmp_path):
+    sim, summary = merge_sim
+    write_artifacts(str(tmp_path), sim, summary)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["logSha256"] == hashlib.sha256(
+        (tmp_path / "run.jsonl").read_bytes()).hexdigest()
+
+
+def test_write_artifacts_builds_no_joined_log(merge_sim, tmp_path,
+                                              monkeypatch):
+    def joined(self):
+        raise AssertionError("write_artifacts joined the whole log")
+
+    monkeypatch.setattr(RunLog, "to_jsonl", joined)
+    sim, summary = merge_sim
+    write_artifacts(str(tmp_path), sim, summary)
+    assert (tmp_path / "run.jsonl").stat().st_size > 0
+
+
 # -- determinism ----------------------------------------------------------------
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):
@@ -250,6 +288,23 @@ def test_draining_adversary_experiment_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error: adversary experiment 1: liquidity error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("index, field", [
+    (0, "attacker_size"),  # plaintext sandwich
+    (1, "attacker_size"),  # committed sandwich
+    (2, "pool_b_e"),       # arbitrage
+    (2, "pool_b_m"),
+])
+def test_adversary_missing_field_is_a_configuration_error(
+        tmp_path, capsys, index, field):
+    smoke = json.loads((SCENARIOS / "smoke.json").read_text())
+    del smoke["adversary"][index][field]
+    assert run_cli(smoke, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"$.adversary[{index}].{field}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_on_non_directory_exits_1(tmp_path):
