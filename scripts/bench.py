@@ -14,9 +14,17 @@ The file records the machine, the Python version, each checkout's git
 commit and whether its files differ from that commit (both null for a
 directory that is not a git work tree) and, for each checkout and
 workload, the ``logSha256`` of its artifacts and each end-to-end metric
-named in BENCHMARK.json: the value of every round and their median. A
-round whose perfbench run exits non-zero, ends without a JSON report or
-is not ``correct`` is counted under ``failed`` and leaves no values.
+named in BENCHMARK.json: the value of every round, their median and
+their quartiles. A round whose perfbench run exits non-zero, ends without
+a JSON report or is not ``correct`` is counted under ``failed`` and
+leaves no values.
+
+With exactly two checkouts, ``pairs`` applies the claim rule to the second
+against the first, per workload and metric: the rounds it won, lost and
+tied by the metric's ``better`` direction, counting only rounds in which
+both produced a value, and ``gain``, true when it won at least nine
+tenths of those rounds and, over them, the medians differ its way by more
+than the distance between the first checkout's quartiles.
 """
 
 from __future__ import annotations
@@ -97,6 +105,38 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"logSha256": sha[1] if sha else None, "metrics": metrics}
 
 
+def quartiles(values: list) -> list:
+    """[first quartile, median, third quartile] of ``values``."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def claim_rule(first: dict, second: dict, better: dict) -> dict:
+    """Per workload and metric, how often ``second`` beat ``first`` in a
+    round, both checkouts' per-round values (None for no value) given as
+    ``{workload: {"rounds": {metric: [...]}}}``, and whether that is a gain."""
+    out = {}
+    for workload, entry in second.items():
+        out[workload] = {}
+        for name, values in entry["rounds"].items():
+            sign = 1 if better[name] == "higher" else -1
+            both = [(a, b) for a, b in zip(first[workload]["rounds"][name],
+                                           values)
+                    if a is not None and b is not None]
+            if not both:
+                continue
+            won = sum(sign * (b - a) > 0 for a, b in both)
+            lost = sum(sign * (b - a) < 0 for a, b in both)
+            a_values, b_values = zip(*both)
+            q1, median_a, q3 = quartiles(list(a_values))
+            gap = sign * (statistics.median(b_values) - median_a)
+            out[workload][name] = {
+                "won": won, "lost": lost, "tied": len(both) - won - lost,
+                "gain": won >= 0.9 * len(both) and gap > q3 - q1}
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -125,16 +165,27 @@ def main(argv=None) -> int:
                     entry["logSha256"].append(run["logSha256"])
                 if run["metrics"] is None:
                     entry["failed"] += 1
-                    continue
+                # None marks a round without a value, so that rounds of
+                # different checkouts stay paired by index.
                 for name in names:
-                    if name in run["metrics"]:
-                        entry["rounds"][name].append(run["metrics"][name])
+                    entry["rounds"][name].append((run["metrics"] or {})
+                                                 .get(name))
 
+    pairs = None
+    if len(order) == 2:
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        pairs = {"first": order[0], "second": order[1],
+                 "results": claim_rule(*(results[label] for label in order),
+                                       better)}
     for per_workload in results.values():
         for entry in per_workload.values():
-            entry["rounds"] = {n: v for n, v in entry["rounds"].items() if v}
+            rounds = {n: [x for x in v if x is not None]
+                      for n, v in entry["rounds"].items()}
+            entry["rounds"] = {n: v for n, v in rounds.items() if v}
             entry["median"] = {n: statistics.median(v)
                                for n, v in entry["rounds"].items()}
+            entry["quartiles"] = {n: quartiles(v)
+                                  for n, v in entry["rounds"].items()}
     out = args.out or ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps({
         "machine": machine(),
@@ -142,6 +193,7 @@ def main(argv=None) -> int:
                     f"{args.seconds} --trace 0, {args.rounds} rounds"),
         "checkouts": revisions,
         "results": results,
+        "pairs": pairs,
     }, indent=1) + "\n")
     print(out)
     failed = sum(e["failed"] for w in results.values() for e in w.values())

@@ -102,10 +102,9 @@ def share_secret(x: int, n: int, rng: random.Random, modulus: int = P_MPC,
     x = x % modulus
     values = [rng.randrange(modulus) for _ in range(n - 1)]
     values.append((x - sum(values)) % modulus)
-    return [
-        AdditiveShare(party_id=i + 1, value=v, modulus=modulus, tag=tag)
-        for i, v in enumerate(values)
-    ]
+    # Positional, as in `MpcSession.beaver_mul`: a trade builds 28 shares.
+    return [AdditiveShare(i + 1, v, modulus, tag)
+            for i, v in enumerate(values)]
 
 
 def reconstruct(shares, expected_n: int = None) -> int:

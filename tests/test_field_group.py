@@ -9,6 +9,7 @@ digests, and the fixed-base commit path against plain `pow`.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -141,25 +142,97 @@ GROUP_256 = group_setup(256, seed="group:99")
 
 
 def _exponent_cases(q):
-    """0, 1, q - 1, both sides of every table window edge below q (with
-    7-bit windows and a 255-bit q, up to 2^252, the first digit of the top
-    table row), and 200 seeded random exponents."""
-    w = field_group._WINDOW
-    edges = [v for k in range(1, q.bit_length() // w + 1)
-             for v in ((1 << (w * k)) - 1, 1 << (w * k)) if v < q]
+    """0, 1, q - 1, both sides of every byte edge below q (2^(8k) - 1 and
+    2^(8k), where a value gains a table row), and 200 seeded random
+    exponents."""
+    edges = [v for k in range(1, q.bit_length() // 8 + 1)
+             for v in ((1 << (8 * k)) - 1, 1 << (8 * k)) if v < q]
     rng = random.Random(f"commit-cases/{q}")
     return [0, 1, q - 1] + edges, [rng.randrange(q) for _ in range(200)]
+
+
+def _plain(params, x, r):
+    return pow(params.g, x, params.p) * pow(params.h, r, params.p) % params.p
 
 
 @pytest.mark.parametrize("params", [TEST_GROUP, GROUP_256],
                          ids=["test-group", "group:99"])
 def test_commit_matches_plain_modexp(params):
-    p, q, g, h = params.p, params.q, params.g, params.h
-    corners, randoms = _exponent_cases(q)
+    corners, randoms = _exponent_cases(params.q)
     pairs = [(x, r) for x in corners for r in corners]
     pairs += list(zip(randoms, reversed(randoms)))
     for x, r in pairs:
-        assert pedersen_commit(params, x, r) == pow(g, x, p) * pow(h, r, p) % p
+        assert pedersen_commit(params, x, r) == _plain(params, x, r)
+
+
+@given(st.integers(0, GROUP_256.q - 1), st.integers(0, GROUP_256.q - 1))
+@settings(max_examples=200)
+def test_commit_matches_plain_modexp_property(x, r):
+    assert pedersen_commit(GROUP_256, x, r) == _plain(GROUP_256, x, r)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_commit_every_byte_length_grows_rows(order):
+    """A value of every byte length 0..32 commits correctly whether g's
+    rows grow one at a time or all at once on the first value."""
+    field_group._commit_tables.cache_clear()
+    params = group_setup(256, seed="group:3")
+    rng = random.Random(f"byte-lengths/{order}")
+    lengths = range(33) if order == "ascending" else range(32, -1, -1)
+    for n in lengths:
+        x = min(rng.randrange(1 << (8 * n - 1), 1 << (8 * n)) if n else 0,
+                params.q - 1)
+        assert (x.bit_length() + 7) // 8 == n
+        r = rng.randrange(params.q)
+        assert pedersen_commit(params, x, r) == _plain(params, x, r)
+    g_rows, h_rows = field_group._commit_tables(params)
+    assert len(g_rows) == len(h_rows) == 32
+    assert all(len(row) == 256 for row in g_rows + h_rows)
+
+
+def test_commit_tables_are_per_group():
+    """Alternating two 256-bit groups keeps each group's rows its own."""
+    field_group._commit_tables.cache_clear()
+    a = group_setup(256, seed="group:17")
+    b = group_setup(256, seed="group:42")
+    rng = random.Random("two-groups")
+    for i in range(40):
+        params = (a, b)[i % 2]
+        x = rng.randrange(1 << (8 * (i % 33))) % params.q
+        r = rng.randrange(params.q)
+        assert pedersen_commit(params, x, r) == _plain(params, x, r)
+    for params in (a, b):
+        g_rows, h_rows = field_group._commit_tables(params)
+        assert g_rows[0][1] == params.g and h_rows[0][1] == params.h
+
+
+def test_g_rows_grow_only_as_far_as_the_values():
+    """Values below 2^56 (trade amounts, deposits) build at most 7 g rows;
+    one full-width value builds all 32."""
+    field_group._commit_tables.cache_clear()
+    params = group_setup(256, seed="group:2026")
+    rng = random.Random("seven-bytes")
+    for _ in range(50):
+        pedersen_commit(params, rng.randrange(1 << 56), rng.randrange(params.q))
+    g_rows, h_rows = field_group._commit_tables(params)
+    assert len(g_rows) <= 7 and len(h_rows) == 32
+    pedersen_commit(params, params.q - 1, 0)
+    assert len(field_group._commit_tables(params)[0]) == 32
+
+
+@pytest.mark.parametrize("value", [2.5, Fraction(5, 2)],
+                         ids=["float", "fraction"])
+def test_non_integer_exponents_rejected(value):
+    """A non-integer is not truncated to a commitment to 2: it raises a
+    RangeError naming the operand, so an opening with it does not verify."""
+    c = pedersen_commit(TEST_GROUP, 2, 1)
+    with pytest.raises(RangeError, match="committed value"):
+        pedersen_commit(TEST_GROUP, value, 1)
+    with pytest.raises(RangeError, match="blinding factor"):
+        pedersen_commit(TEST_GROUP, 2, value)
+    assert not pedersen_verify_opening(TEST_GROUP, c, Opening(x=value, r=1))
+    assert not pedersen_verify_opening(
+        TEST_GROUP, pedersen_commit(TEST_GROUP, 1, 2), Opening(x=1, r=value))
 
 
 # -- pinned group parameters ---------------------------------------------------

@@ -150,3 +150,61 @@ def test_bench_records_commits_and_counts_bad_runs_as_failed(tmp_path):
         assert first["failed"] == 0 and first["rounds"]["run_s"] == [1.0]
         assert second["failed"] == 1 and second["rounds"] == {}
         assert third["failed"] == 1 and third["logSha256"] == ["x3"]
+
+
+PAIRED_PERFBENCH = '''
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+label, workload = open("label").read().strip(), args["--workload"]
+with open("calls", "a") as log:
+    log.write(workload + "\\n")
+k = open("calls").read().split().count(workload)
+print(f"workload {workload}, seed 1, trace 0, logSha256 {label}")
+if label == "parent" and workload == "trade-heavy" and k == 3:
+    sys.exit(1)
+run_s, tx_per_s = 10.0 + k, 100.0
+if label == "change":
+    run_s -= {"trade-heavy": 5, "load-split": 1 if k != 2 else -3}.get(
+        workload, 0)
+    tx_per_s += 1
+print(json.dumps({"correct": True, "metrics": {
+    "run_s": {"value": run_s, "unit": "s"},
+    "tx_per_s": {"value": tx_per_s, "unit": "1/s"}}}))
+'''
+
+
+def test_bench_applies_the_claim_rule_to_two_checkouts(tmp_path):
+    """With two checkouts, each metric's rounds are counted as won, lost or
+    tied by the second in its `better` direction, over the rounds both
+    produced a value; each side's quartiles are recorded."""
+    for label in ("parent", "change"):
+        checkout = tmp_path / label
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(PAIRED_PERFBENCH)
+        (checkout / "label").write_text(label)
+    out = tmp_path / "BENCH_3.json"
+    bench = load_script("bench")
+    code = bench.main(["3", "--checkout", f"parent={tmp_path / 'parent'}",
+                       "--checkout", f"change={tmp_path / 'change'}",
+                       "--rounds", "5", "--seconds", "1", "--out", str(out)])
+    assert code == 1  # the parent's third trade-heavy round failed
+    report = json.loads(out.read_text())
+    parent = report["results"]["parent"]["trade-heavy"]
+    assert parent["failed"] == 1
+    assert parent["rounds"]["run_s"] == [11.0, 12.0, 14.0, 15.0]
+    assert parent["quartiles"]["run_s"] == [11.75, 13.0, 14.25]
+    pairs = report["pairs"]
+    assert (pairs["first"], pairs["second"]) == ("parent", "change")
+    counts = pairs["results"]
+    # Round 3 of trade-heavy has no parent value, so it is not a pair.
+    assert counts["trade-heavy"]["run_s"] == {
+        "won": 4, "lost": 0, "tied": 0, "gain": True}
+    # A higher tx_per_s wins; the parent's quartiles are 0 apart.
+    assert counts["trade-heavy"]["tx_per_s"] == {
+        "won": 4, "lost": 0, "tied": 0, "gain": True}
+    # Four wins in five pairs is below nine tenths.
+    assert counts["load-split"]["run_s"] == {
+        "won": 4, "lost": 1, "tied": 0, "gain": False}
+    assert counts["mev-sweep"]["run_s"] == {
+        "won": 0, "lost": 0, "tied": 5, "gain": False}
+    assert "peak_rss_mb" not in counts["mev-sweep"]
