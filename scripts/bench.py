@@ -113,9 +113,9 @@ def quartiles(values: list) -> list:
 
 
 def claim_rule(first: dict, second: dict, better: dict) -> dict:
-    """Per workload and metric, how often ``second`` beat ``first`` in a
-    round, both checkouts' per-round values (None for no value) given as
-    ``{workload: {"rounds": {metric: [...]}}}``, and whether that is a gain."""
+    """The paired rounds ``second`` won, lost and tied against ``first``,
+    and whether that is a gain, per workload and metric. Each side maps a
+    workload to ``{"rounds": {metric: [value or None per round]}}``."""
     out = {}
     for workload, entry in second.items():
         out[workload] = {}
