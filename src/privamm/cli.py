@@ -12,9 +12,10 @@ its account proof walked to the state root of the block it names, and
 balance >= threshold), anchor-table completeness, its binding into the
 masterchain and each entry's binding to its shard's logged header,
 constant-product bounds on published pools, and every commitment
-opening. An event that cannot be read fails its pass with a
-``malformed`` line. Exit codes: 0 success, 1 configuration or usage
-error, 2 runtime invariant or verification failure.
+opening. It parses each log line once, against `EVENT_FIELDS`: a line
+that does not parse fails ``run.jsonl well-formed`` with a ``malformed``
+detail, and no pass reads it. Exit codes: 0 success, 1 configuration or
+usage error, 2 runtime invariant or verification failure.
 """
 
 from __future__ import annotations
@@ -91,6 +92,81 @@ def _at_line(n: int) -> str:
     return f" at run.jsonl line {n}"
 
 
+def _checked(ok, what: str):
+    """The parser that passes on each JSON value ``ok`` accepts."""
+    def parse(v):
+        if not ok(v):
+            raise TypeError(f"not {what}")
+        return v
+    return parse
+
+
+def _decimal(v) -> int:
+    """An integer exactly as the writer writes one: ``str(n)``."""
+    n = int(v) if type(v) is str else None
+    if n is None or str(n) != v:
+        raise ValueError("not a canonical decimal integer")
+    return n
+
+
+_STRING = _checked(lambda v: type(v) is str, "a string")
+_INTEGER = _checked(lambda v: type(v) is int, "an integer")
+_SHARD_IDS = _checked(lambda v: type(v) is list and all(
+    type(sid) is str for sid in v), "a list of shard ids")
+#: Shard id -> {"height": int, "hash": str}, kept as read.
+_ANCHOR_TABLE = _checked(lambda v: type(v) is dict and all(
+    type(e) is dict and type(e.get("height")) is int
+    and type(e.get("hash")) is str for e in v.values()),
+    "a table of shard heights and hashes")
+_PROOF = {"actor": _STRING, "proof": balance_proof.Proof.from_json}
+_POOL = {"tick": _INTEGER, "Es": _decimal, "Ms": _decimal, "C2": _decimal}
+_COMMITMENT = {"actor": _STRING, "commitment": _decimal}
+
+#: The fields `verify` reads from each event kind it reads, each with the
+#: one parser that reads it. Lines of other kinds are not read further.
+EVENT_FIELDS = {
+    "block": {"chain": _STRING, "header": BlockHeader.from_json},
+    "init_balance_proof": _PROOF,
+    "trade_proof_published": _PROOF,
+    "anchors": {"masterHeight": _INTEGER, "table": _ANCHOR_TABLE,
+                "live": _SHARD_IDS},
+    "pool_opened": _POOL,
+    "pool_published": _POOL,
+    "init_commitment": _COMMITMENT,
+    "order_committed": _COMMITMENT,
+    "commitment_opened": {"actor": _STRING, "y": _decimal, "r": _decimal},
+}
+
+
+def read_log(log_bytes: bytes) -> Tuple[List[dict], str]:
+    """Parse run.jsonl once: returns, in log order, a record (``event``,
+    ``line``, parsed fields) for each line of a declared kind, and the
+    first malformed line's detail or "". No pass sees a malformed line."""
+    records, bad = [], ""
+    for n, line in enumerate(log_bytes.splitlines(), 1):
+        kind, field = "event", "json"
+        try:
+            ev = json.loads(line)
+            if type(ev) is not dict:
+                raise TypeError("not a JSON object")
+            kind = ev.get("event")
+            if type(kind) is not str or kind not in EVENT_FIELDS:
+                continue
+            record = {"event": kind, "line": n}
+            for field, parse in EVENT_FIELDS[kind].items():
+                record[field] = parse(ev[field])
+        except (KeyError, ValueError, TypeError) as exc:
+            cause = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            bad = bad or f"malformed {kind}: {field}: {cause}{_at_line(n)}"
+            continue
+        records.append(record)
+    return records, bad
+
+
+def _of(records, *kinds) -> List[dict]:
+    return [r for r in records if r["event"] in kinds]
+
+
 class _Verifier:
     """Replays one artifact directory; collects pass/fail check lines."""
 
@@ -124,86 +200,51 @@ class _Verifier:
             summary = json.loads(summary_bytes)
             params = GroupParams.from_json(summary["group"])
             vk = balance_proof.VerificationKey.from_json(summary["vk"])
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             self.check(False, "summary.json well-formed", str(exc))
             return EXIT_RUNTIME
         self.check(True, "summary.json well-formed")
+        self.check(hashlib.sha256(log_bytes).hexdigest()
+                   == summary.get("logSha256"), "event log digest matches summary")
 
-        self.check(
-            hashlib.sha256(log_bytes).hexdigest() == summary.get("logSha256"),
-            "event log digest matches summary",
-        )
-
-        try:
-            events = [json.loads(line) for line in log_bytes.splitlines()]
-            for n, ev in enumerate(events, 1):
-                if not isinstance(ev, dict):
-                    raise ValueError(f"event is not an object{_at_line(n)}")
-        except ValueError as exc:
-            self.check(False, "run.jsonl well-formed", str(exc))
-            return EXIT_RUNTIME
-        self.check(True, "run.jsonl well-formed")
-
-        headers, roots = self._verify_chains(events)
-        self._verify_proofs(events, vk, roots)
-        self._verify_anchors(events, headers)
-        self._verify_pools(events)
-        self._verify_openings(events, params)
+        records, bad = read_log(log_bytes)
+        self.check(not bad, "run.jsonl well-formed", bad)
+        headers, roots = self._verify_chains(records)
+        self._verify_proofs(records, vk, roots)
+        self._verify_anchors(records, headers)
+        self._verify_pools(records)
+        self._verify_openings(records, params)
         self._verify_tables()
         return EXIT_RUNTIME if self.failed else EXIT_OK
 
-    # -- individual passes ---------------------------------------------------
+    # -- individual passes, each over the well-formed records it reads ------
 
-    def _verify_chains(self, events) -> Tuple[list, dict]:
-        """Replay every header's digest and parent link, all headers
-        hashed in one batch; returns the ``(chain, header)`` pairs read
-        before any malformed one, and the headerHash -> stateRoot map of
-        every one of those whose own digest matches. A broken link or a
-        bad genesis fails this pass alone: the headers after it still
-        back the proofs that name them."""
-        headers, line_nos, bad = [], [], ""
-        for n, ev in enumerate(events, 1):
-            if ev.get("event") != "block":
-                continue
-            line_nos.append(n)
-            try:
-                chain = ev["chain"]
-                if not isinstance(chain, str):
-                    raise TypeError("chain id must be a string")
-                headers.append((chain, BlockHeader.from_json(ev["header"])))
-            except (ValueError, KeyError, TypeError) as exc:
-                bad = f"malformed header: {exc}{_at_line(n)}"
-                break
+    def _verify_chains(self, records) -> Tuple[list, dict]:
+        """Replay every header's digest and parent link, hashed in one
+        batch; returns the ``(chain, header)`` pairs and the headerHash ->
+        stateRoot map of each whose own digest matches. A broken link or a
+        bad genesis fails this pass alone: later headers still count."""
+        blocks = _of(records, "block")
+        headers = [(r["chain"], r["header"]) for r in blocks]
         digests = header_digests([h for _, h in headers])
         fault = replay_headers(headers, digests)
+        count, bad = len(headers), ""
         if fault is not None:
             i, cause = fault
-            line_nos = line_nos[:i + 1]
-            bad = f"{cause}{_at_line(line_nos[-1])}"
-        self.check(not bad, f"block headers replay ({len(line_nos)} headers)", bad)
+            count, bad = i + 1, f"{cause}{_at_line(blocks[i]['line'])}"
+        self.check(not bad, f"block headers replay ({count} headers)", bad)
         return headers, {h.header_hash: h.state_root
                          for (_, h), digest in zip(headers, digests)
                          if h.header_hash == digest}
 
-    def _verify_proofs(self, events, vk, roots) -> None:
-        """Parse every proof, then check those before the first malformed
-        one or the first that names an unknown header in one batch. Each
-        must prove its event actor's own account, as `submit_tx` demands."""
-        items = []
-        owners = []
-        bad = ""
-        count = 0
-        for n, ev in enumerate(events, 1):
-            if ev.get("event") not in ("init_balance_proof",
-                                       "trade_proof_published"):
-                continue
-            count += 1
-            try:
-                actor = ev["actor"]
-                proof = balance_proof.Proof.from_json(ev["proof"])
-            except (ValueError, KeyError, TypeError) as exc:
-                bad = f"malformed proof: {exc}{_at_line(n)}"
-                break
+    def _verify_proofs(self, records, vk, roots) -> None:
+        """Check every proof before the first that names an unknown header
+        in one batch. Each must prove its event actor's own account, as
+        `submit_tx` demands."""
+        items, owners, bad, count = [], [], "", 0
+        for count, r in enumerate(_of(records, "init_balance_proof",
+                                      "trade_proof_published"), 1):
+            proof, actor = r["proof"], r["actor"]
             header_hash = proof.account.header_hash
             if header_hash not in roots:
                 # No line number: the benchmark in perfbench/ matches this
@@ -211,7 +252,7 @@ class _Verifier:
                 bad = f"account proof for {actor} names an unknown header"
                 break
             items.append((proof, roots[header_hash]))
-            owners.append((n, actor))
+            owners.append((r["line"], actor))
         results = balance_proof.verify_many(vk, items)
         addresses = sender_address.many(
             [peer_sender(actor) for _, actor in owners])
@@ -226,135 +267,93 @@ class _Verifier:
             break
         self.check(not bad, f"balance and account proofs replay ({count} proofs)", bad)
 
-    def _verify_anchors(self, events, headers) -> None:
+    def _verify_anchors(self, records, headers) -> None:
         master_root_at = {h.height: h.state_root for chain, h in headers
                           if chain == "master"}
         held = {(chain, h.height): "0x" + h.header_hash.hex()
                 for chain, h in headers}
-        bad = ""
-        count = 0
-        heights = []
-        for n, ev in enumerate(events, 1):
-            if ev.get("event") != "anchors":
-                continue
-            count += 1
-            try:
-                live, table = ev["live"], ev["table"]
-                height = ev["masterHeight"]
-                if not (isinstance(live, list)
-                        and all(isinstance(sid, str) for sid in live)):
-                    raise TypeError("live must be a list of shard ids")
-                if not isinstance(table, dict):
-                    raise TypeError("table must be an object")
-                if type(height) is not int:
-                    raise TypeError("masterHeight must be an integer")
-                entries = [(sid, entry["height"], entry["hash"])
-                           for sid, entry in table.items()]
-                if any(type(h) is not int for _, h, _ in entries):
-                    raise TypeError("anchor heights must be integers")
-            except (KeyError, TypeError) as exc:
-                bad = f"malformed anchors: {exc}{_at_line(n)}"
-                break
+        bad, count, heights = "", 0, []
+        for count, r in enumerate(_of(records, "anchors"), 1):
+            table, height, at = r["table"], r["masterHeight"], _at_line(r["line"])
             heights.append(height)
-            missing = [sid for sid in live if sid not in table]
+            missing = [sid for sid in r["live"] if sid not in table]
             if missing:
-                bad = f"live shards missing anchors: {missing}{_at_line(n)}"
+                bad = f"live shards missing anchors: {missing}{at}"
                 break
             if master_root_at.get(height) != anchor_root(table):
-                bad = f"anchor table not bound at height {height}{_at_line(n)}"
+                bad = f"anchor table not bound at height {height}{at}"
                 break
             # Each entry must name the header the log holds for its chain.
-            forged = [f"{sid}#{h}" for sid, h, digest in entries
-                      if held.get((sid, h)) != digest]
+            forged = [f"{sid}#{entry['height']}"
+                      for sid, entry in table.items()
+                      if held.get((sid, entry["height"])) != entry["hash"]]
             if forged:
-                bad = f"anchor names no logged header at {forged[0]}{_at_line(n)}"
+                bad = f"anchor names no logged header at {forged[0]}{at}"
                 break
-        if not bad:
-            # Every masterchain block after genesis seals exactly one
-            # anchor round; gaps mean withheld anchors.
-            tip = max(master_root_at, default=0)
-            expected_heights = list(range(1, tip + 1))
-            if heights != expected_heights:
-                bad = (f"anchor rounds cover master heights "
-                       f"{heights}, expected {expected_heights}")
+        # Every masterchain block after genesis seals exactly one anchor
+        # round; gaps mean withheld anchors.
+        expected = list(range(1, max(master_root_at, default=0) + 1))
+        if not bad and heights != expected:
+            bad = f"anchor rounds cover master heights {heights}, expected {expected}"
         self.check(not bad, f"anchor tables complete and bound ({count} rounds)", bad)
 
-    def _verify_pools(self, events) -> None:
-        bad = ""
-        count = 0
-        for n, ev in enumerate(events, 1):
-            if ev.get("event") not in ("pool_opened", "pool_published"):
-                continue
-            count += 1
-            try:
-                tick = ev["tick"]
-                e_s, m_s, c2 = int(ev["Es"]), int(ev["Ms"]), int(ev["C2"])
-            except (KeyError, ValueError, TypeError) as exc:
-                bad = f"malformed pool: {exc}{_at_line(n)}"
-                break
+    def _verify_pools(self, records) -> None:
+        bad, count = "", 0
+        for count, r in enumerate(_of(records, "pool_opened",
+                                      "pool_published"), 1):
+            e_s, m_s, at = r["Es"], r["Ms"], _at_line(r["line"])
             if e_s <= 0 or m_s <= 0:
-                bad = f"non-positive reserves at tick {tick}{_at_line(n)}"
+                bad = f"non-positive reserves at tick {r['tick']}{at}"
                 break
-            if 2 * abs(e_s * m_s - c2) > e_s:
-                bad = f"pool off the curve at tick {tick}{_at_line(n)}"
+            if 2 * abs(e_s * m_s - r["C2"]) > e_s:
+                bad = f"pool off the curve at tick {r['tick']}{at}"
                 break
         self.check(not bad, f"published pools on the constant-product curve "
                             f"({count} states)", bad)
 
-    def _verify_openings(self, events, params) -> None:
-        last_commitment: dict = {}
-        bad = ""
-        count = 0
-        for n, ev in enumerate(events, 1):
-            kind = ev.get("event")
-            if kind not in ("order_committed", "init_commitment",
-                            "commitment_opened"):
+    def _verify_openings(self, records, params) -> None:
+        last_commitment, bad, count = {}, "", 0
+        for r in _of(records, "init_commitment", "order_committed",
+                     "commitment_opened"):
+            actor, at = r["actor"], _at_line(r["line"])
+            if r["event"] != "commitment_opened":
+                last_commitment[actor] = r["commitment"]
                 continue
-            try:
-                actor = ev["actor"]
-                if kind != "commitment_opened":
-                    last_commitment[actor] = int(ev["commitment"])
-                    continue
-                count += 1
-                commitment = last_commitment.get(actor)
-                opening = Opening(x=int(ev["y"]), r=int(ev["r"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                bad = f"malformed {kind}: {exc}{_at_line(n)}"
-                break
+            count += 1
+            commitment = last_commitment.get(actor)
             if commitment is None:
-                bad = f"opening without commitment by {actor}{_at_line(n)}"
+                bad = f"opening without commitment by {actor}{at}"
                 break
-            if not pedersen_verify_opening(params, commitment, opening):
-                bad = f"opening by {actor} does not verify{_at_line(n)}"
+            if not pedersen_verify_opening(params, commitment,
+                                           Opening(x=r["y"], r=r["r"])):
+                bad = f"opening by {actor} does not verify{at}"
                 break
         self.check(not bad, f"commitment openings verify ({count} openings)", bad)
 
     def _verify_tables(self) -> None:
-        metrics = self._read("metrics.csv")
-        if metrics is None:
-            return
-        reader = csv.DictReader(metrics.decode().splitlines())
-        ok = tuple(reader.fieldnames or ()) == METRICS_FIELDS
-        bad = "" if ok else "unexpected header"
-        rows = 0
-        if ok:
-            for row in reader:
-                rows += 1
-                try:
-                    int(row["tick"]), int(row["tx_count"]), int(row["blocks"])
-                    num, den = row["adversary_profit"].split("/")
-                    int(num), int(den)
-                except (KeyError, ValueError) as exc:
-                    bad = f"row {rows}: {exc}"
-                    break
-        self.check(not bad, f"metrics.csv well-formed ({rows} rows)", bad)
-
-        attack = self._read("attack_report.csv")
-        if attack is None:
-            return
-        reader = csv.DictReader(attack.decode().splitlines())
-        self.check(tuple(reader.fieldnames or ()) == ATTACK_FIELDS,
-                   "attack_report.csv well-formed")
+        """Each CSV artifact is UTF-8 with its header and full rows;
+        metrics.csv's counters are integers, its profit a fraction."""
+        for name, fields in (("metrics.csv", METRICS_FIELDS),
+                             ("attack_report.csv", ATTACK_FIELDS)):
+            data = self._read(name)
+            if data is None:
+                continue
+            bad, rows = "", 0
+            try:
+                header, *table = list(csv.reader(data.decode().splitlines())) or [[]]
+                if tuple(header) != fields:
+                    raise ValueError("unexpected header")
+                for rows, row in enumerate(table, 1):
+                    if len(row) != len(fields):
+                        raise ValueError(f"{len(row)} fields")
+                    if fields is METRICS_FIELDS:
+                        tick, _, tx_count, blocks, _, profit = row
+                        num, den = profit.split("/")
+                        int(tick), int(tx_count), int(blocks), int(num), int(den)
+            except (ValueError, csv.Error) as exc:  # also not UTF-8, a NUL
+                bad = f"row {rows}: {exc}" if rows else str(exc)
+            counted = f" ({rows} rows)" if fields is METRICS_FIELDS else ""
+            self.check(not bad, f"{name} well-formed{counted}", bad)
 
 
 def verify_artifacts(out_dir: str) -> Tuple[int, List[str]]:

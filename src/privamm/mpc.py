@@ -285,22 +285,3 @@ class MpcSession:
             {"event": "secure_sum", "column_sums": list(column), "output": total}
         )
         return total
-
-    # -- reporting ---------------------------------------------------------
-
-    def transcript_json(self) -> dict:
-        """Session transcript: rounds, public broadcasts, opened outputs.
-
-        Shares themselves are never included; broadcast values are the
-        uniformly masked differences, safe to publish.
-        """
-        return {
-            "n": self.n,
-            "modulus": str(self.modulus),
-            "log": self.log.to_json(),
-            "events": [
-                {k: (str(v) if isinstance(v, int) and k in ("d", "e_prime", "output")
-                     else v) for k, v in ev.items()}
-                for ev in self.events
-            ],
-        }

@@ -170,14 +170,6 @@ class MempoolEntry:
     proof: balance_proof.Proof
     arrival_tick: int
 
-    def public_view(self) -> dict:
-        """What any mempool observer (including an adversary) can see."""
-        return {
-            "sender": self.sender,
-            "commitment": str(self.commitment),
-            "arrivalTick": self.arrival_tick,
-        }
-
 
 class Shard:
     """One zone's shard for its whole life: chain, mempool, LP deposits,
@@ -205,9 +197,6 @@ class Shard:
 
     def blocks_produced(self) -> int:
         return self.chain.tip.height
-
-    def mempool_view(self) -> list:
-        return [entry.public_view() for entry in self.mempool]
 
 
 class Workchain:

@@ -165,7 +165,7 @@ def test_c3_liquidity_totals_reveal_no_individual_deposit():
                          if e["event"] == "init_liquidity_total")
         assert published["X"] == str(total)
 
-        public_blob = log.to_jsonl() + json.dumps(session.transcript_json())
+        public_blob = log.to_jsonl() + json.dumps(session.events)
         hits += sum(str(s) in public_blob for s in scaled)
     assert hits == 0
     _verdict("acceptance 3/9 liquidity aggregation",

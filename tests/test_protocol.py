@@ -151,7 +151,7 @@ def test_init_log_never_contains_individual_deposits():
     assert str(1000 * SCALE) in blob
     # The MPC transcript carries only masked broadcasts, never shares.
     import json as _json
-    transcript = _json.dumps(session.transcript_json())
+    transcript = _json.dumps(session.events)
     assert "123456789" not in transcript
     assert "876543211" not in transcript
 

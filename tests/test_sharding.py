@@ -371,16 +371,6 @@ def test_warm_proof_cache_still_rejects_every_tamper():
     assert submit_tx(shard, entry, VK) == {"accepted": True, "position": 1}
 
 
-def test_mempool_view_exposes_no_order_details():
-    _, shard, _ = build_shard()
-    submit_tx(shard, valid_entry(shard, sender="observer-target"), VK)
-    (view,) = shard.mempool_view()
-    assert set(view) == {"sender", "commitment", "arrivalTick"}
-    # The commitment is the only amount-adjacent field and it is a group
-    # element, not the amount.
-    assert view["commitment"] == "123456"
-
-
 # -- anchoring ---------------------------------------------------------------------
 
 def test_anchor_records_head_and_seals_block():

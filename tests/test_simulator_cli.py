@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from privamm import keccak as keccak_mod
-from privamm.cli import main, verify_artifacts, write_artifacts
+from privamm.cli import (EVENT_FIELDS, _decimal, main, read_log,
+                         verify_artifacts, write_artifacts)
 from privamm.keccak import keccak256
 from privamm.protocol import RunLog
 from privamm.scenario import load_scenario, parse_scenario
-from privamm.simulator import Simulator
+from privamm.simulator import SimulationError, Simulator
 from privamm.trie import MAX_NONCE, BlockHeader, HeaderChain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -441,69 +442,91 @@ def without(field):
     return lambda ev: {k: v for k, v in ev.items() if k != field}
 
 
+def well_formed_fail(fails, detail, line):
+    """Assert that ``fails`` opens with the one malformed-line detail, on
+    ``run.jsonl well-formed``, and that no other FAIL line names one."""
+    assert fails[0] == (f"FAIL: run.jsonl well-formed (malformed {detail} "
+                        f"at run.jsonl line {line})")
+    assert not [f for f in fails[1:] if "malformed" in f]
+
+
 @pytest.mark.parametrize("field, value, cause", [
-    ("parentHash", "0xzz", "non-hexadecimal number"),
-    ("height", "3", "height and timestamp must be non-negative integers"),
-    ("chain", ["shard-0"], "chain id must be a string"),
-])
+    ("parentHash", "0xzz", "header: non-hexadecimal number found in "
+                           "fromhex() arg at position 0"),
+    ("height", "3", "header: height and timestamp must be non-negative "
+                    "integers"),
+    ("chain", ["shard-0"], "chain: not a string"),
+], ids=["parentHash-0xzz-non-hexadecimal number",
+        "height-3-height and timestamp must be non-negative integers",
+        "chain-value2-chain id must be a string"])
 def test_verify_fail_line_names_malformed_header(small_run, tmp_path,
                                                  field, value, cause):
-    """An unreadable header gives a FAIL line, not a traceback."""
+    """An unreadable header gives a FAIL line, not a traceback. It is the
+    master's genesis, so the master's next header opens its chain."""
     def garble(ev):
         (ev if field == "chain" else ev["header"])[field] = value
 
     fails, (line,) = edit_events(small_run, tmp_path / "t", first_of("block"),
                                  garble)
-    fail = fails[0]
-    assert fail.startswith("FAIL: block headers replay (1 headers) "
-                           f"(malformed header: {cause}")
-    assert fail.endswith(f" at run.jsonl line {line})")
+    events = run_events(small_run)
+    next_master = min(n for n, ev in enumerate(events, 1) if n > line
+                      and ev["event"] == "block" and ev["chain"] == "master")
+    count = sum(ev["event"] == "block" for ev in events[:next_master]) - 1
+    well_formed_fail(fails, f"block: {cause}", line)
+    assert fails[1:] == [f"FAIL: block headers replay ({count} headers) "
+                         f"(bad genesis for master at run.jsonl line "
+                         f"{next_master})"]
     assert main(["verify", str(tmp_path / "t")]) == 2
 
 
 @pytest.mark.parametrize("field, value, cause", [
-    ("live", 5, "live must be a list of shard ids"),
-    ("live", [["shard-0"]], "live must be a list of shard ids"),
-    ("table", ["shard-0"], "table must be an object"),
-    ("masterHeight", "1", "masterHeight must be an integer"),
-])
+    ("live", 5, "not a list of shard ids"),
+    ("live", [["shard-0"]], "not a list of shard ids"),
+    ("table", ["shard-0"], "not a table of shard heights and hashes"),
+    ("masterHeight", "1", "not an integer"),
+], ids=["live-5-live must be a list of shard ids",
+        "live-value1-live must be a list of shard ids",
+        "table-value2-table must be an object",
+        "masterHeight-1-masterHeight must be an integer"])
 def test_verify_fail_line_names_malformed_anchors(small_run, tmp_path,
                                                   field, value, cause):
-    """An unreadable anchors event gives a FAIL line, not a traceback."""
+    """An unreadable anchors event gives a FAIL line, not a traceback; the
+    anchor pass then finds that round missing."""
     fails, (line,) = edit_events(small_run, tmp_path / "t",
                                  first_of("anchors"),
                                  lambda ev: ev.update({field: value}))
-    assert fails == [f"FAIL: anchor tables complete and bound (1 rounds) "
-                     f"(malformed anchors: {cause} at run.jsonl line {line})"]
+    well_formed_fail(fails, f"anchors: {field}: {cause}", line)
+    assert fails[1:] == ["FAIL: anchor tables complete and bound (4 rounds) "
+                         "(anchor rounds cover master heights [2, 3, 4, 5], "
+                         "expected [1, 2, 3, 4, 5])"]
     assert main(["verify", str(tmp_path / "t")]) == 2
 
 
-@pytest.mark.parametrize("kind, edit, label, cause", [
+@pytest.mark.parametrize("kind, edit, cause, also", [
     ("pool_published", lambda ev: ev.update(Es="x"),
-     "published pools on the constant-product curve",
-     "malformed pool: invalid literal for int() with base 10: 'x'"),
+     "pool_published: Es: invalid literal for int() with base 10: 'x'", []),
     ("pool_published", without("C2"),
-     "published pools on the constant-product curve", "malformed pool: 'C2'"),
+     "pool_published: C2: missing 'C2'", []),
     ("commitment_opened", lambda ev: ev.update(y="zz"),
-     "commitment openings verify", "malformed commitment_opened: "
-     "invalid literal for int() with base 10: 'zz'"),
+     "commitment_opened: y: invalid literal for int() with base 10: 'zz'", []),
+    # The opening that follows has no commitment left to open.
     ("order_committed", lambda ev: ev.update(commitment="zz"),
-     "commitment openings verify", "malformed order_committed: "
-     "invalid literal for int() with base 10: 'zz'"),
+     "order_committed: commitment: invalid literal for int() with base 10: "
+     "'zz'", ["FAIL: commitment openings verify (1 openings) (opening "
+              "without commitment by p3 at run.jsonl line 22)"]),
     ("trade_proof_published", without("actor"),
-     "balance and account proofs replay", "malformed proof: 'actor'"),
-    ("parameters", lambda ev: [1, 2], "run.jsonl well-formed",
-     "event is not an object"),
+     "trade_proof_published: actor: missing 'actor'", []),
+    ("parameters", lambda ev: [1, 2], "event: json: not a JSON object", []),
 ], ids=["pool-reserve", "pool-no-C2", "opening", "commitment",
         "proof-no-actor", "not-an-object"])
 def test_verify_fail_line_names_malformed_event(small_run, tmp_path, kind,
-                                                edit, label, cause):
-    """An unreadable event gives a FAIL line naming it, not a traceback."""
+                                                edit, cause, also):
+    """An unreadable event gives one FAIL line naming it, not a traceback,
+    and fails no pass that does not need it."""
     fails, (line,) = edit_events(small_run, tmp_path / "t", first_of(kind),
                                  edit)
-    (fail,) = fails
-    assert fail.startswith(f"FAIL: {label}")
-    assert fail.endswith(f"({cause} at run.jsonl line {line})")
+    well_formed_fail(fails, cause, line)
+    assert fails[1:] == also
     assert main(["verify", str(tmp_path / "t")]) == 2
 
 
@@ -571,25 +594,47 @@ def test_validate_and_verify_reject_the_same_header(small_run, tmp_path,
                         f"({cause} at run.jsonl line {line})")
 
 
-def test_verify_rejects_a_hash_field_that_is_not_canonical(small_run,
+def test_verify_rejects_a_hash_field_that_is_not_canonical(smoke_run,
                                                            tmp_path):
     """A height-3 header whose parentHash starts ``zz`` and whose stateRoot
     starts ``QQ`` still has 32 bytes of hex after its first two
-    characters, but it is not what ``to_json`` writes."""
+    characters, but it is not what ``to_json`` writes. Only the checks
+    that need that header fail with it."""
     def garble(ev):
         header = ev["header"]
         header["parentHash"] = "zz" + header["parentHash"][2:]
         header["stateRoot"] = "QQ" + header["stateRoot"][2:]
 
-    events = run_events(small_run)
+    events = run_events(smoke_run)
     fails, (line,) = edit_events(
-        small_run, tmp_path / "t",
+        smoke_run, tmp_path / "t",
         lambda ev: ev["event"] == "block" and ev["chain"] == "shard-0"
         and ev["header"]["height"] == 3, garble)
-    count = sum(ev["event"] == "block" for ev in events[:line])
-    assert fails[0] == (f"FAIL: block headers replay ({count} headers) "
-                        f"(malformed header: parentHash must be 0x and 64 "
-                        f"lowercase hex digits at run.jsonl line {line})")
+    # Without it, shard-0#4 breaks its chain's link, and the first proof
+    # and the anchor table that name shard-0#3 name a header the log no
+    # longer holds.
+    header_hash = events[line - 1]["header"]["headerHash"]
+    proofs = [ev for ev in events if "proof" in ev]
+    (first, *_) = [i for i, ev in enumerate(proofs)
+                   if ev["proof"]["account"]["headerHash"] == header_hash]
+    (next_line,) = [n for n, ev in enumerate(events, 1)
+                    if ev["event"] == "block" and ev["chain"] == "shard-0"
+                    and ev["header"]["height"] == 4]
+    count = sum(ev["event"] == "block" for ev in events[:next_line]) - 1
+    anchors = [n for n, ev in enumerate(events, 1) if ev["event"] == "anchors"]
+    sealed = min(n for n in anchors if n > line)
+    assert events[sealed - 1]["table"]["shard-0"]["height"] == 3
+    assert fails == [
+        "FAIL: run.jsonl well-formed (malformed block: header: parentHash "
+        f"must be 0x and 64 lowercase hex digits at run.jsonl line {line})",
+        f"FAIL: block headers replay ({count} headers) (broken link at "
+        f"shard-0#4 at run.jsonl line {next_line})",
+        f"FAIL: balance and account proofs replay ({first + 1} proofs) "
+        f"(account proof for {proofs[first]['actor']} names an unknown "
+        f"header)",
+        f"FAIL: anchor tables complete and bound ({anchors.index(sealed) + 1} "
+        f"rounds) (anchor names no logged header at shard-0#3 at run.jsonl "
+        f"line {sealed})"]
     assert main(["verify", str(tmp_path / "t")]) == 2
 
 
@@ -734,6 +779,141 @@ def test_verify_catches_metrics_header_edit(small_run, tmp_path):
     out = tampered_copy(small_run, tmp_path / "t", mutate)
     code, lines = verify_artifacts(str(out))
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts") / "smoke"
+    assert main(["run", str(SCENARIOS / "smoke.json"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind, field, garble", [
+    ("pool_published", "Ms", lambda logged: " 610_169492\n"),
+    ("commitment_opened", "y", float),
+    ("order_committed", "commitment", lambda logged: "+" + logged),
+], ids=["blanks-and-underscore", "float", "plus-sign"])
+def test_verify_rejects_integers_the_writer_never_writes(smoke_run, tmp_path,
+                                                         kind, field, garble):
+    """``int()`` reads each of these as the logged integer, but the writer
+    writes only ``str(n)``."""
+    def edit(ev):
+        logged = ev[field]
+        ev[field] = garble(logged)
+        assert int(ev[field]) == int(logged)
+
+    fails, (line,) = edit_events(smoke_run, tmp_path / "t", first_of(kind),
+                                 edit)
+    well_formed_fail(fails, f"{kind}: {field}: not a canonical decimal "
+                            "integer", line)
+
+
+def garble_artifact(name, edit):
+    def mutate(d):
+        (d / name).write_bytes(edit((d / name).read_bytes()))
+    return mutate
+
+
+def summary_with(**fields):
+    def edit(data):
+        return json.dumps({**json.loads(data), **fields}).encode()
+    return edit
+
+
+def short_second_row(data):
+    lines = data.splitlines()
+    lines[2] = lines[2].rsplit(b",", 1)[0]
+    return b"\r\n".join(lines) + b"\r\n"
+
+
+@pytest.mark.parametrize("name, edit, fail", [
+    ("summary.json", summary_with(group=5),
+     "FAIL: summary.json well-formed ('int' object is not subscriptable)"),
+    ("summary.json", summary_with(vk=[1]),
+     "FAIL: summary.json well-formed (list indices must be integers or "
+     "slices, not str)"),
+    ("summary.json", lambda data: b"[1, 2]",
+     "FAIL: summary.json well-formed (list indices must be integers or "
+     "slices, not str)"),
+    ("metrics.csv", short_second_row,
+     "FAIL: metrics.csv well-formed (2 rows) (row 2: 5 fields)"),
+    ("metrics.csv", lambda data: data + b"\xff\r\n",
+     "FAIL: metrics.csv well-formed (0 rows) ('utf-8' codec can't decode "
+     "byte 0xff"),
+    ("attack_report.csv", lambda data: b"\xfe" + data,
+     "FAIL: attack_report.csv well-formed ('utf-8' codec can't decode byte "
+     "0xfe"),
+], ids=["group-not-an-object", "vk-a-list", "summary-a-list",
+        "metrics-short-row", "metrics-not-utf8", "attack-report-not-utf8"])
+def test_verify_reports_a_malformed_artifact_without_a_traceback(
+        small_run, tmp_path, capsys, name, edit, fail):
+    out = tampered_copy(small_run, tmp_path / "t", garble_artifact(name, edit))
+    assert main(["verify", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert [line for line in printed.out.splitlines()
+            if line.startswith("FAIL")][0].startswith(fail)
+    assert "Traceback" not in printed.err
+
+
+def scenarios_and_workloads():
+    """Every shipped scenario and every benchmark workload at seed 1."""
+    sys.path.insert(0, str(SCENARIOS.parent / "perfbench"))
+    try:
+        from workloads import GENERATORS
+    finally:
+        sys.path.pop(0)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        yield path.stem, load_scenario(str(path))
+    for name, generate in GENERATORS.items():
+        yield name, parse_scenario(generate(1))
+
+
+def test_every_logged_line_parses_through_the_schema():
+    """The writer and the reader agree: each line every scenario and
+    workload logs reads as a well-formed record, and each declared kind is
+    logged somewhere. ``drain`` ends in a liquidity error; the lines it
+    logged before that are read too."""
+    kinds = Counter()
+    for name, config in scenarios_and_workloads():
+        sim = Simulator(config)
+        try:
+            sim.run()
+        except SimulationError:
+            assert name == "drain"
+        records, bad = read_log("".join(sim.log.lines()).encode())
+        assert bad == "", name
+        assert len(records) == sum(ev["event"] in EVENT_FIELDS
+                                   for ev in sim.log.events)
+        kinds.update(r["event"] for r in records)
+    assert set(kinds) == set(EVENT_FIELDS)
+
+
+def field_edits():
+    """Each declared field of each kind: dropped, given a list, and for a
+    decimal field, given a leading zero."""
+    for kind, fields in EVENT_FIELDS.items():
+        for field, parse in fields.items():
+            edits = {"missing": without(field),
+                     "list": lambda ev, f=field: ev.update({f: [ev[f]]})}
+            if parse is _decimal:
+                edits["leading-zero"] = lambda ev, f=field: ev.update(
+                    {f: "0" + ev[f]})
+            for how, edit in edits.items():
+                yield pytest.param(kind, field, edit,
+                                   id=f"{kind}-{field}-{how}")
+
+
+@pytest.mark.parametrize("kind, field, edit", field_edits())
+def test_a_malformed_field_fails_one_line_and_no_pass(smoke_run, tmp_path,
+                                                      kind, field, edit):
+    """Whatever field of a read event is malformed, and however, verify
+    exits 2 with one ``malformed`` detail, on ``run.jsonl well-formed``."""
+    fails, (line,) = edit_events(smoke_run, tmp_path / "t", first_of(kind),
+                                 edit)
+    (malformed,) = [f for f in fails if "malformed" in f]
+    assert malformed.startswith(f"FAIL: run.jsonl well-formed (malformed "
+                                f"{kind}: {field}: ")
+    assert malformed.endswith(f" at run.jsonl line {line})")
 
 
 # -- simulator-level behavior ----------------------------------------------------------
