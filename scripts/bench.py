@@ -13,7 +13,8 @@ comparing a parent commit unpacked in ``../parent`` with this checkout:
 The file records the machine, the Python version, each checkout's git
 commit and whether its files differ from that commit (both null for a
 directory that is not a git work tree) and, for each checkout and
-workload, the ``logSha256`` of its artifacts and each end-to-end metric
+workload, every distinct ``logSha256`` digest of its artifacts (64 hex
+digits; a run that prints none adds none) and each end-to-end metric
 named in BENCHMARK.json: the value of every round, their median and
 their quartiles. A round whose perfbench run exits non-zero, ends without
 a JSON report or is not ``correct`` is counted under ``failed`` and
@@ -40,8 +41,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHA_LINE = re.compile(r"^workload \S+, seed \d+, trace 0, logSha256 (\S+)$",
-                      re.MULTILINE)
+# Only a real digest: a run whose first repeat fails prints "logSha256 None".
+SHA_LINE = re.compile(
+    r"^workload \S+, seed \d+, trace 0, logSha256 ([0-9a-f]{64})$",
+    re.MULTILINE)
 
 
 def parse_args(argv=None):
@@ -161,7 +164,7 @@ def main(argv=None) -> int:
                 print(f"round {r + 1}/{args.rounds} {workload} {label}: "
                       f"run_s {run['metrics'] and run['metrics']['run_s']}",
                       file=sys.stderr, flush=True)
-                if run["logSha256"] not in entry["logSha256"]:
+                if run["logSha256"] not in (None, *entry["logSha256"]):
                     entry["logSha256"].append(run["logSha256"])
                 if run["metrics"] is None:
                     entry["failed"] += 1

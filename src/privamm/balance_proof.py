@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple, Union
 
 from .rlp import canonical_json
 from .trie import (AccountLeaf, MalformedLeafError, MptProof,
-                   VerificationError, decode_account_leaf,
+                   VerificationError, decode_account_leaf, hex_bytes,
                    verify_account_proof, verify_account_proofs)
 
 
@@ -38,7 +38,7 @@ class VerificationKey:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationKey":
-        return cls(digest=bytes.fromhex(obj["vk"][2:]))
+        return cls(digest=hex_bytes(obj["vk"], "vk", 32))
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,8 +53,13 @@ class Proof:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proof":
-        return cls(vk=VerificationKey.from_json(obj),
-                   threshold=int(obj["threshold"]),
+        """Read ``to_json``'s output, exactly as written: the threshold as
+        ``str(n)``, every byte string as ``0x`` and lowercase hex."""
+        text = obj["threshold"]
+        threshold = int(text)
+        if str(threshold) != text:
+            raise ValueError("threshold must be a canonical decimal integer")
+        return cls(vk=VerificationKey.from_json(obj), threshold=threshold,
                    account=MptProof.from_json(obj["account"]))
 
 

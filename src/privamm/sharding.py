@@ -14,8 +14,9 @@ a zone hands back the children of its first, and each chain resumes
 where it stopped. Pool reserves are not kept here: the simulator divides
 and sums them by the LP deposits each child carries. Each masterchain
 block rebuilds the anchor table from the live shards' heads when it is
-sealed and hashes that table into its own header chain, so the table is
-always the one the master tip commits to.
+sealed; the table is hashed with every other pending table when the
+master's chain is first read, and it is still the one the master tip
+commits to.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof
-from .keccak import DigestCache, keccak256
+from .keccak import DigestCache, keccak256, keccak256_many
 from .rlp import canonical_json
 from .trie import BlockHeader, HeaderChain
 
@@ -207,17 +208,48 @@ class Workchain:
 
 
 class Masterchain:
-    """Backbone chain: validator registry plus the last sealed anchor table."""
+    """Backbone chain: validator registry, the last sealed anchor table,
+    and the header chain that commits to each sealed table.
+
+    Sealing a block only records its table and timestamp. The headers are
+    made when `chain` is first read after it, as trie nodes are hashed
+    when a root is first read: nothing reads a master header while blocks
+    are being sealed, so every pending table is hashed in one batch.
+    """
 
     def __init__(self):
         self.validators: Dict[str, PeerRecord] = {}
         self.anchor_table: Dict[str, dict] = {}
-        self.chain = HeaderChain()
+        self._chain = HeaderChain()
+        # (table, timestamp) of each block sealed since `chain` was read.
+        self._pending: List[Tuple[Dict[str, dict], int]] = []
+
+    @property
+    def height(self) -> int:
+        """The height of the last sealed block, whether or not its header
+        has been made yet."""
+        return self._chain.tip.height + len(self._pending)
+
+    @property
+    def chain(self) -> HeaderChain:
+        """The header chain up to the last sealed block. The pending
+        tables' anchor roots are hashed in one `keccak256_many` call, and
+        their headers appended in height order, each checked by `append`
+        against the tip it extends."""
+        pending, self._pending = self._pending, []
+        roots = keccak256_many([_anchor_message(t) for t, _ in pending])
+        for (_, timestamp), root in zip(pending, roots):
+            self._chain.append(self._chain.next_header(root, timestamp))
+        return self._chain
+
+
+def _anchor_message(table: Dict[str, dict]) -> bytes:
+    return canonical_json(table).encode()
 
 
 def anchor_root(table: Dict[str, dict]) -> bytes:
     """Keccak of an anchor table's canonical JSON: a master block's state root."""
-    return keccak256(canonical_json(table).encode())
+    return keccak256(_anchor_message(table))
 
 
 class Topology:
@@ -357,13 +389,15 @@ def honest_votes(committee: Committee, proposal: BlockHeader) -> List[Vote]:
             for m in committee.members]
 
 
-def seal_anchors(master: Masterchain, shards, timestamp: int) -> BlockHeader:
-    """Rebuild the anchor table from the live ``shards`` and append one
-    masterchain block committing it.
+def seal_anchors(master: Masterchain, shards, timestamp: int) -> int:
+    """Rebuild the anchor table from the live ``shards``, seal one
+    masterchain block committing it at ``timestamp``, and return that
+    block's height.
 
     Each entry is a shard's chain tip, sorted by shard id. A failed
     shard's unchanged head stays in the table flagged stale; a retired
-    shard is not handed in and has no entry.
+    shard is not handed in and has no entry. Nothing is hashed here: the
+    block's header is made when ``master.chain`` is next read.
     """
     master.anchor_table = {
         shard.shard_id: {"height": shard.chain.tip.height,
@@ -371,8 +405,8 @@ def seal_anchors(master: Masterchain, shards, timestamp: int) -> BlockHeader:
                          "stale": shard.failed}
         for shard in sorted(shards, key=lambda s: s.shard_id)
     }
-    return master.chain.append(
-        master.chain.next_header(anchor_root(master.anchor_table), timestamp))
+    master._pending.append((master.anchor_table, timestamp))
+    return master.height
 
 
 def split_shard(workchain: Workchain, shard: Shard,

@@ -137,6 +137,8 @@ class Simulator:
         self.pending: List[Tuple[int, int, TradeSpec]] = []
         # Every MPC session the run opened, live or retired.
         self.sessions: List[MpcSession] = []
+        # (height, block event) of each master block sealed by a round.
+        self.master_blocks: List[Tuple[int, dict]] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -498,11 +500,13 @@ class Simulator:
         master = self.topology.master
         for rt in self.runtimes.values():
             rt.anchor_rounds += 1
-        header = seal_anchors(master, self.topology.all_shards(), tick)
-        self._log_block(tick, "master", header)
+        height = seal_anchors(master, self.topology.all_shards(), tick)
+        # Its header is filled in once the run has sealed every round.
+        self.master_blocks.append(
+            (height, self.log.emit(tick, "master", "block", chain="master")))
         table = master.anchor_table
         live = [sid for sid in table if not table[sid]["stale"]]
-        self.log.emit(tick, "master", "anchors", masterHeight=header.height,
+        self.log.emit(tick, "master", "anchors", masterHeight=height,
                       table=table, live=live)
 
         for sid in sorted(round_counts):
@@ -624,7 +628,7 @@ class Simulator:
             "vk": self.vk.to_json(),
             "shards": shards,
             "master": {
-                "height": master.chain.tip.height,
+                "height": master.height,
                 "anchorTable": master.anchor_table,
             },
             "mpc": self._mpc_totals(),
@@ -649,6 +653,11 @@ class Simulator:
             del self.pending[:due]
             if tick > 0 and tick % self.config.block_interval == 0:
                 self._block_round(tick)
+        # One read makes every master header; their anchor tables are
+        # hashed in one batch.
+        chain = self.topology.master.chain
+        for height, event in self.master_blocks:
+            event["header"] = chain.headers[height].to_json()
 
         self._run_adversaries(self.config.ticks)
         summary = self._summary()

@@ -389,13 +389,14 @@ class MptProof:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MptProof":
+        """Read ``to_json``'s output; raises ValueError, KeyError or TypeError."""
+        header_hash = obj.get("headerHash")
         return cls(
-            address=bytes.fromhex(obj["address"][2:]),
-            node_stack=tuple(bytes.fromhex(n[2:]) for n in obj["nodes"]),
+            address=hex_bytes(obj["address"], "address", 20),
+            node_stack=tuple(hex_bytes(n, "node") for n in obj["nodes"]),
             block_height=obj.get("blockHeight"),
-            header_hash=(
-                bytes.fromhex(obj["headerHash"][2:]) if obj.get("headerHash") else None
-            ),
+            header_hash=(None if header_hash is None
+                         else hex_bytes(header_hash, "headerHash", 32)),
         )
 
 
@@ -514,13 +515,13 @@ def header_digest(height: int, parent_hash: bytes, timestamp: int,
     return keccak256(_header_rlp(height, parent_hash, timestamp, state_root))
 
 
-def _hash32(obj: dict, key: str) -> bytes:
-    """The 32-byte hash ``to_json`` writes under ``key``: ``0x`` and 64
-    lowercase hex digits, nothing else."""
-    text = obj[key]
+def hex_bytes(text: str, name: str, size: Optional[int] = None) -> bytes:
+    """The bytes a ``to_json`` writes as ``text``: ``0x`` and lowercase hex
+    digits, ``2 * size`` of them when ``size`` is given, nothing else."""
     raw = bytes.fromhex(text[2:])
-    if len(raw) != 32 or text != "0x" + raw.hex():
-        raise ValueError(f"{key} must be 0x and 64 lowercase hex digits")
+    if text != "0x" + raw.hex() or size is not None and len(raw) != size:
+        digits = "" if size is None else f"{2 * size} "
+        raise ValueError(f"{name} must be 0x and {digits}lowercase hex digits")
     return raw
 
 
@@ -561,7 +562,7 @@ class BlockHeader:
         height, timestamp = obj["height"], obj["timestamp"]
         if not all(type(i) is int and i >= 0 for i in (height, timestamp)):
             raise ValueError("height and timestamp must be non-negative integers")
-        parent, root, digest = (_hash32(obj, key) for key in
+        parent, root, digest = (hex_bytes(obj[key], key, 32) for key in
                                 ("parentHash", "stateRoot", "headerHash"))
         return cls(height, parent, timestamp, root, digest)
 

@@ -42,21 +42,27 @@ def test_mev_profit_sweep_rejects_fewer_than_one_trial(capsys):
 
 
 FAKE_PERFBENCH = '''
-import json, sys
+import hashlib, json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 label = open("label").read().strip()
 log = open("calls", "a")
 log.write(f"{label} {args['--workload']}\\n")
 log.close()
 calls = sum(1 for _ in open("calls"))
-print(f"workload {args['--workload']}, seed {args['--seed']}, trace 0, "
-      f"logSha256 {label}{args['--workload']}")
 correct = not (label == "b" and args["--workload"] == "mev-sweep" and calls > 3)
+# A failed first repeat leaves perfbench without a digest to print.
+digest = hashlib.sha256(f"{label}{args['--workload']}".encode()).hexdigest()
+print(f"workload {args['--workload']}, seed {args['--seed']}, trace 0, "
+      f"logSha256 {digest if correct else None}")
 print(json.dumps({"correct": correct, "metrics": {
     "run_s": {"value": float(calls), "unit": "s"},
     "peak_rss_mb": {"value": 20.0, "unit": "MB"},
     "not_end_to_end": {"value": 1.0, "unit": "1"}}}))
 '''
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_bench_alternates_checkouts_and_takes_medians(tmp_path):
@@ -86,8 +92,10 @@ def test_bench_alternates_checkouts_and_takes_medians(tmp_path):
     # Each checkout's calls count its own runs: 1, 2, 3 for trade-heavy.
     assert a["trade-heavy"]["rounds"]["run_s"] == [1.0, 4.0, 7.0]
     assert a["trade-heavy"]["median"] == {"run_s": 4.0, "peak_rss_mb": 20.0}
-    assert a["trade-heavy"]["logSha256"] == ["atrade-heavy"]
+    assert a["trade-heavy"]["logSha256"] == [sha256_hex("atrade-heavy")]
     assert b["mev-sweep"]["failed"] == 2
+    # The two failed runs printed "logSha256 None"; no digest is recorded.
+    assert b["mev-sweep"]["logSha256"] == [sha256_hex("bmev-sweep")]
     assert b["mev-sweep"]["rounds"]["run_s"] == [3.0]
     assert "not_end_to_end" not in a["load-split"]["rounds"]
 
@@ -98,7 +106,7 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 with open("calls", "a") as log:
     log.write(args["--workload"] + "\\n")
 calls = sum(1 for _ in open("calls"))
-print(f"workload {args['--workload']}, seed 1, trace 0, logSha256 x{calls}")
+print(f"workload {args['--workload']}, seed 1, trace 0, logSha256 {calls:064x}")
 if calls == 3:
     print("Traceback (most recent call last): a crash after the digest")
     sys.exit(0)
@@ -149,7 +157,7 @@ def test_bench_records_commits_and_counts_bad_runs_as_failed(tmp_path):
         first, second, third = results.values()
         assert first["failed"] == 0 and first["rounds"]["run_s"] == [1.0]
         assert second["failed"] == 1 and second["rounds"] == {}
-        assert third["failed"] == 1 and third["logSha256"] == ["x3"]
+        assert third["failed"] == 1 and third["logSha256"] == [f"{3:064x}"]
 
 
 PAIRED_PERFBENCH = '''
@@ -159,7 +167,7 @@ label, workload = open("label").read().strip(), args["--workload"]
 with open("calls", "a") as log:
     log.write(workload + "\\n")
 k = open("calls").read().split().count(workload)
-print(f"workload {workload}, seed 1, trace 0, logSha256 {label}")
+print(f"workload {workload}, seed 1, trace 0, logSha256 {ord(label[0]):064x}")
 if label == "parent" and workload == "trade-heavy" and k == 3:
     sys.exit(1)
 run_s, tx_per_s = 10.0 + k, 100.0

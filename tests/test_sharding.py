@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privamm import balance_proof
+from privamm import balance_proof, sharding
 from privamm.keccak import keccak256
 from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
                               PeerRecord, RegistrationError, Topology, Vote,
@@ -21,8 +21,8 @@ from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
 from privamm.rlp import rlp_encode
 from privamm.scenario import load_scenario
 from privamm.simulator import Simulator
-from privamm.trie import (AccountLeaf, ChainError, MptProof, Trie,
-                          encode_account_leaf, header_digest, hp_encode,
+from privamm.trie import (AccountLeaf, ChainError, HeaderChain, MptProof,
+                          Trie, encode_account_leaf, header_digest, hp_encode,
                           prove_account)
 
 VK = balance_proof.setup()
@@ -378,22 +378,69 @@ def test_anchor_records_head_and_seals_block():
     root = keccak256(b"state-1")
     proposal = shard.chain.next_header(root, timestamp=10)
     produce_block(shard, committee, honest_votes(committee, proposal), proposal)
-    header = seal_anchors(topo.master, topo.all_shards(), timestamp=10)
-    assert topo.master.chain.tip is header
+    assert seal_anchors(topo.master, topo.all_shards(), timestamp=10) == 1
     entry = topo.master.anchor_table["shard-0"]
     assert entry["height"] == 1
     assert entry["hash"] == "0x" + shard.chain.tip.header_hash.hex()
     assert entry["stale"] is False
+    header = topo.master.chain.tip
+    assert (header.height, header.timestamp) == (1, 10)
     assert header.state_root == anchor_root(topo.master.anchor_table)
 
 
 def test_anchor_root_is_keccak_of_canonical_table():
     topo, _, _ = build_shard()
-    header = seal_anchors(topo.master, topo.all_shards(), timestamp=1)
+    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
     import json
     blob = json.dumps(topo.master.anchor_table, sort_keys=True,
                       separators=(",", ":"))
-    assert header.state_root == keccak256(blob.encode())
+    assert topo.master.chain.tip.state_root == keccak256(blob.encode())
+
+
+def test_lazy_master_chain_matches_one_sealed_round_by_round(monkeypatch):
+    """The master's headers, made when its chain is read, equal those of a
+    chain that hashes each round's table as it is sealed; every pending
+    table is hashed in one batch, and a later read extends the same chain."""
+    topo, shard, committee = build_shard()
+    reference = HeaderChain()
+    batches = []
+    many = sharding.keccak256_many
+    monkeypatch.setattr(sharding, "keccak256_many",
+                        lambda messages: batches.append(len(messages))
+                        or many(messages))
+
+    def seal_round(timestamp):
+        for live in topo.all_shards():
+            if not live.failed:
+                proposal = live.chain.next_header(
+                    keccak256(b"%d" % timestamp), timestamp)
+                produce_block(live, committee, honest_votes(committee, proposal),
+                              proposal)
+        height = seal_anchors(topo.master, topo.all_shards(), timestamp)
+        reference.append(reference.next_header(
+            anchor_root(topo.master.anchor_table), timestamp))
+        assert height == topo.master.height == reference.tip.height
+
+    seal_round(1)
+    shard.failed = True
+    seal_round(2)  # shard-0 stays in the table, stale
+    shard.failed = False
+    split_shard(topo.workchains[0], shard, topo.master.validators)
+    seal_round(3)
+    seal_round(3)
+    assert batches == []  # sealing hashes nothing
+    chain = topo.master.chain
+    assert batches == [4]
+    assert chain.headers == reference.headers
+    assert chain.validate() is None
+
+    seal_round(5)
+    seal_round(8)
+    assert topo.master.chain is chain
+    assert batches == [4, 2]
+    assert chain.headers == reference.headers
+    assert [h.timestamp for h in chain.headers] == [0, 1, 2, 3, 3, 5, 8]
+    assert len(topo.master.chain.headers) == 7  # nothing was pending
 
 
 def test_failed_shard_anchor_goes_stale_not_absent():

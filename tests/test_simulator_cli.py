@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from privamm import balance_proof
 from privamm import keccak as keccak_mod
 from privamm.cli import (EVENT_FIELDS, _decimal, main, read_log,
                          verify_artifacts, write_artifacts)
@@ -806,6 +807,48 @@ def test_verify_rejects_integers_the_writer_never_writes(smoke_run, tmp_path,
                                  edit)
     well_formed_fail(fails, f"{kind}: {field}: not a canonical decimal "
                             "integer", line)
+
+
+def upper_hex(text):
+    return "0x" + text[2:].upper()
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda proof: proof.update(threshold=" +" + proof["threshold"] + "\n"),
+     "threshold must be a canonical decimal integer"),
+    (lambda proof: proof.update(vk="0X" + proof["vk"][2:].upper()),
+     "vk must be 0x and 64 lowercase hex digits"),
+    (lambda proof: proof["account"].update(
+        address=upper_hex(proof["account"]["address"])),
+     "address must be 0x and 40 lowercase hex digits"),
+    (lambda proof: proof["account"]["nodes"].__setitem__(
+        0, upper_hex(proof["account"]["nodes"][0])),
+     "node must be 0x and lowercase hex digits"),
+    (lambda proof: proof["account"].update(
+        headerHash=upper_hex(proof["account"]["headerHash"])),
+     "headerHash must be 0x and 64 lowercase hex digits"),
+], ids=["threshold", "vk", "address", "node", "headerHash"])
+def test_verify_rejects_proof_fields_the_writer_never_writes(smoke_run, tmp_path,
+                                                             edit, cause):
+    """``int()`` and ``bytes.fromhex`` read each edited field as the logged
+    value, but ``to_json`` writes only ``str(n)`` and ``0x`` with lowercase
+    hex."""
+    def garble(ev):
+        logged = balance_proof.Proof.from_json(ev["proof"])
+        edit(ev["proof"])
+        proof, account = ev["proof"], ev["proof"]["account"]
+        assert int(proof["threshold"]) == logged.threshold
+        assert bytes.fromhex(proof["vk"][2:]) == logged.vk.digest
+        assert bytes.fromhex(account["address"][2:]) == logged.account.address
+        assert bytes.fromhex(account["headerHash"][2:]) == (
+            logged.account.header_hash)
+        assert tuple(bytes.fromhex(n[2:]) for n in account["nodes"]) == (
+            logged.account.node_stack)
+
+    fails, (line,) = edit_events(smoke_run, tmp_path / "t",
+                                 first_of("trade_proof_published"), garble)
+    assert line == 27
+    well_formed_fail(fails, f"trade_proof_published: proof: {cause}", line)
 
 
 def garble_artifact(name, edit):
