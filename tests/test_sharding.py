@@ -423,7 +423,8 @@ def test_lazy_master_chain_matches_one_sealed_round_by_round(monkeypatch):
 
     seal_round(1)
     shard.failed = True
-    seal_round(2)  # shard-0 stays in the table, stale
+    seal_round(2)
+    assert topo.master.anchor_table["shard-0"]["stale"] is True
     shard.failed = False
     split_shard(topo.workchains[0], shard, topo.master.validators)
     seal_round(3)
