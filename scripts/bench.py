@@ -18,7 +18,8 @@ digits; a run that prints none adds none) and each end-to-end metric
 named in BENCHMARK.json: the value of every round, their median and
 their quartiles. A round whose perfbench run exits non-zero, ends without
 a JSON report or is not ``correct`` is counted under ``failed`` and
-leaves no values.
+leaves no values; ``failures`` lists each such run with its workload,
+checkout, round, exit code and the last lines of its stdout and stderr.
 
 With exactly two checkouts, ``pairs`` applies the claim rule to the second
 against the first, per workload and metric: the rounds it won, lost and
@@ -41,6 +42,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Output lines kept from each stream of a failed perfbench run.
+TAIL_LINES = 5
 # Only a real digest: a run whose first repeat fails prints "logSha256 None".
 SHA_LINE = re.compile(
     r"^workload \S+, seed \d+, trace 0, logSha256 ([0-9a-f]{64})$",
@@ -90,8 +93,9 @@ def revision(checkout: Path) -> dict:
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py`` of ``checkout``: its logSha256 and metrics
-    (None unless the run exited 0 with a ``correct`` JSON report)."""
+    """One ``perfbench/run.py`` of ``checkout``: its logSha256, metrics
+    (None unless the run exited 0 with a ``correct`` JSON report), exit
+    code and the last lines of its stdout and stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -105,7 +109,10 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     metrics = None
     if isinstance(report, dict) and report.get("correct"):
         metrics = {name: m["value"] for name, m in report["metrics"].items()}
-    return {"logSha256": sha[1] if sha else None, "metrics": metrics}
+    return {"logSha256": sha[1] if sha else None, "metrics": metrics,
+            "code": proc.returncode,
+            "stdout": proc.stdout.splitlines()[-TAIL_LINES:],
+            "stderr": proc.stderr.splitlines()[-TAIL_LINES:]}
 
 
 def quartiles(values: list) -> list:
@@ -154,6 +161,7 @@ def main(argv=None) -> int:
                                    "rounds": {n: [] for n in names}}
                        for w in spec["workloads"]}
                for label in checkouts}
+    failures = []
     order = list(checkouts)
     for r in range(args.rounds):
         for workload in results[order[0]]:
@@ -168,6 +176,10 @@ def main(argv=None) -> int:
                     entry["logSha256"].append(run["logSha256"])
                 if run["metrics"] is None:
                     entry["failed"] += 1
+                    failures.append({"workload": workload, "checkout": label,
+                                     "round": r + 1, "code": run["code"],
+                                     "stdout": run["stdout"],
+                                     "stderr": run["stderr"]})
                 # None marks a round without a value, so that rounds of
                 # different checkouts stay paired by index.
                 for name in names:
@@ -197,6 +209,7 @@ def main(argv=None) -> int:
         "checkouts": revisions,
         "results": results,
         "pairs": pairs,
+        "failures": failures,
     }, indent=1) + "\n")
     print(out)
     failed = sum(e["failed"] for w in results.values() for e in w.values())

@@ -8,8 +8,8 @@ verification key, final shard states, and a digest of the event log).
 
 ``privamm verify DIR`` re-checks the artifacts from scratch: every block
 header digest and parent link, every balance proof (its statement tag,
-its account proof walked to the state root of the block it names, and
-balance >= threshold), anchor-table completeness, its binding into the
+its account proof walked to the state root of the block it names by
+hash and height, and balance >= threshold), anchor-table completeness, its binding into the
 masterchain and each entry's binding to its shard's logged header,
 constant-product bounds on published pools, and every commitment
 opening. It parses each log line once, against `EVENT_FIELDS`: a line
@@ -209,8 +209,8 @@ class _Verifier:
 
         records, bad = read_log(log_bytes)
         self.check(not bad, "run.jsonl well-formed", bad)
-        headers, roots = self._verify_chains(records)
-        self._verify_proofs(records, vk, roots)
+        headers, held = self._verify_chains(records)
+        self._verify_proofs(records, vk, held)
         self._verify_anchors(records, headers)
         self._verify_pools(records)
         self._verify_openings(records, params)
@@ -222,7 +222,7 @@ class _Verifier:
     def _verify_chains(self, records) -> Tuple[list, dict]:
         """Replay every header's digest and parent link, hashed in one
         batch; returns the ``(chain, header)`` pairs and the headerHash ->
-        stateRoot map of each whose own digest matches. A broken link or a
+        header map of each whose own digest matches. A broken link or a
         bad genesis fails this pass alone: later headers still count."""
         blocks = _of(records, "block")
         headers = [(r["chain"], r["header"]) for r in blocks]
@@ -233,25 +233,30 @@ class _Verifier:
             i, cause = fault
             count, bad = i + 1, f"{cause}{_at_line(blocks[i]['line'])}"
         self.check(not bad, f"block headers replay ({count} headers)", bad)
-        return headers, {h.header_hash: h.state_root
+        return headers, {h.header_hash: h
                          for (_, h), digest in zip(headers, digests)
                          if h.header_hash == digest}
 
-    def _verify_proofs(self, records, vk, roots) -> None:
-        """Check every proof before the first that names an unknown header
-        in one batch. Each must prove its event actor's own account, as
-        `submit_tx` demands."""
+    def _verify_proofs(self, records, vk, held) -> None:
+        """Check every proof before the first that names an unknown header,
+        or a height other than its header's, in one batch. Each must prove
+        its event actor's own account, as `submit_tx` demands."""
         items, owners, bad, count = [], [], "", 0
         for count, r in enumerate(_of(records, "init_balance_proof",
                                       "trade_proof_published"), 1):
             proof, actor = r["proof"], r["actor"]
-            header_hash = proof.account.header_hash
-            if header_hash not in roots:
+            header = held.get(proof.account.header_hash)
+            if header is None:
                 # No line number: the benchmark in perfbench/ matches this
                 # detail exactly as a known failure of one workload.
                 bad = f"account proof for {actor} names an unknown header"
                 break
-            items.append((proof, roots[header_hash]))
+            if proof.account.block_height != header.height:
+                bad = (f"account proof for {actor} names height "
+                       f"{proof.account.block_height} for the header at "
+                       f"height {header.height}{_at_line(r['line'])}")
+                break
+            items.append((proof, header.state_root))
             owners.append((r["line"], actor))
         results = balance_proof.verify_many(vk, items)
         addresses = sender_address.many(

@@ -159,13 +159,16 @@ def _absorb_group(padded: List[bytes], slots: List[int],
     ``padded[j]`` goes to ``digests[slots[j]]``."""
     lanes = [0] * 25
     live = len(padded)
+    # One set of slot constants per group; a narrower width keeps the low
+    # slots of each, as it keeps the low slots of each lane.
+    rcs, masks = _slot_constants(live)
     off = 0
     while live:
         block = b"".join(p[off : off + _RATE_BYTES] for p in padded[:live])
         words = memoryview(block).cast("Q")  # 8-byte chunks; only reordered
         for i in range(_RATE_LANES):
             lanes[i] ^= int.from_bytes(words[i::_RATE_LANES].tobytes(), "little")
-        _keccak_f_packed(lanes, *_slot_constants(live))
+        _keccak_f_packed(lanes, rcs, masks)
         off += _RATE_BYTES
         done = live
         while live and len(padded[live - 1]) == off:
@@ -176,6 +179,8 @@ def _absorb_group(padded: List[bytes], slots: List[int],
                 digests[slots[j]] = b"".join(w[8 * j : 8 * j + 8] for w in out)
             low = (1 << 64 * live) - 1
             lanes = [lane & low for lane in lanes]
+            rcs = tuple(rc & low for rc in rcs)
+            masks = tuple(mask & low for mask in masks)
 
 
 class DigestCache:

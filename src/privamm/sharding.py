@@ -14,15 +14,17 @@ a zone hands back the children of its first, and each chain resumes
 where it stopped. Pool reserves are not kept here: the simulator divides
 and sums them by the LP deposits each child carries. Each masterchain
 block rebuilds the anchor table from the live shards' heads when it is
-sealed; the table is hashed with every other pending table when the
-master's chain is first read, and it is still the one the master tip
-commits to.
+sealed, and hashes nothing. A head whose header is still pending in a
+`HashPipeline` is recorded by height; its hash is written into the
+table's entry, in place, when the master's chain is next read. Then the
+table is hashed with every other pending table, and it is still the one
+the master tip commits to.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
 members vote for its exact header digest. The proposal is a header made
-and hashed once by the caller; the votes, the block and the chain all
-reuse it. Mempool entries carry only a
+and hashed once, by the caller or by a pipeline step; the votes, the
+block and the chain all reuse it. Mempool entries carry only a
 commitment and a balance proof — never a plaintext amount — and a proof
 is admitted only if it proves the sender's own account and walks to the
 state root of a header on the shard's own chain.
@@ -197,7 +199,7 @@ class Shard:
         self.load_window: List[int] = []
 
     def blocks_produced(self) -> int:
-        return self.chain.tip.height
+        return self.chain.height
 
 
 class Workchain:
@@ -221,26 +223,45 @@ class Masterchain:
         self.validators: Dict[str, PeerRecord] = {}
         self.anchor_table: Dict[str, dict] = {}
         self._chain = HeaderChain()
-        # (table, timestamp) of each block sealed since `chain` was read.
-        self._pending: List[Tuple[Dict[str, dict], int]] = []
+        # (table, timestamp, entries whose hash is not filled in) of each
+        # block sealed since `chain` was read.
+        self._pending: List[Tuple[Dict[str, dict], int, list]] = []
 
     @property
     def height(self) -> int:
         """The height of the last sealed block, whether or not its header
         has been made yet."""
-        return self._chain.tip.height + len(self._pending)
+        return self._chain.height + len(self._pending)
 
     @property
     def chain(self) -> HeaderChain:
-        """The header chain up to the last sealed block. The pending
-        tables' anchor roots are hashed in one `keccak256_many` call, and
-        their headers appended in height order, each checked by `append`
-        against the tip it extends."""
+        """The header chain up to the last sealed block. Each pending
+        table's entries get their shard header hashes, which makes any
+        shard header still pending; then the tables' anchor roots are
+        hashed in one `keccak256_many` call, and their headers appended in
+        height order, each checked by `append` against the tip it
+        extends."""
         pending, self._pending = self._pending, []
-        roots = keccak256_many([_anchor_message(t) for t, _ in pending])
-        for (_, timestamp), root in zip(pending, roots):
+        for _, _, unfilled in pending:
+            _fill_hashes(unfilled, force=True)
+        roots = keccak256_many([_anchor_message(t) for t, _, _ in pending])
+        for (_, timestamp, _), root in zip(pending, roots):
             self._chain.append(self._chain.next_header(root, timestamp))
         return self._chain
+
+
+def _fill_hashes(entries, force: bool) -> list:
+    """Write into each ``(anchor entry, shard chain)`` the hash of the
+    chain's header at the entry's height, if that header is made or
+    ``force`` makes it; returns the entries left unfilled."""
+    left = []
+    for entry, chain in entries:
+        if force or entry["height"] < len(chain.headers):
+            header = chain.header_at(entry["height"])
+            entry["hash"] = "0x" + header.header_hash.hex()
+        else:
+            left.append((entry, chain))
+    return left
 
 
 def _anchor_message(table: Dict[str, dict]) -> bytes:
@@ -345,7 +366,7 @@ def submit_tx(shard: Shard, entry: MempoolEntry,
         return {"accepted": False, "reason": "proof is for another account"}
     if not shard.chain.holds(account.block_height, account.header_hash):
         return {"accepted": False, "reason": "proof names a header off the chain"}
-    state_root = shard.chain.headers[account.block_height].state_root
+    state_root = shard.chain.header_at(account.block_height).state_root
     try:
         balance_proof.verify(vk, entry.proof, state_root)
     except balance_proof.VerificationError as exc:
@@ -371,8 +392,8 @@ def produce_block(shard: Shard, committee: Committee, votes,
     """Finalize ``proposal`` iff its digest reaches quorum.
 
     The proposal is the header that extends the shard chain, hashed once
-    when it was made by `BlockHeader.make`, `make_many` or `next_header`;
-    its digest is trusted here, not recomputed. Fewer than 2f+1 votes for
+    when it was made by `BlockHeader.make`, `next_header` or a
+    `HashPipeline` step; its digest is trusted here, not recomputed. Fewer than 2f+1 votes for
     that digest means no block this round. A proposal that does not
     extend the tip raises `ChainError` and leaves the chain as it was.
     """
@@ -396,16 +417,19 @@ def seal_anchors(master: Masterchain, shards, timestamp: int) -> int:
 
     Each entry is a shard's chain tip, sorted by shard id. A failed
     shard's unchanged head stays in the table flagged stale; a retired
-    shard is not handed in and has no entry. Nothing is hashed here: the
-    block's header is made when ``master.chain`` is next read.
+    shard is not handed in and has no entry. Nothing is hashed here: an
+    entry whose tip header is still pending gets its hash, in place, when
+    ``master.chain`` is next read, and the block's header is made then.
     """
-    master.anchor_table = {
-        shard.shard_id: {"height": shard.chain.tip.height,
-                         "hash": "0x" + shard.chain.tip.header_hash.hex(),
-                         "stale": shard.failed}
-        for shard in sorted(shards, key=lambda s: s.shard_id)
-    }
-    master._pending.append((master.anchor_table, timestamp))
+    master.anchor_table = {}
+    entries = []
+    for shard in sorted(shards, key=lambda s: s.shard_id):
+        entry = {"height": shard.chain.height, "hash": None,
+                 "stale": shard.failed}
+        master.anchor_table[shard.shard_id] = entry
+        entries.append((entry, shard.chain))
+    master._pending.append((master.anchor_table, timestamp,
+                            _fill_hashes(entries, force=False)))
     return master.height
 
 

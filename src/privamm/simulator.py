@@ -6,8 +6,13 @@ phase that opens each shard's pool from secret LP deposits, committed
 orders settled through single-round MPC, committee-voted block
 production, load-driven shard splits and merges, regional failures, and
 optional adversary experiments on the side. A block round settles every
-live shard first, then hashes all of their proposal headers in one
-Keccak batch, then lets each committee vote.
+live shard and proposes its block over the shard's trie, then runs one
+hashing step: one Keccak batch over every pending trie node whose
+children are hashed and every pending header whose state root and parent
+are known, across every shard and every round not yet hashed. A header's
+committee votes when it is made. Only a read of a pending header, for a
+proof point, a shard back in service, a failing region or the end of the
+run, runs further steps until it is made.
 
 Determinism is load-bearing: every random draw comes from a named
 stream derived from the scenario seed (one stream per shard, one for
@@ -22,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from . import balance_proof, field_group, sharding, trie as trie_mod
@@ -37,7 +43,8 @@ from .sharding import (Committee, MempoolEntry, Shard, Topology, Workchain,
                        honest_votes, peer_address, peer_sender, produce_block,
                        register_peer, seal_anchors, select_committee,
                        sender_address, submit_tx)
-from .trie import MAX_NONCE, AccountLeaf, BlockHeader, HeaderChain, Trie
+from .trie import (MAX_NONCE, AccountLeaf, BlockHeader, HashPipeline,
+                   HeaderChain, Trie)
 
 
 class SimulationError(Exception):
@@ -139,6 +146,8 @@ class Simulator:
         self.sessions: List[MpcSession] = []
         # (height, block event) of each master block sealed by a round.
         self.master_blocks: List[Tuple[int, dict]] = []
+        # Every shard block proposed whose header is not made yet.
+        self.hashing = HashPipeline()
 
     # -- setup -------------------------------------------------------------
 
@@ -180,7 +189,7 @@ class Simulator:
         load_addr = addresses[-1]
 
         chain = shard.chain
-        if chain.tip.height == 0:
+        if chain.height == 0:
             # A new shard: its chain opens at this trie. A shard that has
             # run (a merged parent, a child of a second split) always has
             # blocks past genesis.
@@ -188,7 +197,8 @@ class Simulator:
                                               genesis_timestamp=tick)
             first = chain.tip
         else:
-            # A shard back in service resumes the chain where it stopped.
+            # A shard back in service resumes the chain where it stopped;
+            # reading its tip makes any header it left pending.
             first = chain.append(chain.next_header(trie.root(), tick))
         self._log_block(tick, shard.shard_id, first)
         for _ in range(self.config.confirmations):
@@ -233,7 +243,7 @@ class Simulator:
         """The header ``confirmations`` below the tip, and the trie it
         committed: what every balance proof on the shard is built on."""
         chain = rt.shard.chain
-        header = chain.header_at(chain.tip.height - self.config.confirmations)
+        header = chain.header_at(chain.height - self.config.confirmations)
         return header, rt.trie_history[header.height]
 
     def _log_block(self, tick: int, chain_id: str, header) -> None:
@@ -306,7 +316,11 @@ class Simulator:
     def _apply_failures(self, tick: int):
         for fs in self.config.failures:
             if fs.tick == tick:
-                self._find_shard(fs.shard_id).failed = True
+                shard = self._find_shard(fs.shard_id)
+                # Reading the tip makes the blocks the shard proposed while
+                # live, and its committee votes on them.
+                shard.chain.tip
+                shard.failed = True
                 self.log.emit(tick, "system", "region_failed",
                               shard=fs.shard_id)
             if fs.recover_tick is not None and fs.recover_tick == tick:
@@ -460,11 +474,10 @@ class Simulator:
         rt.trie = rt.trie.update(peer_address(trader_id), leaf)
 
     def _block_round(self, tick: int):
-        # Settle every live shard and pick its committee. Each shard's block
-        # event is emitted after its trades, and its header filled in once
-        # the round's proposals are hashed.
+        # Settle every live shard and propose its block. Each shard's block
+        # event is emitted after its trades, and its header filled in when
+        # the pipeline makes it.
         round_counts: Dict[str, int] = {}
-        proposers = []
         for sid in sorted(self.runtimes):
             rt = self.runtimes[sid]
             tx_count = 0
@@ -472,29 +485,9 @@ class Simulator:
                 tx_count += self._inject_load(rt, tick)
                 tx_count += self._settle_queue(rt, tick)
                 if rt.fault_bound is not None:
-                    committee = self._committee(rt, rt.shard.chain.tip.height)
-                    event = self.log.emit(tick, sid, "block", chain=sid)
-                    proposers.append((rt, committee, event))
+                    self._propose(rt, tick, tx_count)
             round_counts[sid] = tx_count
-
-        # The proposals do not depend on each other: one Keccak batch.
-        proposals = BlockHeader.make_many([
-            rt.shard.chain.proposal_fields(rt.trie.root(), tick)
-            for rt, _, _ in proposers])
-        for (rt, committee, event), proposal in zip(proposers, proposals):
-            votes = honest_votes(committee, proposal)
-            header = produce_block(rt.shard, committee, votes, proposal)
-            if header is None:
-                raise SimulationError(
-                    f"honest committee of {rt.shard_id} did not finalize")
-            event["header"] = header.to_json()
-            rt.trie_history[header.height] = rt.trie
-            # Proofs read tip - confirmations; older heights are never
-            # read again.
-            rt.trie_history.pop(header.height - self.config.confirmations - 1,
-                                None)
-            rt.shard.load_window.append(round_counts[rt.shard_id])
-            rt.shard.mempool.clear()
+        self.hashing.step()
 
         # One masterchain block per round carries every shard's anchor.
         master = self.topology.master
@@ -522,6 +515,30 @@ class Simulator:
             })
 
         self._rebalance(tick)
+
+    def _propose(self, rt: ShardRuntime, tick: int, tx_count: int) -> None:
+        """Queue the shard's block over its trie; `_finalize` runs when
+        the pipeline makes its header."""
+        chain = rt.shard.chain
+        committee = self._committee(rt, chain.height)
+        event = self.log.emit(tick, rt.shard_id, "block", chain=rt.shard_id)
+        height = self.hashing.propose(
+            chain, rt.trie, tick, partial(self._finalize, rt, committee, event))
+        rt.trie_history[height] = rt.trie
+        # Proofs read tip - confirmations; older heights are never read
+        # again.
+        rt.trie_history.pop(height - self.config.confirmations - 1, None)
+        rt.shard.load_window.append(tx_count)
+        rt.shard.mempool.clear()
+
+    def _finalize(self, rt: ShardRuntime, committee: Committee, event: dict,
+                  header: BlockHeader) -> None:
+        """The committee's vote on a proposal whose header was just made."""
+        votes = honest_votes(committee, header)
+        if produce_block(rt.shard, committee, votes, header) is None:
+            raise SimulationError(
+                f"honest committee of {rt.shard_id} did not finalize")
+        event["header"] = header.to_json()
 
     # -- split / merge ------------------------------------------------------------
 
@@ -653,8 +670,9 @@ class Simulator:
             del self.pending[:due]
             if tick > 0 and tick % self.config.block_interval == 0:
                 self._block_round(tick)
-        # One read makes every master header; their anchor tables are
-        # hashed in one batch.
+        # Make every shard header, then every master header; the anchor
+        # tables are hashed in one batch.
+        self.hashing.flush()
         chain = self.topology.master.chain
         for height, event in self.master_blocks:
             event["header"] = chain.headers[height].to_json()

@@ -13,12 +13,16 @@ reserved trailer. The balance item starts at byte offset 3.
 
 Nodes are immutable objects: a leaf, an extension, or a branch with a
 16-tuple of children. An update path-copies the nodes from the root to
-the changed leaf and hashes nothing. Each node computes its RLP encoding
-and digest the first time `root` or `prove` asks for them and keeps them,
-so a block's updates hash each node they touched once, when the block
-reads its state root; `root` hashes those nodes one height at a time, in
-one `keccak256_many` batch per height. Since no node changes after it is
-built, the trie is persistent: an old handle keeps its root and its proofs.
+the changed leaf and hashes nothing. Nodes are hashed by one rule, the
+hashing step: one `keccak256_many` call over every unhashed node whose
+children are all hashed. `root` runs steps over one trie until its root
+is hashed, so each node a block touched is hashed once. A `HashPipeline`
+runs the same step over every trie a block was proposed on, on every
+chain, and also makes each pending header whose state root and parent
+are known: a block's header is made a few steps after it is proposed,
+together with the tries and headers of other shards and later rounds.
+Since no node changes after it is built, the trie is persistent: an old
+handle keeps its root and its proofs.
 
 `verify_account_proofs` checks many proofs at once: it hashes every
 distinct node and address they hold in one batch, then walks each proof
@@ -28,7 +32,7 @@ against those digests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .keccak import DigestCache, keccak256, keccak256_many
 from .rlp import RlpError, rlp_decode, rlp_encode
@@ -177,7 +181,8 @@ def _common_prefix(a, b) -> int:
 
 
 class _Node:
-    """Immutable trie node; its encoding and digest are computed on first use."""
+    """Immutable trie node; its encoding is computed on first use, and its
+    digest by the hashing step that finds its children all hashed."""
 
     __slots__ = ("_encoding", "_digest")
 
@@ -185,11 +190,6 @@ class _Node:
         if self._encoding is None:
             self._encoding = rlp_encode(self._items())
         return self._encoding
-
-    def digest(self) -> bytes:
-        if self._digest is None:
-            self._digest = keccak256(self.encoding())
-        return self._digest
 
 
 class _Leaf(_Node):
@@ -216,7 +216,7 @@ class _Extension(_Node):
         self._encoding = self._digest = None
 
     def _items(self):
-        return [hp_encode(self.path, False), self.child.digest()]
+        return [hp_encode(self.path, False), self.child._digest]
 
     def _children(self):
         return (self.child,)
@@ -233,25 +233,47 @@ class _Branch(_Node):
         self._encoding = self._digest = None
 
     def _items(self):
-        return [b"" if c is None else c.digest() for c in self.children] + [b""]
+        return [b"" if c is None else c._digest for c in self.children] + [b""]
 
     def _children(self):
         return [c for c in self.children if c is not None]
 
 
-def _unhashed_by_height(node: _Node, levels: List[List[_Node]]) -> int:
-    """Append each node under ``node`` that has no digest yet to
-    ``levels[h]``, where h is its height above the lowest unhashed nodes;
-    returns the height of ``node``, or -1 if it is hashed. Every descendant
-    of a hashed node is hashed, so the walk stops there."""
-    if node._digest is not None:
-        return -1
-    height = 1 + max((_unhashed_by_height(c, levels) for c in node._children()),
-                     default=-1)
-    if height == len(levels):
-        levels.append([])
-    levels[height].append(node)
-    return height
+def _ready_nodes(node: Optional[_Node], seen: set, ready: List[_Node]) -> None:
+    """Append to ``ready`` each unhashed node under ``node`` whose children
+    are all hashed. Every descendant of a hashed node is hashed, so the
+    walk stops there; ``seen`` keeps a subtree shared by several roots
+    from being walked twice."""
+    if node is None or node._digest is not None or node in seen:
+        return
+    seen.add(node)
+    waiting = False
+    for child in node._children():
+        if child._digest is None:
+            waiting = True
+            _ready_nodes(child, seen, ready)
+    if not waiting:
+        ready.append(node)
+
+
+def _hash_step(roots: Sequence[Optional[_Node]],
+               header_rlps: Sequence[bytes] = ()) -> List[bytes]:
+    """One hashing step: every unhashed node under ``roots`` whose children
+    are all hashed, and every header RLP in ``header_rlps``, in one
+    `keccak256_many` call. The nodes keep their digests; the header
+    digests are returned. Nodes ready in one step do not depend on each
+    other, so a trie is hashed in one step per height of its unhashed
+    part."""
+    seen: set = set()
+    nodes: List[_Node] = []
+    for root in roots:
+        _ready_nodes(root, seen, nodes)
+    if not nodes and not header_rlps:
+        return []
+    digests = keccak256_many([n.encoding() for n in nodes] + list(header_rlps))
+    for node, digest in zip(nodes, digests):
+        node._digest = digest
+    return digests[len(nodes):]
 
 
 def _insert(node: Optional[_Node], path, value: bytes) -> _Node:
@@ -288,19 +310,15 @@ class Trie:
         self._root = root
 
     def root(self) -> bytes:
-        """State root; hashes only the nodes no earlier call has hashed,
-        lowest first, in one batch per height: a node's encoding needs its
-        children's digests, and nodes of one height do not depend on each
-        other."""
-        if self._root is None:
-            return EMPTY_ROOT
-        levels: List[List[_Node]] = []
-        _unhashed_by_height(self._root, levels)
-        for level in levels:
-            digests = keccak256_many([node.encoding() for node in level])
-            for node, digest in zip(level, digests):
-                node._digest = digest
-        return self._root.digest()
+        """State root; hashes only the nodes no earlier call or pipeline
+        step has hashed, in hashing steps over this trie alone."""
+        while self.hashed_root() is None:
+            _hash_step([self._root])
+        return self.hashed_root()
+
+    def hashed_root(self) -> Optional[bytes]:
+        """The state root if every node is hashed already, else None."""
+        return EMPTY_ROOT if self._root is None else self._root._digest
 
     def update(self, address: bytes, acct: AccountLeaf) -> "Trie":
         """Insert or overwrite an account; returns a new trie handle."""
@@ -345,6 +363,7 @@ class Trie:
         return stack
 
     def prove(self, address: bytes) -> "MptProof":
+        self.root()
         stack = self._walk(address)
         return MptProof(address=address,
                         node_stack=tuple(n.encoding() for n in stack))
@@ -390,11 +409,13 @@ class MptProof:
     @classmethod
     def from_json(cls, obj: dict) -> "MptProof":
         """Read ``to_json``'s output; raises ValueError, KeyError or TypeError."""
-        header_hash = obj.get("headerHash")
+        header_hash, height = obj.get("headerHash"), obj.get("blockHeight")
+        if height is not None and not (type(height) is int and height >= 0):
+            raise ValueError("blockHeight must be a non-negative integer or null")
         return cls(
             address=hex_bytes(obj["address"], "address", 20),
             node_stack=tuple(hex_bytes(n, "node") for n in obj["nodes"]),
-            block_height=obj.get("blockHeight"),
+            block_height=height,
             header_hash=(None if header_hash is None
                          else hex_bytes(header_hash, "headerHash", 32)),
         )
@@ -510,8 +531,8 @@ def header_digest(height: int, parent_hash: bytes, timestamp: int,
                   state_root: bytes) -> bytes:
     """Keccak of the RLP header, one 136-byte block. A header is hashed
     once, when it is made; votes, block production and `append` reuse the
-    header they are handed. `BlockHeader.make_many` and `replay_headers`
-    hash many headers in one `keccak256_many` batch instead."""
+    header they are handed. `HashPipeline.step` and `replay_headers` hash
+    many headers in one `keccak256_many` batch instead."""
     return keccak256(_header_rlp(height, parent_hash, timestamp, state_root))
 
 
@@ -538,14 +559,6 @@ class BlockHeader:
              state_root: bytes) -> "BlockHeader":
         return cls(height, parent_hash, timestamp, state_root,
                    header_digest(height, parent_hash, timestamp, state_root))
-
-    @classmethod
-    def make_many(cls, fields: Sequence[Tuple[int, bytes, int, bytes]]
-                  ) -> List["BlockHeader"]:
-        """``make`` for each ``(height, parent_hash, timestamp, state_root)``,
-        with every header hashed in one `keccak256_many` call."""
-        digests = keccak256_many([_header_rlp(*f) for f in fields])
-        return [cls(*f, digest) for f, digest in zip(fields, digests)]
 
     def to_json(self) -> dict:
         return {
@@ -603,9 +616,12 @@ def replay_headers(headers: Sequence[Tuple[str, BlockHeader]],
 
 
 class HeaderChain:
-    """A hash-linked list of block headers, genesis at height 0."""
+    """A hash-linked list of block headers, genesis at height 0, and a
+    pending tail: blocks proposed through a `HashPipeline` whose headers
+    are not made yet. `height` counts the tail; reading a pending header
+    runs pipeline steps until it is made."""
 
-    __slots__ = ("headers",)
+    __slots__ = ("headers", "_pending", "_pipeline")
 
     def __init__(self, genesis_state_root: bytes = EMPTY_ROOT,
                  genesis_timestamp: int = 0):
@@ -613,31 +629,34 @@ class HeaderChain:
             BlockHeader.make(0, GENESIS_PARENT, genesis_timestamp,
                              genesis_state_root)
         ]
+        # (trie, timestamp, made) of each proposal, oldest first.
+        self._pending: List[tuple] = []
+        self._pipeline: Optional["HashPipeline"] = None
+
+    @property
+    def height(self) -> int:
+        """The height of the last block, made or pending."""
+        return len(self.headers) - 1 + len(self._pending)
 
     @property
     def tip(self) -> BlockHeader:
-        return self.headers[-1]
-
-    def proposal_fields(self, state_root: bytes, timestamp: int
-                        ) -> Tuple[int, bytes, int, bytes]:
-        """The fields of the header that would extend the chain, for
-        `BlockHeader.make_many`."""
-        tip = self.tip
-        return tip.height + 1, tip.header_hash, timestamp, state_root
+        return self.header_at(self.height)
 
     def next_header(self, state_root: bytes, timestamp: int) -> BlockHeader:
         """The header that would extend the chain: a block's proposal."""
-        return BlockHeader.make(*self.proposal_fields(state_root, timestamp))
+        tip = self.tip
+        return BlockHeader.make(tip.height + 1, tip.header_hash, timestamp,
+                                state_root)
 
     def append(self, header: BlockHeader) -> BlockHeader:
-        """Add a proposal that extends the tip.
+        """Add a proposal that extends the last made header.
 
-        The proposal must come from `BlockHeader.make`, `make_many` or
-        `next_header`: its height, parent link and timestamp are checked,
+        The proposal must come from `BlockHeader.make`, `next_header` or a
+        pipeline step: its height, parent link and timestamp are checked,
         but its digest is trusted, not recomputed. Only `validate` replays
         the digests.
         """
-        tip = self.tip
+        tip = self.headers[-1]
         if header.height != tip.height + 1 or header.parent_hash != tip.header_hash:
             raise ChainError(
                 f"proposal at height {header.height} does not extend the tip "
@@ -652,8 +671,8 @@ class HeaderChain:
 
     def holds(self, height, header_hash: bytes) -> bool:
         """Is the header with this height and hash on the chain?"""
-        return (isinstance(height, int) and 0 <= height < len(self.headers)
-                and self.headers[height].header_hash == header_hash)
+        return (type(height) is int and 0 <= height <= self.height
+                and self.header_at(height).header_hash == header_hash)
 
     def validate(self) -> Optional[int]:
         """Return the height of the first invalid header, or None if intact."""
@@ -661,9 +680,65 @@ class HeaderChain:
         return None if fault is None else fault[0]
 
     def header_at(self, height: int) -> BlockHeader:
-        if not 0 <= height < len(self.headers):
+        if not 0 <= height <= self.height:
             raise ChainError(f"no header at height {height}")
+        while len(self.headers) <= height:
+            self._pipeline.step()
         return self.headers[height]
+
+
+class HashPipeline:
+    """Every block proposed but not hashed yet, on any number of chains.
+
+    A proposal names the trie whose root its header commits to; nothing is
+    hashed when it is made. Each `step` hashes, in one `keccak256_many`
+    call, every unhashed node of every pending trie whose children are all
+    hashed, and every pending header whose state root and parent digest
+    are known: the oldest pending one of each chain whose trie is hashed.
+    `Trie.root` is the same step over one trie. A header, once made, is
+    handed to its proposal's ``made`` callback, which must append it to
+    its chain.
+    """
+
+    __slots__ = ("_chains",)
+
+    def __init__(self):
+        self._chains: Dict[HeaderChain, None] = {}
+
+    def propose(self, chain: HeaderChain, trie: Trie, timestamp: int,
+                made: Callable[[BlockHeader], object]) -> int:
+        """Queue the block that extends ``chain`` over ``trie``'s state at
+        ``timestamp``; returns its height."""
+        chain._pending.append((trie, timestamp, made))
+        chain._pipeline = self
+        self._chains[chain] = None
+        return chain.height
+
+    def step(self) -> None:
+        roots, ready = [], []
+        for chain in self._chains:
+            roots += [trie._root for trie, _, _ in chain._pending]
+            trie, timestamp, _ = chain._pending[0]
+            state_root = trie.hashed_root()
+            if state_root is not None:
+                tip = chain.headers[-1]
+                ready.append((chain, (tip.height + 1, tip.header_hash,
+                                      timestamp, state_root)))
+        digests = _hash_step(roots, [_header_rlp(*f) for _, f in ready])
+        for (chain, fields), digest in zip(ready, digests):
+            _, _, made = chain._pending.pop(0)
+            header = BlockHeader(*fields, digest)
+            made(header)
+            if chain.headers[-1] is not header:
+                raise ChainError(f"header at height {header.height} was made "
+                                 f"but not appended")
+            if not chain._pending:
+                del self._chains[chain]
+
+    def flush(self) -> None:
+        """Step until nothing is pending."""
+        while self._chains:
+            self.step()
 
 
 def check_freshness(chain: HeaderChain, proof_header: BlockHeader,
@@ -672,10 +747,10 @@ def check_freshness(chain: HeaderChain, proof_header: BlockHeader,
 
     The header must sit on the chain (otherwise the proof is forged);
     it passes iff it has at least `confirmations` blocks on top and its
-    timestamp is at most `window` seconds old.
+    timestamp is at most `window` seconds old. Blocks still pending count.
     """
     if not chain.holds(proof_header.height, proof_header.header_hash):
         raise UnforgeabilityError("proof header is not on the chain")
-    deep_enough = (chain.tip.height - proof_header.height) >= confirmations
+    deep_enough = (chain.height - proof_header.height) >= confirmations
     fresh_enough = (now - proof_header.timestamp) <= window
     return deep_enough and fresh_enough

@@ -496,14 +496,6 @@ def test_freshness_rejects_forged_header():
         check_freshness(chain, outsider, confirmations=1, window=10**6, now=100)
 
 
-def test_make_many_matches_make_one_by_one():
-    fields = [(h, bytes([h]) * 32, 10 * h, bytes([255 - h]) * 32)
-              for h in range(1, 6)]
-    assert BlockHeader.make_many(fields) == [BlockHeader.make(*f) for f in fields]
-    assert BlockHeader.make_many(fields[:1]) == [BlockHeader.make(*fields[0])]
-    assert BlockHeader.make_many([]) == []
-
-
 def test_append_refuses_a_header_that_does_not_extend_the_tip():
     chain = HeaderChain()
     stale = chain.next_header(b"\x01" * 32, 10)
