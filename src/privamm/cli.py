@@ -9,13 +9,14 @@ verification key, final shard states, and a digest of the event log).
 ``privamm verify DIR`` re-checks the artifacts from scratch: every block
 header digest and parent link, every balance proof (its statement tag,
 its account proof walked to the state root of the block it names by
-hash and height, and balance >= threshold), anchor-table completeness, its binding into the
-masterchain and each entry's binding to its shard's logged header,
-constant-product bounds on published pools, and every commitment
-opening. It parses each log line once, against `EVENT_FIELDS`: a line
-that does not parse fails ``run.jsonl well-formed`` with a ``malformed``
-detail, and no pass reads it. Exit codes: 0 success, 1 configuration or
-usage error, 2 runtime invariant or verification failure.
+hash and height, and balance >= threshold), anchor-table completeness,
+its binding into the masterchain and each entry's binding to its
+shard's logged header, constant-product bounds on published pools, and
+every commitment opening. It parses each log line once, against
+`EVENT_FIELDS`: a line that does not parse fails ``run.jsonl
+well-formed`` with a ``malformed`` detail, and no pass reads it. Exit
+codes: 0 success, 1 configuration or usage error, 2 runtime invariant
+or verification failure.
 """
 
 from __future__ import annotations

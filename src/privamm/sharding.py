@@ -393,9 +393,10 @@ def produce_block(shard: Shard, committee: Committee, votes,
 
     The proposal is the header that extends the shard chain, hashed once
     when it was made by `BlockHeader.make`, `next_header` or a
-    `HashPipeline` step; its digest is trusted here, not recomputed. Fewer than 2f+1 votes for
-    that digest means no block this round. A proposal that does not
-    extend the tip raises `ChainError` and leaves the chain as it was.
+    `HashPipeline` step; its digest is trusted here, not recomputed.
+    Fewer than 2f+1 votes for that digest means no block this round. A
+    proposal that does not extend the tip raises `ChainError` and leaves
+    the chain as it was.
     """
     if shard.failed:
         return None

@@ -268,8 +268,6 @@ def _hash_step(roots: Sequence[Optional[_Node]],
     nodes: List[_Node] = []
     for root in roots:
         _ready_nodes(root, seen, nodes)
-    if not nodes and not header_rlps:
-        return []
     digests = keccak256_many([n.encoding() for n in nodes] + list(header_rlps))
     for node, digest in zip(nodes, digests):
         node._digest = digest
@@ -715,6 +713,7 @@ class HashPipeline:
         return chain.height
 
     def step(self) -> None:
+        """One hashing step over every pending trie and header."""
         roots, ready = [], []
         for chain in self._chains:
             roots += [trie._root for trie, _, _ in chain._pending]

@@ -6,7 +6,9 @@ account trie and block headers hash with.
 """
 
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,10 @@ from privamm import keccak as keccak_mod
 from privamm.keccak import (GROUP_WIDTH, DigestCache, _keccak_f,
                             _keccak_f_packed, _slot_constants, keccak256,
                             keccak256_many)
+from privamm.scenario import parse_scenario
+from privamm.simulator import Simulator
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Well-known digests of the original Keccak-256 (pre-NIST padding).
 KNOWN_VECTORS = [
@@ -117,6 +123,28 @@ def test_many_keeps_input_order_with_mixed_lengths_and_duplicates():
     assert keccak256_many(messages[::-1]) == digests[::-1]
     assert digests[1] == bytes.fromhex(KNOWN_VECTORS[0][1])
     assert digests[2] == bytes.fromhex(KNOWN_VECTORS[1][1])
+
+
+def test_one_set_of_slot_constants_per_group(monkeypatch):
+    """A group builds its slot constants once, at its widest, and narrows
+    them as its states finish: after a load-split run the constants cache
+    holds no more entries than there were distinct group widths."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    groups, built = [], []
+    absorb, constants = keccak_mod._absorb_group, keccak_mod._slot_constants
+    monkeypatch.setattr(keccak_mod, "_absorb_group",
+                        lambda padded, *rest: groups.append(len(padded))
+                        or absorb(padded, *rest))
+    monkeypatch.setattr(keccak_mod, "_slot_constants",
+                        lambda k: built.append(k) or constants(k))
+    constants.cache_clear()
+    Simulator(parse_scenario(workloads.GENERATORS["load-split"](1))).run()
+    assert built == groups
+    assert len(groups) > len(set(groups)) > 1
+    assert constants.cache_info().currsize <= len(set(groups))
 
 
 @given(st.lists(st.binary(max_size=700), max_size=40))

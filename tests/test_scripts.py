@@ -112,7 +112,10 @@ if calls == 3:
     sys.exit(0)
 print(json.dumps({"correct": True, "metrics": {
     "run_s": {"value": float(calls), "unit": "s"}}}))
-sys.exit(1 if calls == 2 else 0)
+if calls == 2:
+    for i in range(7):
+        print(f"stderr line {i}", file=sys.stderr)
+    sys.exit(1)
 '''
 
 
@@ -125,7 +128,8 @@ def git(checkout, *args):
 def test_bench_records_commits_and_counts_bad_runs_as_failed(tmp_path):
     """Each checkout's commit and dirty flag are recorded (null outside a
     git work tree), and a run that exits non-zero or whose last line is
-    not JSON is a failed round, not an exception."""
+    not JSON is a failed round, not an exception, listed under
+    ``failures`` with its exit code and the tails of its output."""
     for label in ("clean", "dirty", "plain"):
         checkout = tmp_path / label
         (checkout / "perfbench").mkdir(parents=True)
@@ -158,6 +162,22 @@ def test_bench_records_commits_and_counts_bad_runs_as_failed(tmp_path):
         assert first["failed"] == 0 and first["rounds"]["run_s"] == [1.0]
         assert second["failed"] == 1 and second["rounds"] == {}
         assert third["failed"] == 1 and third["logSha256"] == [f"{3:064x}"]
+    labels = ("clean", "dirty", "plain")
+    assert report["failures"] == [
+        {"workload": "load-split", "checkout": label, "round": 1, "code": 1,
+         "stdout": [f"workload load-split, seed 1, trace 0, logSha256 "
+                    f"{2:064x}",
+                    '{"correct": true, "metrics": {"run_s": {"value": 2.0, '
+                    '"unit": "s"}}}'],
+         "stderr": [f"stderr line {i}" for i in range(2, 7)]}
+        for label in labels] + [
+        {"workload": "mev-sweep", "checkout": label, "round": 1, "code": 0,
+         "stdout": [f"workload mev-sweep, seed 1, trace 0, logSha256 "
+                    f"{3:064x}",
+                    "Traceback (most recent call last): a crash after the "
+                    "digest"],
+         "stderr": []}
+        for label in labels]
 
 
 PAIRED_PERFBENCH = '''

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from privamm import balance_proof, sharding
 from privamm.keccak import keccak256
-from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
-                              PeerRecord, RegistrationError, Topology, Vote,
+from privamm.sharding import (Committee, CommitteeError, Masterchain,
+                              MempoolEntry, PeerRecord, RegistrationError,
+                              Shard, Topology, Vote,
                               Workchain, Zone, ZoneError, anchor_root,
                               honest_votes, merge_shards, peer_address,
                               produce_block, rebalance_shards, register_peer,
@@ -21,9 +22,9 @@ from privamm.sharding import (Committee, CommitteeError, MempoolEntry,
 from privamm.rlp import rlp_encode
 from privamm.scenario import load_scenario
 from privamm.simulator import Simulator
-from privamm.trie import (AccountLeaf, ChainError, HeaderChain, MptProof,
-                          Trie, encode_account_leaf, header_digest, hp_encode,
-                          prove_account)
+from privamm.trie import (AccountLeaf, ChainError, HashPipeline, HeaderChain,
+                          MptProof, Trie, encode_account_leaf, header_digest,
+                          hp_encode, prove_account)
 
 VK = balance_proof.setup()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -450,6 +451,63 @@ def test_failed_shard_anchor_goes_stale_not_absent():
     shard.failed = True
     seal_anchors(topo.master, topo.all_shards(), timestamp=2)
     assert topo.master.anchor_table["shard-0"]["stale"] is True
+
+
+def addr(i: int) -> bytes:
+    return i.to_bytes(20, "big")
+
+
+#: Per round, (shard index, account, balance) updates; a shard index past
+#: the example's shard count updates nothing.
+ROUNDS = st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30),
+                                     st.integers(0, 10**6)), max_size=6),
+                  min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_shards=st.integers(1, 3), confirmations=st.sampled_from([0, 1, 2]),
+       rounds=ROUNDS, data=st.data())
+def test_pipelined_blocks_and_anchors_match_eager_hashing(
+        n_shards, confirmations, rounds, data):
+    """Blocks proposed to a pipeline that steps once per round, with a
+    proof-point read of ``confirmations`` below the tip on some updated
+    shards, give the shard headers, master headers and anchor tables of
+    hashing each block's trie and header as it is proposed."""
+    zone = Zone(west=0, east=10, south=0, north=10)
+    shards = [Shard(f"shard-{i}", 0, zone) for i in range(n_shards)]
+    eager = [HeaderChain() for _ in shards]
+    lazy_tries = [Trie() for _ in shards]
+    eager_tries = [Trie() for _ in shards]
+    pipeline, master, eager_master = HashPipeline(), Masterchain(), HeaderChain()
+    tables, eager_tables = [], []
+    for tick, updates in enumerate(rounds, 1):
+        for s, account, balance in updates:
+            if s < n_shards:
+                acct = AccountLeaf(nonce=0, balance=balance)
+                lazy_tries[s] = lazy_tries[s].update(addr(account), acct)
+                eager_tries[s] = eager_tries[s].update(addr(account), acct)
+        for s, shard in enumerate(shards):
+            height = shard.chain.height - confirmations
+            if height >= 0 and data.draw(st.booleans()):
+                assert shard.chain.header_at(height) == eager[s].header_at(height)
+            assert pipeline.propose(shard.chain, lazy_tries[s], tick,
+                                    shard.chain.append) == eager[s].height + 1
+            eager[s].append(eager[s].next_header(eager_tries[s].root(), tick))
+        pipeline.step()
+        assert seal_anchors(master, shards, tick) == tick
+        tables.append(master.anchor_table)
+        eager_tables.append({
+            shard.shard_id: {"height": chain.height,
+                             "hash": "0x" + chain.tip.header_hash.hex(),
+                             "stale": False}
+            for shard, chain in zip(shards, eager)})
+        eager_master.append(eager_master.next_header(
+            anchor_root(eager_tables[-1]), tick))
+    chain = master.chain
+    assert tables == eager_tables
+    assert chain.headers == eager_master.headers
+    for shard, reference in zip(shards, eager):
+        assert shard.chain.headers == reference.headers
 
 
 def test_retired_shard_has_no_anchor():

@@ -19,7 +19,8 @@ from privamm.keccak import keccak256
 from privamm.protocol import RunLog
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import SimulationError, Simulator
-from privamm.trie import MAX_NONCE, BlockHeader, HeaderChain
+from privamm.trie import (MAX_NONCE, BlockHeader, HashPipeline, HeaderChain,
+                          check_freshness)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -827,7 +828,9 @@ def upper_hex(text):
     (lambda proof: proof["account"].update(
         headerHash=upper_hex(proof["account"]["headerHash"])),
      "headerHash must be 0x and 64 lowercase hex digits"),
-], ids=["threshold", "vk", "address", "node", "headerHash"])
+    (lambda proof: proof["account"].update(blockHeight=True),
+     "blockHeight must be a non-negative integer or null"),
+], ids=["threshold", "vk", "address", "node", "headerHash", "blockHeight"])
 def test_verify_rejects_proof_fields_the_writer_never_writes(smoke_run, tmp_path,
                                                              edit, cause):
     """``int()`` and ``bytes.fromhex`` read each edited field as the logged
@@ -849,6 +852,27 @@ def test_verify_rejects_proof_fields_the_writer_never_writes(smoke_run, tmp_path
                                  first_of("trade_proof_published"), garble)
     assert line == 27
     well_formed_fail(fails, f"trade_proof_published: proof: {cause}", line)
+
+
+def test_verify_ties_a_proof_height_to_its_header(smoke_run, tmp_path):
+    """A proof that names a logged header by hash but another height fails
+    the proof pass on its line, and no other pass."""
+    events = [json.loads(l)
+              for l in (smoke_run / "run.jsonl").read_text().splitlines()]
+
+    def edit(ev):
+        assert ev["proof"]["account"]["blockHeight"] == 1
+        ev["proof"]["account"]["blockHeight"] = 7
+
+    fails, (line,) = edit_events(smoke_run, tmp_path / "t",
+                                 first_of("trade_proof_published"), edit)
+    assert line == 27
+    count = sum(ev["event"] in ("init_balance_proof", "trade_proof_published")
+                for ev in events[:line])
+    actor = events[line - 1]["actor"]
+    assert fails == [f"FAIL: balance and account proofs replay ({count} "
+                     f"proofs) (account proof for {actor} names height 7 "
+                     f"for the header at height 1 at run.jsonl line {line})"]
 
 
 def garble_artifact(name, edit):
@@ -1132,3 +1156,99 @@ def test_duplicate_shard_failure_is_runtime_error(tmp_path):
     bad = dict(SMALL, failures=[{"tick": 3, "shard_id": "shard-9"}])
     code = run_cli(bad, tmp_path / "out")
     assert code == 2
+
+
+# -- pipelined block hashing ---------------------------------------------------
+
+@pytest.fixture
+def pending_sim(monkeypatch):
+    """SMALL past its init phase, with three shard-0 blocks proposed over
+    changed tries and none of their headers made; counts the votes on
+    each header, by height."""
+    sim = Simulator(parse_scenario(dict(
+        SMALL, failures=[{"tick": 20, "shard_id": "shard-0"}])))
+    sim._setup_crypto()
+    sim._setup_topology()
+    sim._run_init()
+    voted = Counter()
+    finalize = Simulator._finalize
+
+    def counted(self, rt, committee, event, header):
+        voted[header.height] += 1
+        finalize(self, rt, committee, event, header)
+
+    monkeypatch.setattr(Simulator, "_finalize", counted)
+    rt = sim.runtimes["shard-0"]
+    for tick in (5, 10, 15):
+        sim._debit_trader(rt, "p3", 0)  # a new leaf: the trie changes
+        sim._propose(rt, tick, 0)
+    chain = rt.shard.chain
+    assert (chain.height, len(chain.headers)) == (5, 3)
+    return sim, rt, voted
+
+
+@pytest.mark.parametrize("reader", ["proof point", "reshard", "failure",
+                                    "end of run"])
+def test_a_forced_read_makes_each_pending_header_once(pending_sim, reader):
+    """Each reader of a pending shard header steps the pipeline until the
+    header is made, and every header is made and voted on exactly once,
+    whichever read made it."""
+    sim, rt, voted = pending_sim
+    chain = rt.shard.chain
+    if reader == "proof point":
+        header, trie = sim._proof_point(rt)  # confirmations = 2
+        assert (header.height, header.state_root) == (3, trie.root())
+        assert voted == {3: 1}
+    elif reader == "reshard":
+        rebuilt = sim._build_runtime(rt.shard, 20)
+        assert voted == {3: 1, 4: 1, 5: 1}
+        assert chain.headers[6].parent_hash == chain.headers[5].header_hash
+        assert rebuilt.trie_history.keys() == {6, 7, 8}
+    elif reader == "failure":
+        sim._apply_failures(20)
+        assert rt.shard.failed and voted == {3: 1, 4: 1, 5: 1}
+    else:
+        sim.hashing.flush()
+    sim.hashing.flush()
+    assert voted == {3: 1, 4: 1, 5: 1}
+    assert chain.validate() is None
+    blocks = [e for e in sim.log.events if e["event"] == "block"
+              and e["chain"] == "shard-0"]
+    assert [e["header"]["height"] for e in blocks][:6] == list(range(6))
+
+
+def test_height_readers_force_nothing(pending_sim, monkeypatch):
+    """The committee epoch, `blocks_produced` (metrics.csv), the freshness
+    depth and the anchor table read a chain's height, pending blocks
+    included, and make no header; a round with no trade runs one step."""
+    sim, rt, voted = pending_sim
+    chain = rt.shard.chain
+    steps, step = [], HashPipeline.step
+
+    def one_step(self):
+        # A forced read steps again and again; stop it at its second step.
+        steps.append(1)
+        assert len(steps) == 1, "a height reader forced a step"
+
+    monkeypatch.setattr(HashPipeline, "step", one_step)
+    assert rt.shard.blocks_produced() == 5
+    made = chain.header_at(2)
+    assert check_freshness(chain, made, confirmations=3, window=100, now=20)
+    assert not check_freshness(chain, made, confirmations=4, window=100,
+                               now=20)
+    sim._debit_trader(rt, "p4", 0)
+    epochs = []
+    committee = Simulator._committee
+    monkeypatch.setattr(Simulator, "_committee", lambda self, rt, epoch:
+                        epochs.append(epoch) or committee(self, rt, epoch))
+    sim._block_round(20)
+    assert epochs == [5] and steps == [1]
+    assert sim.metrics_rows[-1]["blocks"] == 6
+    assert sim.topology.master.anchor_table["shard-0"] == {
+        "height": 6, "hash": None, "stale": False}
+    assert len(chain.headers) == 3 and not voted
+    monkeypatch.setattr(HashPipeline, "step", step)
+    assert sim.topology.master.chain.height == 1
+    assert sim.topology.master.anchor_table["shard-0"]["hash"] == (
+        "0x" + chain.header_at(6).header_hash.hex())
+    assert voted == {3: 1, 4: 1, 5: 1, 6: 1}

@@ -12,8 +12,9 @@ import privamm.trie as trie_mod
 from privamm.keccak import keccak256
 from privamm.rlp import rlp_encode
 from privamm.trie import (EMPTY_ROOT, GENESIS_PARENT, AccountLeaf, BlockHeader,
-                          ChainError, HeaderChain, MalformedLeafError,
-                          NotFoundError, Trie, UnforgeabilityError,
+                          ChainError, HashPipeline, HeaderChain,
+                          MalformedLeafError, MptProof, NotFoundError, Trie,
+                          UnforgeabilityError,
                           VerificationError, check_freshness,
                           decode_account_leaf, encode_account_leaf,
                           header_digest, prove_account, replay_headers,
@@ -182,6 +183,21 @@ def test_proof_json_round_trip():
     proof = prove_account(t, addr(2), block_height=9, header_hash=b"\xab" * 32)
     restored = type(proof).from_json(proof.to_json())
     assert restored == proof
+
+
+@pytest.mark.parametrize("height", [0, None])
+def test_proof_json_reads_a_block_height_or_null(height):
+    proof = prove_account(build_populated(4), addr(2), block_height=height)
+    assert MptProof.from_json(proof.to_json()) == proof
+
+
+@pytest.mark.parametrize("height", [True, False, -1, "1", 1.0])
+def test_proof_json_rejects_a_block_height_the_writer_never_writes(height):
+    obj = prove_account(build_populated(4), addr(2), block_height=1).to_json()
+    obj["blockHeight"] = height
+    with pytest.raises(ValueError, match="^blockHeight must be a "
+                                         "non-negative integer or null$"):
+        MptProof.from_json(obj)
 
 
 # -- lazily hashed nodes ------------------------------------------------------------
@@ -496,6 +512,14 @@ def test_freshness_rejects_forged_header():
         check_freshness(chain, outsider, confirmations=1, window=10**6, now=100)
 
 
+def test_holds_rejects_a_bool_height():
+    chain = chain_of(3)
+    first = chain.header_at(1)
+    assert chain.holds(1, first.header_hash)
+    assert not chain.holds(True, first.header_hash)
+    assert not chain.holds(False, chain.header_at(0).header_hash)
+
+
 def test_append_refuses_a_header_that_does_not_extend_the_tip():
     chain = HeaderChain()
     stale = chain.next_header(b"\x01" * 32, 10)
@@ -524,3 +548,94 @@ def test_update_many_matches_update_one_by_one(monkeypatch):
     for a, acct in items:
         one_by_one = one_by_one.update(a, acct)
     assert batched.root() == one_by_one.root()
+
+
+# -- hashing pipeline ------------------------------------------------------------
+
+def propose_blocks(pipeline, chains, count, trie=None):
+    """Propose ``count`` blocks on ``chains`` in turn, each over a trie
+    with one more account; returns ``(chain, height, trie, timestamp)``
+    of each proposal."""
+    trie = trie or Trie()
+    proposals = []
+    for i in range(count):
+        trie = trie.update(addr(100 + i), leaf(i))
+        chain = chains[i % len(chains)]
+        height = pipeline.propose(chain, trie, 10 + i, chain.append)
+        proposals.append((chain, height, trie, 10 + i))
+    return proposals
+
+
+def test_pipeline_headers_match_make_one_by_one():
+    """Headers a pipeline makes on several chains at once equal those
+    `BlockHeader.make` gives over each chain's tip and each trie's root;
+    ``height`` counts the blocks before they are made."""
+    pipeline = HashPipeline()
+    chains = [HeaderChain(), HeaderChain(genesis_timestamp=3)]
+    proposals = propose_blocks(pipeline, chains, 8)
+    assert [(c.height, len(c.headers)) for c in chains] == [(4, 1), (4, 1)]
+    pipeline.flush()
+    for chain, height, trie, timestamp in proposals:
+        parent = chain.headers[height - 1]
+        assert chain.headers[height] == BlockHeader.make(
+            height, parent.header_hash, timestamp, trie.root())
+    assert all(c.validate() is None for c in chains)
+
+
+def test_pipeline_step_hashes_ready_nodes_and_headers_in_one_batch(monkeypatch):
+    """Each step is one `keccak256_many` call over both chains' tries. A
+    trie's changed path is hashed one node per step, lowest first, and
+    its header is made in the step after its root."""
+    base = build_populated(40)
+    base.root()
+    pipeline = HashPipeline()
+    chains = [HeaderChain(), HeaderChain()]
+    [(first, _, trie, _), (second, _, other, timestamp)] = propose_blocks(
+        pipeline, chains, 2, base)
+    batches = []
+    real_many = trie_mod.keccak256_many
+    monkeypatch.setattr(trie_mod, "keccak256", lambda data: pytest.fail(
+        "a node or header was hashed alone"))
+    monkeypatch.setattr(trie_mod, "keccak256_many",
+                        lambda msgs: batches.append(list(msgs))
+                        or real_many(msgs))
+    while len(first.headers) == 1:
+        pipeline.step()
+    path = trie.prove(addr(100)).node_stack
+    assert len(batches) == len(path) + 1
+    for batch, node in zip(batches, reversed(path)):
+        assert node in batch
+    header = first.headers[1]
+    assert trie_mod._header_rlp(header.height, header.parent_hash,
+                                header.timestamp, header.state_root) in batches[-1]
+    pipeline.flush()
+    monkeypatch.undo()
+    assert second.headers[1] == BlockHeader.make(
+        1, second.headers[0].header_hash, timestamp, other.root())
+
+
+def test_reading_a_pending_header_steps_until_it_is_made(monkeypatch):
+    pipeline = HashPipeline()
+    chain = HeaderChain()
+    propose_blocks(pipeline, [chain], 3, build_populated(16))
+    steps = []
+    real_step = HashPipeline.step
+    monkeypatch.setattr(HashPipeline, "step",
+                        lambda self: steps.append(1) or real_step(self))
+    assert chain.height == 3 and not steps
+    header = chain.header_at(1)
+    assert header.height == 1 and len(chain.headers) == 2 and steps
+    assert chain.holds(2, chain.header_at(2).header_hash)
+    assert chain.tip.height == 3 and len(chain.headers) == 4
+    made = len(steps)
+    assert chain.tip is chain.headers[3] and len(steps) == made
+    with pytest.raises(ChainError, match="no header at height 4"):
+        chain.header_at(4)
+
+
+def test_pipeline_refuses_a_header_its_callback_does_not_append():
+    pipeline = HashPipeline()
+    chain = HeaderChain()
+    pipeline.propose(chain, build_populated(2), 10, lambda header: None)
+    with pytest.raises(ChainError, match="height 1 was made but not appended"):
+        pipeline.flush()
