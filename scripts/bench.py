@@ -24,9 +24,12 @@ checkout, round, exit code and the last lines of its stdout and stderr.
 With exactly two checkouts, ``pairs`` applies the claim rule to the second
 against the first, per workload and metric: the rounds it won, lost and
 tied by the metric's ``better`` direction, counting only rounds in which
-both produced a value, and ``gain``, true when it won at least nine
-tenths of those rounds and, over them, the medians differ its way by more
-than the distance between the first checkout's quartiles.
+both produced a value; ``gain``, true when it won at least nine tenths of
+those rounds and, over them, the medians differ its way by more than the
+distance between the first checkout's quartiles; and ``regressed``, true
+when, over the same rounds, its median is worse than the first's by more
+than the metric's ``bound`` in BENCHMARK.json, as a fraction of the
+first's median.
 """
 
 from __future__ import annotations
@@ -122,15 +125,16 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def claim_rule(first: dict, second: dict, better: dict) -> dict:
+def claim_rule(first: dict, second: dict, metrics: dict) -> dict:
     """The paired rounds ``second`` won, lost and tied against ``first``,
-    and whether that is a gain, per workload and metric. Each side maps a
-    workload to ``{"rounds": {metric: [value or None per round]}}``."""
+    and whether that is a gain or a regression, per workload and metric.
+    Each side maps a workload to ``{"rounds": {metric: [value or None per
+    round]}}``; ``metrics`` maps a metric to its BENCHMARK.json entry."""
     out = {}
     for workload, entry in second.items():
         out[workload] = {}
         for name, values in entry["rounds"].items():
-            sign = 1 if better[name] == "higher" else -1
+            sign = 1 if metrics[name]["better"] == "higher" else -1
             both = [(a, b) for a, b in zip(first[workload]["rounds"][name],
                                            values)
                     if a is not None and b is not None]
@@ -143,7 +147,8 @@ def claim_rule(first: dict, second: dict, better: dict) -> dict:
             gap = sign * (statistics.median(b_values) - median_a)
             out[workload][name] = {
                 "won": won, "lost": lost, "tied": len(both) - won - lost,
-                "gain": won >= 0.9 * len(both) and gap > q3 - q1}
+                "gain": won >= 0.9 * len(both) and gap > q3 - q1,
+                "regressed": -gap > metrics[name]["bound"] * abs(median_a)}
     return out
 
 
@@ -188,10 +193,10 @@ def main(argv=None) -> int:
 
     pairs = None
     if len(order) == 2:
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
         pairs = {"first": order[0], "second": order[1],
                  "results": claim_rule(*(results[label] for label in order),
-                                       better)}
+                                       metrics)}
     for per_workload in results.values():
         for entry in per_workload.values():
             rounds = {n: [x for x in v if x is not None]

@@ -31,7 +31,7 @@ from typing import List, Tuple
 
 from . import balance_proof
 from .field_group import GroupParams, Opening, pedersen_verify_opening
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_seed
 from .sharding import anchor_root, peer_sender, sender_address
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
 from .trie import BlockHeader, header_digests, replay_headers
@@ -75,7 +75,7 @@ def write_artifacts(out_dir: str, sim: Simulator, summary: dict) -> None:
 def cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
-        config.seed = args.seed
+        config.seed = parse_seed(args.seed)
     sim = Simulator(config)
     summary = sim.run()
     write_artifacts(args.out, sim, summary)

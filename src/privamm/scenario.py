@@ -155,11 +155,16 @@ def _int(value, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def parse_seed(value) -> int:
+    """A scenario seed, from the file or ``run --seed``: an integer >= 0."""
+    return _int(value, "$.seed", 0)
+
+
 def parse_scenario(obj: dict) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
 
-    seed = _int(_require(obj, "seed", "$"), "$.seed", 0)
+    seed = parse_seed(_require(obj, "seed", "$"))
     group_bits = _int(obj.get("group_bits", 256), "$.group_bits")
     if group_bits not in (16, 256):
         raise ScenarioError("$.group_bits", "must be 16 or 256")

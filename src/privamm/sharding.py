@@ -13,12 +13,12 @@ a merge hands back the parent the children split from, a second split of
 a zone hands back the children of its first, and each chain resumes
 where it stopped. Pool reserves are not kept here: the simulator divides
 and sums them by the LP deposits each child carries. Each masterchain
-block rebuilds the anchor table from the live shards' heads when it is
-sealed, and hashes nothing. A head whose header is still pending in a
-`HashPipeline` is recorded by height; its hash is written into the
-table's entry, in place, when the master's chain is next read. Then the
-table is hashed with every other pending table, and it is still the one
-the master tip commits to.
+block rebuilds the anchor table from the live shards' heads, by height,
+and is proposed over it to the master's own `HashPipeline`, as a shard
+block is over its trie. When a master header is first read, the
+pipeline writes each head's hash into its entry, in place, and hashes
+every pending table in one batch; each table is still the one its
+master header commits to.
 
 Block production is a vote-counting abstraction of BFT consensus: a
 committee of n = 3f + 1 members finalizes a proposal iff 2f + 1 distinct
@@ -38,12 +38,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import balance_proof
-from .keccak import DigestCache, keccak256, keccak256_many
+from .keccak import DigestCache, keccak256
 from .rlp import canonical_json
-from .trie import BlockHeader, HeaderChain
+from .trie import BlockHeader, HashPipeline, HeaderChain
 
 
 class RegistrationError(ValueError):
@@ -213,55 +213,45 @@ class Masterchain:
     """Backbone chain: validator registry, the last sealed anchor table,
     and the header chain that commits to each sealed table.
 
-    Sealing a block only records its table and timestamp. The headers are
-    made when `chain` is first read after it, as trie nodes are hashed
-    when a root is first read: nothing reads a master header while blocks
-    are being sealed, so every pending table is hashed in one batch.
+    Each sealed block is proposed to the master's own pipeline over its
+    anchor table (hashing a table reads shard headers, which a step of the
+    shards' pipeline cannot make while it runs). Only a read of a master
+    header, or a flush, steps it, so its first step hashes every table
+    sealed since, in one batch, and each later step makes one header.
     """
 
     def __init__(self):
         self.validators: Dict[str, PeerRecord] = {}
         self.anchor_table: Dict[str, dict] = {}
-        self._chain = HeaderChain()
-        # (table, timestamp, entries whose hash is not filled in) of each
-        # block sealed since `chain` was read.
-        self._pending: List[Tuple[Dict[str, dict], int, list]] = []
-
-    @property
-    def height(self) -> int:
-        """The height of the last sealed block, whether or not its header
-        has been made yet."""
-        return self._chain.height + len(self._pending)
-
-    @property
-    def chain(self) -> HeaderChain:
-        """The header chain up to the last sealed block. Each pending
-        table's entries get their shard header hashes, which makes any
-        shard header still pending; then the tables' anchor roots are
-        hashed in one `keccak256_many` call, and their headers appended in
-        height order, each checked by `append` against the tip it
-        extends."""
-        pending, self._pending = self._pending, []
-        for _, _, unfilled in pending:
-            _fill_hashes(unfilled, force=True)
-        roots = keccak256_many([_anchor_message(t) for t, _, _ in pending])
-        for (_, timestamp, _), root in zip(pending, roots):
-            self._chain.append(self._chain.next_header(root, timestamp))
-        return self._chain
+        self.chain = HeaderChain()
+        self.hashing = HashPipeline()
 
 
-def _fill_hashes(entries, force: bool) -> list:
-    """Write into each ``(anchor entry, shard chain)`` the hash of the
-    chain's header at the entry's height, if that header is made or
-    ``force`` makes it; returns the entries left unfilled."""
-    left = []
-    for entry, chain in entries:
-        if force or entry["height"] < len(chain.headers):
+class _SealedTable:
+    """An anchor table as the state a master block is proposed over: a
+    trie of one node with no children, so a pipeline step hashes it as
+    soon as it is pending. The encoding writes into each entry the hash of
+    its shard's header at the entry's height (``chains`` in table order),
+    which makes that header if it is pending; then it is the table's
+    canonical JSON, so the digest is `anchor_root` of the table."""
+
+    __slots__ = ("_root", "_digest", "_table", "_chains")
+
+    def __init__(self, table: Dict[str, dict], chains: List[HeaderChain]):
+        self._root, self._digest = self, None
+        self._table, self._chains = table, chains
+
+    def _children(self):
+        return ()
+
+    def encoding(self) -> bytes:
+        for entry, chain in zip(self._table.values(), self._chains):
             header = chain.header_at(entry["height"])
             entry["hash"] = "0x" + header.header_hash.hex()
-        else:
-            left.append((entry, chain))
-    return left
+        return _anchor_message(self._table)
+
+    def hashed_root(self) -> Optional[bytes]:
+        return self._digest
 
 
 def _anchor_message(table: Dict[str, dict]) -> bytes:
@@ -411,27 +401,24 @@ def honest_votes(committee: Committee, proposal: BlockHeader) -> List[Vote]:
             for m in committee.members]
 
 
-def seal_anchors(master: Masterchain, shards, timestamp: int) -> int:
-    """Rebuild the anchor table from the live ``shards``, seal one
+def seal_anchors(master: Masterchain, shards, timestamp: int,
+                 made: Callable[[BlockHeader], object]) -> int:
+    """Rebuild the anchor table from the live ``shards``, propose one
     masterchain block committing it at ``timestamp``, and return that
-    block's height.
+    block's height; ``made`` receives the block's header, as in
+    `HashPipeline.propose`, and must append it to ``master.chain``.
 
     Each entry is a shard's chain tip, sorted by shard id. A failed
     shard's unchanged head stays in the table flagged stale; a retired
-    shard is not handed in and has no entry. Nothing is hashed here: an
-    entry whose tip header is still pending gets its hash, in place, when
-    ``master.chain`` is next read, and the block's header is made then.
+    shard is not handed in and has no entry. Nothing is hashed here: the
+    entries get their hashes, in place, when the master's pipeline hashes
+    the table.
     """
-    master.anchor_table = {}
-    entries = []
-    for shard in sorted(shards, key=lambda s: s.shard_id):
-        entry = {"height": shard.chain.height, "hash": None,
-                 "stale": shard.failed}
-        master.anchor_table[shard.shard_id] = entry
-        entries.append((entry, shard.chain))
-    master._pending.append((master.anchor_table, timestamp,
-                            _fill_hashes(entries, force=False)))
-    return master.height
+    shards = sorted(shards, key=lambda s: s.shard_id)
+    master.anchor_table = {s.shard_id: {"height": s.chain.height, "hash": None,
+                                        "stale": s.failed} for s in shards}
+    table = _SealedTable(master.anchor_table, [s.chain for s in shards])
+    return master.hashing.propose(master.chain, table, timestamp, made)
 
 
 def split_shard(workchain: Workchain, shard: Shard,

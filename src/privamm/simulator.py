@@ -12,7 +12,9 @@ children are hashed and every pending header whose state root and parent
 are known, across every shard and every round not yet hashed. A header's
 committee votes when it is made. Only a read of a pending header, for a
 proof point, a shard back in service, a failing region or the end of the
-run, runs further steps until it is made.
+run, runs further steps until it is made. Master blocks go to the
+master's own pipeline, which only the end of the run steps: every
+anchor table is hashed in one batch.
 
 Determinism is load-bearing: every random draw comes from a named
 stream derived from the scenario seed (one stream per shard, one for
@@ -144,8 +146,6 @@ class Simulator:
         self.pending: List[Tuple[int, int, TradeSpec]] = []
         # Every MPC session the run opened, live or retired.
         self.sessions: List[MpcSession] = []
-        # (height, block event) of each master block sealed by a round.
-        self.master_blocks: List[Tuple[int, dict]] = []
         # Every shard block proposed whose header is not made yet.
         self.hashing = HashPipeline()
 
@@ -489,14 +489,14 @@ class Simulator:
             round_counts[sid] = tx_count
         self.hashing.step()
 
-        # One masterchain block per round carries every shard's anchor.
+        # One masterchain block per round carries every shard's anchor; its
+        # header is filled in when the master's pipeline makes it.
         master = self.topology.master
         for rt in self.runtimes.values():
             rt.anchor_rounds += 1
-        height = seal_anchors(master, self.topology.all_shards(), tick)
-        # Its header is filled in once the run has sealed every round.
-        self.master_blocks.append(
-            (height, self.log.emit(tick, "master", "block", chain="master")))
+        event = self.log.emit(tick, "master", "block", chain="master")
+        height = seal_anchors(master, self.topology.all_shards(), tick,
+                              partial(self._anchored, event))
         table = master.anchor_table
         live = [sid for sid in table if not table[sid]["stale"]]
         self.log.emit(tick, "master", "anchors", masterHeight=height,
@@ -538,6 +538,11 @@ class Simulator:
         if produce_block(rt.shard, committee, votes, header) is None:
             raise SimulationError(
                 f"honest committee of {rt.shard_id} did not finalize")
+        event["header"] = header.to_json()
+
+    def _anchored(self, event: dict, header: BlockHeader) -> None:
+        """Append a master header the master's pipeline just made."""
+        self.topology.master.chain.append(header)
         event["header"] = header.to_json()
 
     # -- split / merge ------------------------------------------------------------
@@ -645,7 +650,7 @@ class Simulator:
             "vk": self.vk.to_json(),
             "shards": shards,
             "master": {
-                "height": master.height,
+                "height": master.chain.height,
                 "anchorTable": master.anchor_table,
             },
             "mpc": self._mpc_totals(),
@@ -670,12 +675,10 @@ class Simulator:
             del self.pending[:due]
             if tick > 0 and tick % self.config.block_interval == 0:
                 self._block_round(tick)
-        # Make every shard header, then every master header; the anchor
-        # tables are hashed in one batch.
+        # Make every shard header, then every master header: the master's
+        # first step hashes every anchor table in one batch.
         self.hashing.flush()
-        chain = self.topology.master.chain
-        for height, event in self.master_blocks:
-            event["header"] = chain.headers[height].to_json()
+        self.topology.master.hashing.flush()
 
         self._run_adversaries(self.config.ticks)
         summary = self._summary()

@@ -688,14 +688,14 @@ class HeaderChain:
 class HashPipeline:
     """Every block proposed but not hashed yet, on any number of chains.
 
-    A proposal names the trie whose root its header commits to; nothing is
-    hashed when it is made. Each `step` hashes, in one `keccak256_many`
-    call, every unhashed node of every pending trie whose children are all
-    hashed, and every pending header whose state root and parent digest
-    are known: the oldest pending one of each chain whose trie is hashed.
-    `Trie.root` is the same step over one trie. A header, once made, is
-    handed to its proposal's ``made`` callback, which must append it to
-    its chain.
+    A proposal names the trie, or the sealed anchor table, whose root its
+    header commits to; nothing is hashed when it is made. Each `step`
+    hashes, in one `keccak256_many` call, every unhashed node of every
+    pending trie whose children are all hashed, and every pending header
+    whose state root and parent digest are known: the oldest pending one
+    of each chain whose trie is hashed. `Trie.root` is the same step over
+    one trie. A header, once made, is handed to its proposal's ``made``
+    callback, which must append it to its chain.
     """
 
     __slots__ = ("_chains",)

@@ -194,7 +194,7 @@ run_s, tx_per_s = 10.0 + k, 100.0
 if label == "change":
     run_s -= {"trade-heavy": 5, "load-split": 1 if k != 2 else -3}.get(
         workload, 0)
-    tx_per_s += 1
+    tx_per_s += {"load-split": -17, "mev-sweep": -19}.get(workload, 1)
 print(json.dumps({"correct": True, "metrics": {
     "run_s": {"value": run_s, "unit": "s"},
     "tx_per_s": {"value": tx_per_s, "unit": "1/s"}}}))
@@ -204,7 +204,8 @@ print(json.dumps({"correct": True, "metrics": {
 def test_bench_applies_the_claim_rule_to_two_checkouts(tmp_path):
     """With two checkouts, each metric's rounds are counted as won, lost or
     tied by the second in its `better` direction, over the rounds both
-    produced a value; each side's quartiles are recorded."""
+    produced a value, and a median worse by more than BENCHMARK.json's
+    bound is a regression; each side's quartiles are recorded."""
     for label in ("parent", "change"):
         checkout = tmp_path / label
         (checkout / "perfbench").mkdir(parents=True)
@@ -226,13 +227,19 @@ def test_bench_applies_the_claim_rule_to_two_checkouts(tmp_path):
     counts = pairs["results"]
     # Round 3 of trade-heavy has no parent value, so it is not a pair.
     assert counts["trade-heavy"]["run_s"] == {
-        "won": 4, "lost": 0, "tied": 0, "gain": True}
+        "won": 4, "lost": 0, "tied": 0, "gain": True, "regressed": False}
     # A higher tx_per_s wins; the parent's quartiles are 0 apart.
     assert counts["trade-heavy"]["tx_per_s"] == {
-        "won": 4, "lost": 0, "tied": 0, "gain": True}
+        "won": 4, "lost": 0, "tied": 0, "gain": True, "regressed": False}
     # Four wins in five pairs is below nine tenths.
     assert counts["load-split"]["run_s"] == {
-        "won": 4, "lost": 1, "tied": 0, "gain": False}
+        "won": 4, "lost": 1, "tied": 0, "gain": False, "regressed": False}
     assert counts["mev-sweep"]["run_s"] == {
-        "won": 0, "lost": 0, "tied": 5, "gain": False}
+        "won": 0, "lost": 0, "tied": 5, "gain": False, "regressed": False}
+    # tx_per_s may fall by its bound, 18% of the parent's 100.0, and no
+    # more: 17% is no regression, 19% is one.
+    assert counts["load-split"]["tx_per_s"] == {
+        "won": 0, "lost": 5, "tied": 0, "gain": False, "regressed": False}
+    assert counts["mev-sweep"]["tx_per_s"] == {
+        "won": 0, "lost": 5, "tied": 0, "gain": False, "regressed": True}
     assert "peak_rss_mb" not in counts["mev-sweep"]

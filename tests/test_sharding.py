@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privamm import balance_proof, sharding
+from privamm import balance_proof, trie as trie_mod
 from privamm.keccak import keccak256
 from privamm.sharding import (Committee, CommitteeError, Masterchain,
                               MempoolEntry, PeerRecord, RegistrationError,
@@ -379,34 +379,38 @@ def test_anchor_records_head_and_seals_block():
     root = keccak256(b"state-1")
     proposal = shard.chain.next_header(root, timestamp=10)
     produce_block(shard, committee, honest_votes(committee, proposal), proposal)
-    assert seal_anchors(topo.master, topo.all_shards(), timestamp=10) == 1
+    assert seal_anchors(topo.master, topo.all_shards(), 10,
+                        topo.master.chain.append) == 1
+    # Reading the master's tip hashes the table, which fills in its hashes.
+    header = topo.master.chain.tip
     entry = topo.master.anchor_table["shard-0"]
     assert entry["height"] == 1
     assert entry["hash"] == "0x" + shard.chain.tip.header_hash.hex()
     assert entry["stale"] is False
-    header = topo.master.chain.tip
     assert (header.height, header.timestamp) == (1, 10)
     assert header.state_root == anchor_root(topo.master.anchor_table)
 
 
 def test_anchor_root_is_keccak_of_canonical_table():
     topo, _, _ = build_shard()
-    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
+    seal_anchors(topo.master, topo.all_shards(), 1, topo.master.chain.append)
+    state_root = topo.master.chain.tip.state_root  # fills the table in
     import json
     blob = json.dumps(topo.master.anchor_table, sort_keys=True,
                       separators=(",", ":"))
-    assert topo.master.chain.tip.state_root == keccak256(blob.encode())
+    assert state_root == keccak256(blob.encode())
 
 
 def test_lazy_master_chain_matches_one_sealed_round_by_round(monkeypatch):
-    """The master's headers, made when its chain is read, equal those of a
+    """The master's headers, made when its tip is read, equal those of a
     chain that hashes each round's table as it is sealed; every pending
-    table is hashed in one batch, and a later read extends the same chain."""
+    table is hashed in one batch, each header in one step of its own, and
+    a later read extends the same chain."""
     topo, shard, committee = build_shard()
     reference = HeaderChain()
     batches = []
-    many = sharding.keccak256_many
-    monkeypatch.setattr(sharding, "keccak256_many",
+    many = trie_mod.keccak256_many
+    monkeypatch.setattr(trie_mod, "keccak256_many",
                         lambda messages: batches.append(len(messages))
                         or many(messages))
 
@@ -417,10 +421,14 @@ def test_lazy_master_chain_matches_one_sealed_round_by_round(monkeypatch):
                     keccak256(b"%d" % timestamp), timestamp)
                 produce_block(live, committee, honest_votes(committee, proposal),
                               proposal)
-        height = seal_anchors(topo.master, topo.all_shards(), timestamp)
-        reference.append(reference.next_header(
-            anchor_root(topo.master.anchor_table), timestamp))
-        assert height == topo.master.height == reference.tip.height
+        height = seal_anchors(topo.master, topo.all_shards(), timestamp,
+                              topo.master.chain.append)
+        table = {live.shard_id: {
+            "height": live.chain.height, "stale": live.failed,
+            "hash": "0x" + live.chain.tip.header_hash.hex()}
+            for live in topo.all_shards()}
+        reference.append(reference.next_header(anchor_root(table), timestamp))
+        assert height == topo.master.chain.height == reference.tip.height
 
     seal_round(1)
     shard.failed = True
@@ -432,24 +440,27 @@ def test_lazy_master_chain_matches_one_sealed_round_by_round(monkeypatch):
     seal_round(3)
     assert batches == []  # sealing hashes nothing
     chain = topo.master.chain
-    assert batches == [4]
+    assert len(chain.headers) == 1  # nor does reading the height
+    chain.tip
+    assert batches == [4, 1, 1, 1, 1]
     assert chain.headers == reference.headers
-    assert chain.validate() is None
 
     seal_round(5)
     seal_round(8)
+    assert topo.master.chain.tip == reference.tip
     assert topo.master.chain is chain
-    assert batches == [4, 2]
+    assert batches == [4, 1, 1, 1, 1, 2, 1, 1]
     assert chain.headers == reference.headers
     assert [h.timestamp for h in chain.headers] == [0, 1, 2, 3, 3, 5, 8]
     assert len(topo.master.chain.headers) == 7  # nothing was pending
+    assert chain.validate() is None
 
 
 def test_failed_shard_anchor_goes_stale_not_absent():
     topo, shard, _ = build_shard()
-    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
+    seal_anchors(topo.master, topo.all_shards(), 1, topo.master.chain.append)
     shard.failed = True
-    seal_anchors(topo.master, topo.all_shards(), timestamp=2)
+    seal_anchors(topo.master, topo.all_shards(), 2, topo.master.chain.append)
     assert topo.master.anchor_table["shard-0"]["stale"] is True
 
 
@@ -494,7 +505,7 @@ def test_pipelined_blocks_and_anchors_match_eager_hashing(
                                     shard.chain.append) == eager[s].height + 1
             eager[s].append(eager[s].next_header(eager_tries[s].root(), tick))
         pipeline.step()
-        assert seal_anchors(master, shards, tick) == tick
+        assert seal_anchors(master, shards, tick, master.chain.append) == tick
         tables.append(master.anchor_table)
         eager_tables.append({
             shard.shard_id: {"height": chain.height,
@@ -503,19 +514,19 @@ def test_pipelined_blocks_and_anchors_match_eager_hashing(
             for shard, chain in zip(shards, eager)})
         eager_master.append(eager_master.next_header(
             anchor_root(eager_tables[-1]), tick))
-    chain = master.chain
+    master.hashing.flush()
     assert tables == eager_tables
-    assert chain.headers == eager_master.headers
+    assert master.chain.headers == eager_master.headers
     for shard, reference in zip(shards, eager):
         assert shard.chain.headers == reference.headers
 
 
 def test_retired_shard_has_no_anchor():
     topo, shard, _ = build_shard()
-    seal_anchors(topo.master, topo.all_shards(), timestamp=1)
+    seal_anchors(topo.master, topo.all_shards(), 1, topo.master.chain.append)
     child_a, child_b = split_shard(topo.workchains[0], shard,
                                    topo.master.validators)
-    seal_anchors(topo.master, topo.all_shards(), timestamp=2)
+    seal_anchors(topo.master, topo.all_shards(), 2, topo.master.chain.append)
     assert list(topo.master.anchor_table) == [child_a.shard_id,
                                               child_b.shard_id]
 

@@ -19,8 +19,9 @@ from privamm.keccak import keccak256
 from privamm.protocol import RunLog
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.simulator import SimulationError, Simulator
+from privamm.sharding import anchor_root
 from privamm.trie import (MAX_NONCE, BlockHeader, HashPipeline, HeaderChain,
-                          check_freshness)
+                          Trie, check_freshness)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -260,6 +261,20 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert ((out_a / "run.jsonl").read_bytes()
             != (out_b / "run.jsonl").read_bytes())
     assert json.loads((out_b / "summary.json").read_text())["seed"] == 6
+
+
+@pytest.mark.parametrize("seed, error", [
+    ("-5", "configuration error: $.seed: must be >= 0"),
+    ("1.5", "argument --seed: invalid int value: '1.5'"),
+    ("x", "argument --seed: invalid int value: 'x'")])
+def test_seed_override_is_checked_as_the_scenario_seed(tmp_path, capsys,
+                                                       seed, error):
+    """``--seed`` takes what ``$.seed`` takes: a negative or non-integer
+    seed exits 1 before anything runs."""
+    out = tmp_path / "out"
+    assert run_cli(SMALL, out, extra=["--seed", seed]) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -922,16 +937,21 @@ def test_verify_reports_a_malformed_artifact_without_a_traceback(
     assert "Traceback" not in printed.err
 
 
-def scenarios_and_workloads():
-    """Every shipped scenario and every benchmark workload at seed 1."""
+def workload_generators() -> dict:
+    """perfbench's scenario generator of each benchmark workload, by name."""
     sys.path.insert(0, str(SCENARIOS.parent / "perfbench"))
     try:
         from workloads import GENERATORS
     finally:
         sys.path.pop(0)
+    return GENERATORS
+
+
+def scenarios_and_workloads():
+    """Every shipped scenario and every benchmark workload at seed 1."""
     for path in sorted(SCENARIOS.glob("*.json")):
         yield path.stem, load_scenario(str(path))
-    for name, generate in GENERATORS.items():
+    for name, generate in workload_generators().items():
         yield name, parse_scenario(generate(1))
 
 
@@ -1046,14 +1066,17 @@ def test_verify_passes_on_merge_scenario(tmp_path, capsys):
     assert "ok: block headers replay (35 headers)" in lines
 
 
-def test_round_proposals_hashed_in_one_batch_and_headers_once(tmp_path,
-                                                              monkeypatch):
-    """On ``merge``, every round's shard proposals are hashed by one
-    ``keccak256_many`` call when two or more shards are live, and each
-    header in run.jsonl is hashed exactly once in the whole run."""
+@pytest.fixture(scope="module")
+def load_split_hashing():
+    """One ``load-split`` run, whose multi-shard rounds change tries of
+    different depths, with its hashing recorded: each outermost Keccak
+    call as (pipeline steps begun so far, function name, digests); each
+    shard header a pipeline made, with the steps begun when it was
+    proposed; and the number of Keccak calls made by the end of each
+    block round."""
     real = {"keccak256": keccak_mod.keccak256,
             "keccak256_many": keccak_mod.keccak256_many}
-    calls = []  # (name, digests) of each outermost call
+    steps, calls, made, round_ends = [0], [], [], []
     depth = [0]
 
     def wrapped(name):
@@ -1064,25 +1087,55 @@ def test_round_proposals_hashed_in_one_batch_and_headers_once(tmp_path,
             finally:
                 depth[0] -= 1
             if not depth[0]:
-                calls.append((name, [out] if name == "keccak256" else out))
+                calls.append((steps[0], name,
+                              [out] if name == "keccak256" else out))
             return out
         return hashed
 
-    for module in [m for n, m in sys.modules.items()
-                   if n == "privamm" or n.startswith("privamm.")]:
-        for name in real:
-            if getattr(module, name, None) is real[name]:
-                monkeypatch.setattr(module, name, wrapped(name))
-    out = tmp_path / "merge"
-    assert main(["run", str(SCENARIOS / "merge.json"), "--out", str(out)]) == 0
-    monkeypatch.undo()
+    step, propose = HashPipeline.step, HashPipeline.propose
+    block_round = Simulator._block_round
 
-    events = [json.loads(line)
-              for line in (out / "run.jsonl").read_text().splitlines()]
-    hashed = Counter(d for _, digests in calls for d in digests)
+    def counted_step(self):
+        steps[0] += 1
+        step(self)
+
+    def recorded_propose(self, chain, state, timestamp, then):
+        if not isinstance(state, Trie):  # a master block
+            return propose(self, chain, state, timestamp, then)
+        at = steps[0]
+        return propose(self, chain, state, timestamp, lambda header: (
+            made.append((header, at)), then(header)))
+
+    def timed_round(self, tick):
+        block_round(self, tick)
+        round_ends.append(len(calls))
+
+    sim = Simulator(parse_scenario(workload_generators()["load-split"](1)))
+    with pytest.MonkeyPatch.context() as mp:
+        for module in [m for n, m in sys.modules.items()
+                       if n == "privamm" or n.startswith("privamm.")]:
+            for name in real:
+                if getattr(module, name, None) is real[name]:
+                    mp.setattr(module, name, wrapped(name))
+        mp.setattr(HashPipeline, "step", counted_step)
+        mp.setattr(HashPipeline, "propose", recorded_propose)
+        mp.setattr(Simulator, "_block_round", timed_round)
+        sim.run()
+    return sim.log.events, calls, made, round_ends
+
+
+def test_each_header_is_made_once_when_its_inputs_are_hashed(
+        load_split_hashing):
+    """Every header in the log is hashed exactly once. Each shard header a
+    pipeline makes is made in the step after the later of two steps: the
+    one that hashed its state root (or its proposal, if the root was
+    hashed before it) and the one that made its parent. So headers
+    proposed together, over tries of different depths, are made in
+    different steps."""
+    events, calls, made, _ = load_split_hashing
+    hashed = Counter(d for _, _, digests in calls for d in digests)
     headers = [bytes.fromhex(e["header"]["headerHash"][2:])
                for e in events if e["event"] == "block"]
-    assert len(headers) == 35
     # The master's genesis is the empty chain's, which every new shard
     # starts from too: hashed at most once per chain.
     empty_genesis = HeaderChain().tip.header_hash
@@ -1090,23 +1143,46 @@ def test_round_proposals_hashed_in_one_batch_and_headers_once(tmp_path,
                                               if e["event"] == "block"})
     assert {hashed[h] for h in headers if h != empty_genesis} == {1}
 
-    # A round's proposals are the shard blocks logged at its tick before
-    # its master block; those logged after it open the chains of runtimes
-    # built by a split or a merge.
-    batches = [set(d) for name, d in calls if name == "keccak256_many"]
-    proposals, sealed = defaultdict(set), set()
-    for e in events:
-        if e["event"] != "block":
-            continue
-        if e["chain"] == "master":
-            sealed.add(e["tick"])
-        elif e["tick"] not in sealed:
-            proposals[e["tick"]].add(
-                bytes.fromhex(e["header"]["headerHash"][2:]))
-    shared = {t: p for t, p in proposals.items() if len(p) >= 2}
-    assert len(shared) >= 3
-    for tick, round_proposals in shared.items():
-        assert round_proposals in batches, tick
+    # The steps begun when each digest was first hashed: a digest hashed
+    # between steps is ready for the next step, as one hashed in a step.
+    first = {}
+    for at, _, digests in calls:
+        for digest in digests:
+            first.setdefault(digest, at)
+    together = defaultdict(set)
+    roots_after_proposal = 0
+    for header, proposed in made:
+        root, parent = first[header.state_root], first[header.parent_hash]
+        assert first[header.header_hash] == max(root, proposed, parent) + 1
+        roots_after_proposal += root > proposed
+        together[proposed].add(first[header.header_hash])
+    assert len(made) > 100 and roots_after_proposal > 100
+    assert sum(len(steps) > 1 for steps in together.values()) >= 10
+
+
+def test_master_headers_wait_for_the_last_round_and_tables_hash_in_one_batch(
+        load_split_hashing):
+    """No master header is made before the last block round ends, every
+    anchor table is hashed in one ``keccak256_many`` call, and each master
+    header is hashed once."""
+    events, calls, _, round_ends = load_split_hashing
+    assert len(round_ends) > 100
+    master = [bytes.fromhex(e["header"]["headerHash"][2:]) for e in events
+              if e["event"] == "block" and e["chain"] == "master"
+              and e["header"]["height"] > 0]
+    assert len(master) == len(round_ends)
+    at = defaultdict(list)
+    for i, (_, _, digests) in enumerate(calls):
+        for digest in digests:
+            at[digest].append(i)
+    assert all(len(at[h]) == 1 and at[h][0] >= round_ends[-1]
+               for h in master)
+    roots = {anchor_root(e["table"]) for e in events
+             if e["event"] == "anchors"}
+    assert len(roots) == len(master)
+    (batch,) = [(name, set(digests)) for _, name, digests in calls
+                if roots & set(digests)]
+    assert batch[0] == "keccak256_many" and roots <= batch[1]
 
 
 def test_second_split_resumes_the_children_chains(tmp_path):
@@ -1219,8 +1295,9 @@ def test_a_forced_read_makes_each_pending_header_once(pending_sim, reader):
 
 def test_height_readers_force_nothing(pending_sim, monkeypatch):
     """The committee epoch, `blocks_produced` (metrics.csv), the freshness
-    depth and the anchor table read a chain's height, pending blocks
-    included, and make no header; a round with no trade runs one step."""
+    depth, the anchor table and the master's height read a chain's height,
+    pending blocks included, and make no header; a round with no trade
+    runs one step."""
     sim, rt, voted = pending_sim
     chain = rt.shard.chain
     steps, step = [], HashPipeline.step
@@ -1248,7 +1325,9 @@ def test_height_readers_force_nothing(pending_sim, monkeypatch):
         "height": 6, "hash": None, "stale": False}
     assert len(chain.headers) == 3 and not voted
     monkeypatch.setattr(HashPipeline, "step", step)
-    assert sim.topology.master.chain.height == 1
+    master = sim.topology.master.chain
+    assert master.height == 1 and len(master.headers) == 1
+    master.tip  # hashes the table, which makes the shard's header
     assert sim.topology.master.anchor_table["shard-0"]["hash"] == (
         "0x" + chain.header_at(6).header_hash.hex())
     assert voted == {3: 1, 4: 1, 5: 1, 6: 1}
