@@ -18,8 +18,8 @@ from privamm.cli import (EVENT_FIELDS, _decimal, main, read_log,
 from privamm.keccak import keccak256
 from privamm.protocol import RunLog
 from privamm.scenario import load_scenario, parse_scenario
-from privamm.simulator import SimulationError, Simulator
 from privamm.sharding import anchor_root
+from privamm.simulator import SimulationError, Simulator
 from privamm.trie import (MAX_NONCE, BlockHeader, HashPipeline, HeaderChain,
                           Trie, check_freshness)
 
