@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
-from .rlp import canonical_json
+from .rlp import canonical_int, canonical_json
 from .trie import (AccountLeaf, MalformedLeafError, MptProof,
                    VerificationError, decode_account_leaf, hex_bytes,
                    verify_account_proof, verify_account_proofs)
@@ -55,11 +55,8 @@ class Proof:
     def from_json(cls, obj: dict) -> "Proof":
         """Read ``to_json``'s output, exactly as written: the threshold as
         ``str(n)``, every byte string as ``0x`` and lowercase hex."""
-        text = obj["threshold"]
-        threshold = int(text)
-        if str(threshold) != text:
-            raise ValueError("threshold must be a canonical decimal integer")
-        return cls(vk=VerificationKey.from_json(obj), threshold=threshold,
+        return cls(vk=VerificationKey.from_json(obj),
+                   threshold=canonical_int(obj["threshold"]),
                    account=MptProof.from_json(obj["account"]))
 
 

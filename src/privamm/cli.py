@@ -31,6 +31,7 @@ from typing import List, Tuple
 
 from . import balance_proof
 from .field_group import GroupParams, Opening, pedersen_verify_opening
+from .rlp import canonical_int
 from .scenario import ScenarioError, load_scenario, parse_seed
 from .sharding import anchor_root, peer_sender, sender_address
 from .simulator import METRICS_FIELDS, SimulationError, Simulator
@@ -102,14 +103,6 @@ def _checked(ok, what: str):
     return parse
 
 
-def _decimal(v) -> int:
-    """An integer exactly as the writer writes one: ``str(n)``."""
-    n = int(v) if type(v) is str else None
-    if n is None or str(n) != v:
-        raise ValueError("not a canonical decimal integer")
-    return n
-
-
 _STRING = _checked(lambda v: type(v) is str, "a string")
 _INTEGER = _checked(lambda v: type(v) is int, "an integer")
 _SHARD_IDS = _checked(lambda v: type(v) is list and all(
@@ -120,8 +113,8 @@ _ANCHOR_TABLE = _checked(lambda v: type(v) is dict and all(
     and type(e.get("hash")) is str for e in v.values()),
     "a table of shard heights and hashes")
 _PROOF = {"actor": _STRING, "proof": balance_proof.Proof.from_json}
-_POOL = {"tick": _INTEGER, "Es": _decimal, "Ms": _decimal, "C2": _decimal}
-_COMMITMENT = {"actor": _STRING, "commitment": _decimal}
+_POOL = {"tick": _INTEGER, "Es": canonical_int, "Ms": canonical_int, "C2": canonical_int}
+_COMMITMENT = {"actor": _STRING, "commitment": canonical_int}
 
 #: The fields `verify` reads from each event kind it reads, each with the
 #: one parser that reads it. Lines of other kinds are not read further.
@@ -135,7 +128,7 @@ EVENT_FIELDS = {
     "pool_published": _POOL,
     "init_commitment": _COMMITMENT,
     "order_committed": _COMMITMENT,
-    "commitment_opened": {"actor": _STRING, "y": _decimal, "r": _decimal},
+    "commitment_opened": {"actor": _STRING, "y": canonical_int, "r": canonical_int},
 }
 
 

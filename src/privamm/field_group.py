@@ -31,6 +31,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from .rlp import canonical_int
+
 
 class ParameterError(ValueError):
     """Unsupported or inconsistent group parameters."""
@@ -67,7 +69,7 @@ class GroupParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupParams":
-        return cls(int(obj["p"]), int(obj["q"]), int(obj["g"]), int(obj["h"]))
+        return cls(*(canonical_int(obj[name]) for name in "pqgh"))
 
 
 @dataclass(frozen=True, slots=True)

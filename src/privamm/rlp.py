@@ -6,6 +6,8 @@ decoding. Trie nodes depend on this for tamper detection.
 
 ``canonical_json`` is the one canonical JSON text the package hashes or
 logs: sorted keys, no whitespace. One encoder serves every call.
+``canonical_int`` is the one reader of an integer written as text: it
+takes only what ``str(n)`` writes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ from __future__ import annotations
 import json
 
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def canonical_int(text) -> int:
+    """An integer exactly as the writer writes one: ``str(n)``."""
+    n = int(text) if type(text) is str else None
+    if n is None or str(n) != text:
+        raise ValueError("not a canonical decimal integer")
+    return n
 
 
 class RlpError(ValueError):

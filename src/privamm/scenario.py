@@ -1,11 +1,15 @@
 """Scenario configuration: parsing and validation of run descriptions.
 
-A scenario is a single JSON object. Quantities (liquidity, trade sizes,
-deposits) are decimal strings parsed exactly; zone coordinates accept
-integers or decimal strings. Floats are rejected, since a binary float
-rarely holds the decimal the author wrote. Validation failures raise
-ScenarioError with the offending field path, which the command line maps
-to exit code 1.
+A scenario is a single JSON object. Every field is read by one reader,
+``_at``, which forms the field's path and applies the missing-field rule,
+then hands the value to the one parser of its type rule (integer with a
+minimum, quantity, coordinate, positive quantity, balance, choice, string,
+JSON boolean, object, list of objects); ``_unique`` rejects repeated ids.
+Quantities are integers or decimal strings parsed exactly, on the 1e-6
+grid; coordinates and limit rates may be off it. Floats are rejected,
+since a binary float rarely holds the decimal the author wrote. Each
+failure raises ScenarioError with the offending field path, which the
+command line maps to exit code 1.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional
 
 from .mpc import SCALE
@@ -28,13 +33,16 @@ class ScenarioError(ValueError):
 
 
 def parse_quantity(value, where: str, require_grid: bool = True) -> Fraction:
-    if isinstance(value, float):
+    """An integer or decimal string, exactly; on the 1e-6 grid if asked."""
+    if type(value) is float:
         raise ScenarioError(where, f"float quantity {value!r}; use a decimal string")
+    if type(value) not in (int, str):
+        raise ScenarioError(where, f"not a rational quantity: {value!r}")
     try:
         q = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(where, f"not a rational quantity: {value!r}") from exc
-    if require_grid and (q * SCALE).denominator != 1:
+    if require_grid and SCALE % q.denominator:  # q * SCALE is not whole
         raise ScenarioError(where, f"{value!r} is not on the 1e-6 grid")
     return q
 
@@ -45,7 +53,6 @@ class PeerSpec:
     lat: Fraction
     lon: Fraction
     key: str
-    stake: int
     balance: int  # scaled account balance
 
 
@@ -125,10 +132,23 @@ class ScenarioConfig:
     shadow_adversary: bool
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ScenarioError(f"{where}.{key}", "missing required field")
-    return obj[key]
+_REQUIRED = object()  # the ``default`` of a field that must be present
+
+
+def _at(obj: dict, key: str, where: str, parse, default):
+    """Field ``key`` of ``obj``, the object at path ``where``, read through
+    ``parse(value, path)``. A missing field is an error if ``default`` is
+    _REQUIRED, None if it is None, and otherwise reads ``default``, which
+    is written as the file would write it."""
+    path = f"{where}.{key}"
+    if key in obj:
+        return parse(obj[key], path)
+    if default is _REQUIRED:
+        raise ScenarioError(path, "missing required field")
+    return None if default is None else parse(default, path)
+
+
+_coordinate = partial(parse_quantity, require_grid=False)
 
 
 def _positive(value, where: str) -> Fraction:
@@ -138,253 +158,222 @@ def _positive(value, where: str) -> Fraction:
     return q
 
 
-def _positive_field(obj: dict, key: str, where: str,
-                    required: bool) -> Optional[Fraction]:
-    """A positive quantity at ``obj[key]``; None when absent and not
-    ``required``."""
-    if key not in obj and not required:
-        return None
-    return _positive(_require(obj, key, where), f"{where}.{key}")
+def _balance(value, where: str) -> int:
+    """A scaled account balance: it must fit the 256-bit account leaf."""
+    scaled = int(parse_quantity(value, where) * SCALE)
+    if not 0 <= scaled < 1 << 256:
+        raise ScenarioError(where, f"must be >= 0 and below 2**256 / {SCALE}")
+    return scaled
 
 
-def _int(value, where: str, minimum: Optional[int] = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(where, f"expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(where, f"must be >= {minimum}")
+def _integer(minimum: int):
+    """The parser of an integer that is at least ``minimum``."""
+    def parse(value, where: str) -> int:
+        if type(value) is not int:
+            raise ScenarioError(where, f"expected integer, got {value!r}")
+        if value < minimum:
+            raise ScenarioError(where, f"must be >= {minimum}")
+        return value
+    return parse
+
+
+def _string(value, where: str) -> str:
+    if type(value) is not str:
+        raise ScenarioError(where, f"expected a string, got {value!r}")
     return value
+
+
+def _flag(value, where: str) -> bool:
+    if type(value) is not bool:
+        raise ScenarioError(where, f"expected true or false, got {value!r}")
+    return value
+
+
+def _choice(what: str, options):
+    """The parser of one of ``options``, matched by type and value."""
+    kinds = {type(option) for option in options}
+
+    def parse(value, where: str):
+        if type(value) not in kinds or value not in options:
+            raise ScenarioError(where, f"unknown {what} {value!r}")
+        return value
+    return parse
+
+
+def _object(read):
+    """The parser of a JSON object whose fields ``read(obj, where)`` reads."""
+    def parse(value, where: str):
+        if type(value) is not dict:
+            raise ScenarioError(where, "expected an object")
+        return read(value, where)
+    return parse
+
+
+def _objects(read):
+    """The parser of a list of JSON objects, each read by ``read`` at the
+    path of its index."""
+    item = _object(read)
+
+    def parse(value, where: str) -> list:
+        if type(value) is not list:
+            raise ScenarioError(where, "expected a list")
+        return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _unique(values: list, where: str, key: str) -> None:
+    """Reject the first repeat in ``values``, field ``key`` of each object
+    of the list at ``where``."""
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            raise ScenarioError(f"{where}[{i}].{key}", f"duplicate {key} {value!r}")
+        seen.add(value)
+
+
+_NATURAL = _integer(0)
+_SIDE = _choice("side", ("buy", "sell"))
+_STRATEGY = _choice("strategy", ("sandwich", "frontrun", "arbitrage"))
+_MODE = _choice("mode", ("plaintext", "committed"))
 
 
 def parse_seed(value) -> int:
     """A scenario seed, from the file or ``run --seed``: an integer >= 0."""
-    return _int(value, "$.seed", 0)
+    return _NATURAL(value, "$.seed")
+
+
+def _zone(z: dict, where: str) -> Zone:
+    try:
+        return Zone(**{side: _at(z, side, where, _coordinate, _REQUIRED)
+                       for side in ("west", "east", "south", "north")})
+    except ZoneError as exc:
+        raise ScenarioError(where, str(exc)) from exc
+
+
+def _size_range(value, where: str) -> tuple:
+    """A victim size range: two positive quantities [lo, hi], lo <= hi."""
+    if type(value) is not list or len(value) != 2:
+        raise ScenarioError(where, "expected two quantities [lo, hi]")
+    lo, hi = (_positive(v, where) for v in value)
+    if lo > hi:
+        raise ScenarioError(where, "lo must not exceed hi")
+    return lo, hi
+
+
+def _adversary(a: dict, where: str) -> AdversarySpec:
+    strategy = _at(a, "strategy", where, _STRATEGY, _REQUIRED)
+    sandwich = _REQUIRED if strategy == "sandwich" else None
+    arbitrage = _REQUIRED if strategy == "arbitrage" else None
+    victim = _at(a, "victim", where, _object(lambda v, where: (
+        _at(v, "side", where, _SIDE, _REQUIRED),
+        _at(v, "quantity_e", where, _positive, _REQUIRED))), None)
+    victim_side, victim_quantity = victim or (None, None)
+    return AdversarySpec(
+        strategy=strategy,
+        mode=_at(a, "mode", where, _MODE, "plaintext"),
+        trials=_at(a, "trials", where, _integer(1), 1),
+        pool_e=_at(a, "pool_e", where, _positive, _REQUIRED),
+        pool_m=_at(a, "pool_m", where, _positive, _REQUIRED),
+        attacker_size=_at(a, "attacker_size", where, _positive, sandwich),
+        victim_side=victim_side,
+        victim_quantity=victim_quantity,
+        victim_range=_at(a, "victim_size_range", where, _size_range, None),
+        pool_b_e=_at(a, "pool_b_e", where, _positive, arbitrage),
+        pool_b_m=_at(a, "pool_b_m", where, _positive, arbitrage),
+    )
 
 
 def parse_scenario(obj: dict) -> ScenarioConfig:
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise ScenarioError("$", "scenario must be a JSON object")
+    ticks = _at(obj, "ticks", "$", _integer(1), _REQUIRED)
 
-    seed = parse_seed(_require(obj, "seed", "$"))
-    group_bits = _int(obj.get("group_bits", 256), "$.group_bits")
-    if group_bits not in (16, 256):
-        raise ScenarioError("$.group_bits", "must be 16 or 256")
-    committee_f = _int(obj.get("committee_f", 1), "$.committee_f", 0)
-
-    fresh = obj.get("freshness", {})
-    confirmations = _int(fresh.get("confirmations", 1), "$.freshness.confirmations", 0)
-    window = _int(fresh.get("window", 10**6), "$.freshness.window", 0)
-
-    block_interval = _int(obj.get("block_interval", 5), "$.block_interval", 1)
-    ticks = _int(_require(obj, "ticks", "$"), "$.ticks", 1)
-
-    latency = obj.get("latency", {"low": 0, "high": 0})
-    lat_low = _int(latency.get("low", 0), "$.latency.low", 0)
-    lat_high = _int(latency.get("high", lat_low), "$.latency.high", lat_low)
-
-    workchains = []
-    seen_wc = set()
-    for i, wc in enumerate(_require(obj, "workchains", "$")):
-        where = f"$.workchains[{i}]"
-        wc_id = _int(_require(wc, "workchain_id", where), f"{where}.workchain_id", 0)
-        if wc_id in seen_wc:
-            raise ScenarioError(f"{where}.workchain_id", "duplicate workchain id")
-        seen_wc.add(wc_id)
-        z = _require(wc, "zone", where)
-        try:
-            zone = Zone(
-                west=parse_quantity(z["west"], f"{where}.zone.west", False),
-                east=parse_quantity(z["east"], f"{where}.zone.east", False),
-                south=parse_quantity(z["south"], f"{where}.zone.south", False),
-                north=parse_quantity(z["north"], f"{where}.zone.north", False),
-            )
-        except (KeyError, ZoneError) as exc:
-            raise ScenarioError(f"{where}.zone", str(exc)) from exc
-        workchains.append(WorkchainSpec(workchain_id=wc_id, zone=zone))
+    workchains = _at(obj, "workchains", "$", _objects(lambda wc, where: WorkchainSpec(
+        workchain_id=_at(wc, "workchain_id", where, _NATURAL, _REQUIRED),
+        zone=_at(wc, "zone", where, _object(_zone), _REQUIRED))), _REQUIRED)
     if not workchains:
         raise ScenarioError("$.workchains", "at least one workchain required")
+    _unique([wc.workchain_id for wc in workchains], "$.workchains", "workchain_id")
     for i, a in enumerate(workchains):
         for b in workchains[i + 1 :]:
             if a.zone.overlaps(b.zone):
                 raise ScenarioError("$.workchains", "workchain zones overlap")
 
-    peers = []
-    seen_ids, seen_keys = set(), set()
-    for i, p in enumerate(_require(obj, "peers", "$")):
-        where = f"$.peers[{i}]"
-        pid = _require(p, "peer_id", where)
-        if pid in seen_ids:
-            raise ScenarioError(f"{where}.peer_id", f"duplicate peer id {pid!r}")
-        seen_ids.add(pid)
-        key = p.get("key", f"key:{pid}")
-        if key in seen_keys:
-            raise ScenarioError(f"{where}.key", f"duplicate key {key!r}")
-        seen_keys.add(key)
-        lat = parse_quantity(_require(p, "lat", where), f"{where}.lat", False)
-        lon = parse_quantity(_require(p, "lon", where), f"{where}.lon", False)
+    def peer(p: dict, where: str) -> PeerSpec:
+        pid = _at(p, "peer_id", where, _string, _REQUIRED)
+        lat = _at(p, "lat", where, _coordinate, _REQUIRED)
+        lon = _at(p, "lon", where, _coordinate, _REQUIRED)
         if not any(wc.zone.contains(lat, lon) for wc in workchains):
             raise ScenarioError(where, f"peer {pid!r} outside all workchain zones")
-        balance = parse_quantity(p.get("balance", "1000000"), f"{where}.balance")
-        peers.append(
-            PeerSpec(
-                peer_id=pid, lat=lat, lon=lon, key=key,
-                stake=_int(p.get("stake", 1), f"{where}.stake", 0),
-                balance=int(balance * SCALE),
-            )
-        )
+        return PeerSpec(peer_id=pid, lat=lat, lon=lon,
+                        key=_at(p, "key", where, _string, f"key:{pid}"),
+                        balance=_at(p, "balance", where, _balance, "1000000"))
 
-    lps = []
-    for i, lp in enumerate(obj.get("lps", [])):
-        where = f"$.lps[{i}]"
-        lp_id = _require(lp, "lp_id", where)
-        if lp_id not in seen_ids:
-            raise ScenarioError(f"{where}.lp_id", f"unknown peer {lp_id!r}")
-        lps.append(
-            LpSpec(
-                lp_id=lp_id,
-                liquidity_e=parse_quantity(
-                    _require(lp, "liquidity_e", where), f"{where}.liquidity_e"
-                ),
-            )
-        )
+    peers = _at(obj, "peers", "$", _objects(peer), _REQUIRED)
+    _unique([p.peer_id for p in peers], "$.peers", "peer_id")
+    _unique([p.key for p in peers], "$.peers", "key")
+    peer_id = _choice("peer", {p.peer_id for p in peers})
 
-    m_deposit = parse_quantity(obj.get("m_deposit", "0"), "$.m_deposit")
+    lps = _at(obj, "lps", "$", _objects(lambda lp, where: LpSpec(
+        lp_id=_at(lp, "lp_id", where, peer_id, _REQUIRED),
+        liquidity_e=_at(lp, "liquidity_e", where, parse_quantity, _REQUIRED),
+    )), [])
+    _unique([lp.lp_id for lp in lps], "$.lps", "lp_id")
+    m_deposit = _at(obj, "m_deposit", "$", parse_quantity, "0")
     if lps and m_deposit <= 0:
         raise ScenarioError("$.m_deposit", "must be positive when LPs deposit")
 
-    trades = []
-    for i, t in enumerate(obj.get("trades", [])):
-        where = f"$.trades[{i}]"
-        side = _require(t, "side", where)
-        if side not in ("buy", "sell"):
-            raise ScenarioError(f"{where}.side", f"unknown side {side!r}")
-        trader = _require(t, "trader_id", where)
-        if trader not in seen_ids:
-            raise ScenarioError(f"{where}.trader_id", f"unknown peer {trader!r}")
-        trades.append(
-            TradeSpec(
-                tick=_int(_require(t, "tick", where), f"{where}.tick", 0),
-                trader_id=trader,
-                side=side,
-                quantity_e=parse_quantity(
-                    _require(t, "quantity_e", where), f"{where}.quantity_e"
-                ),
-                limit_rate=parse_quantity(
-                    _require(t, "limit_rate", where), f"{where}.limit_rate", False
-                ),
-            )
-        )
+    def latency(lat: dict, where: str) -> tuple:
+        low = _at(lat, "low", where, _NATURAL, 0)
+        return low, _at(lat, "high", where, _integer(low), low)
 
-    th = obj.get("thresholds", {})
-    thresholds = {
-        "split_tps": _int(th.get("split_tps", 10**9), "$.thresholds.split_tps", 0),
-        "merge_tps": _int(th.get("merge_tps", 0), "$.thresholds.merge_tps", 0),
-        "window_blocks": _int(th.get("window_blocks", 4),
-                              "$.thresholds.window_blocks", 1),
-    }
-
-    tx_load = []
-    for i, l in enumerate(obj.get("tx_load", [])):
-        where = f"$.tx_load[{i}]"
-        tx_load.append(
-            LoadSpec(
-                lat=parse_quantity(_require(l, "lat", where), f"{where}.lat", False),
-                lon=parse_quantity(_require(l, "lon", where), f"{where}.lon", False),
-                per_block=_int(_require(l, "per_block", where),
-                               f"{where}.per_block", 0),
-                start_tick=_int(l.get("start_tick", 0), f"{where}.start_tick", 0),
-                end_tick=_int(l.get("end_tick", ticks), f"{where}.end_tick", 0),
-            )
-        )
-
-    failures = []
-    for i, f in enumerate(obj.get("failures", [])):
-        where = f"$.failures[{i}]"
-        failures.append(
-            FailureSpec(
-                tick=_int(_require(f, "tick", where), f"{where}.tick", 0),
-                shard_id=_require(f, "shard_id", where),
-                recover_tick=(
-                    _int(f["recover_tick"], f"{where}.recover_tick", 0)
-                    if "recover_tick" in f else None
-                ),
-            )
-        )
-
-    adversaries = []
-    adv_list = obj.get("adversary", [])
-    if isinstance(adv_list, dict):
-        adv_list = [adv_list]
-    for i, a in enumerate(adv_list):
-        where = f"$.adversary[{i}]"
-        strategy = _require(a, "strategy", where)
-        if strategy not in ("sandwich", "frontrun", "arbitrage"):
-            raise ScenarioError(f"{where}.strategy", f"unknown strategy {strategy!r}")
-        mode = a.get("mode", "plaintext")
-        if mode not in ("plaintext", "committed"):
-            raise ScenarioError(f"{where}.mode", f"unknown mode {mode!r}")
-        victim_side = victim_quantity = victim_range = None
-        victim = a.get("victim")
-        if victim is not None:
-            if not isinstance(victim, dict):
-                raise ScenarioError(f"{where}.victim",
-                                    "expected an object with side and quantity_e")
-            victim_side = _require(victim, "side", f"{where}.victim")
-            if victim_side not in ("buy", "sell"):
-                raise ScenarioError(f"{where}.victim.side",
-                                    f"expected buy or sell, got {victim_side!r}")
-            victim_quantity = _positive(
-                _require(victim, "quantity_e", f"{where}.victim"),
-                f"{where}.victim.quantity_e")
-        vrange = a.get("victim_size_range")
-        if vrange is not None:
-            if not isinstance(vrange, (list, tuple)) or len(vrange) != 2:
-                raise ScenarioError(f"{where}.victim_size_range",
-                                    "expected two quantities [lo, hi]")
-            victim_range = tuple(_positive(v, f"{where}.victim_size_range")
-                                 for v in vrange)
-            if victim_range[0] > victim_range[1]:
-                raise ScenarioError(f"{where}.victim_size_range",
-                                    "lo must not exceed hi")
-        adversaries.append(
-            AdversarySpec(
-                strategy=strategy,
-                mode=mode,
-                trials=_int(a.get("trials", 1), f"{where}.trials", 1),
-                pool_e=_positive(_require(a, "pool_e", where), f"{where}.pool_e"),
-                pool_m=_positive(_require(a, "pool_m", where), f"{where}.pool_m"),
-                attacker_size=_positive_field(
-                    a, "attacker_size", where, strategy == "sandwich"),
-                victim_side=victim_side,
-                victim_quantity=victim_quantity,
-                victim_range=victim_range,
-                pool_b_e=_positive_field(
-                    a, "pool_b_e", where, strategy == "arbitrage"),
-                pool_b_m=_positive_field(
-                    a, "pool_b_m", where, strategy == "arbitrage"),
-            )
-        )
-
+    confirmations, window = _at(obj, "freshness", "$", _object(lambda f, where: (
+        _at(f, "confirmations", where, _NATURAL, 1),
+        _at(f, "window", where, _NATURAL, 10**6))), {})
+    latency_low, latency_high = _at(obj, "latency", "$", _object(latency), {})
     return ScenarioConfig(
-        seed=seed,
-        group_bits=group_bits,
-        committee_f=committee_f,
+        seed=_at(obj, "seed", "$", _NATURAL, _REQUIRED),
+        group_bits=_at(obj, "group_bits", "$",
+                       _choice("group size", (16, 256)), 256),
+        committee_f=_at(obj, "committee_f", "$", _NATURAL, 1),
         confirmations=confirmations,
         window=window,
-        block_interval=block_interval,
+        block_interval=_at(obj, "block_interval", "$", _integer(1), 5),
         ticks=ticks,
-        latency_low=lat_low,
-        latency_high=lat_high,
+        latency_low=latency_low,
+        latency_high=latency_high,
         workchains=workchains,
         peers=peers,
         lps=lps,
         m_deposit=m_deposit,
-        trades=trades,
-        thresholds=thresholds,
-        tx_load=tx_load,
-        failures=failures,
-        adversaries=adversaries,
-        reveal_after_trade=bool(obj.get("reveal_after_trade", True)),
-        shadow_adversary=bool(obj.get("shadow_adversary", False)),
+        trades=_at(obj, "trades", "$", _objects(lambda t, where: TradeSpec(
+            tick=_at(t, "tick", where, _NATURAL, _REQUIRED),
+            trader_id=_at(t, "trader_id", where, peer_id, _REQUIRED),
+            side=_at(t, "side", where, _SIDE, _REQUIRED),
+            quantity_e=_at(t, "quantity_e", where, _positive, _REQUIRED),
+            limit_rate=_at(t, "limit_rate", where, _coordinate, _REQUIRED),
+        )), []),
+        thresholds=_at(obj, "thresholds", "$", _object(lambda th, where: {
+            "split_tps": _at(th, "split_tps", where, _NATURAL, 10**9),
+            "merge_tps": _at(th, "merge_tps", where, _NATURAL, 0),
+            "window_blocks": _at(th, "window_blocks", where, _integer(1), 4),
+        }), {}),
+        tx_load=_at(obj, "tx_load", "$", _objects(lambda load, where: LoadSpec(
+            lat=_at(load, "lat", where, _coordinate, _REQUIRED),
+            lon=_at(load, "lon", where, _coordinate, _REQUIRED),
+            per_block=_at(load, "per_block", where, _NATURAL, _REQUIRED),
+            start_tick=_at(load, "start_tick", where, _NATURAL, 0),
+            end_tick=_at(load, "end_tick", where, _NATURAL, ticks),
+        )), []),
+        failures=_at(obj, "failures", "$", _objects(lambda f, where: FailureSpec(
+            tick=_at(f, "tick", where, _NATURAL, _REQUIRED),
+            shard_id=_at(f, "shard_id", where, _string, _REQUIRED),
+            recover_tick=_at(f, "recover_tick", where, _NATURAL, None),
+        )), []),
+        adversaries=_at(obj, "adversary", "$", lambda a, where: _objects(_adversary)(
+            [a] if type(a) is dict else a, where), []),  # one object, or a list
+        reveal_after_trade=_at(obj, "reveal_after_trade", "$", _flag, True),
+        shadow_adversary=_at(obj, "shadow_adversary", "$", _flag, False),
     )
 
 
@@ -394,8 +383,13 @@ def load_scenario(path: str) -> ScenarioConfig:
             obj = json.load(fh)
     except FileNotFoundError as exc:
         raise ScenarioError("$", f"scenario file not found: {path}") from exc
+    except OSError as exc:
+        raise ScenarioError(
+            "$", f"cannot read scenario file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             "$", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past int()'s digit limit
+        raise ScenarioError("$", f"unreadable scenario file {path}: {exc}") from exc
     return parse_scenario(obj)

@@ -136,7 +136,6 @@ class PeerRecord:
     lat: Fraction
     lon: Fraction
     key: str
-    stake: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,8 +290,8 @@ class Topology:
 # Operations
 # ---------------------------------------------------------------------------
 
-def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
-                  stake: int = 1) -> Shard:
+def register_peer(topology: Topology, peer_id: str, lat, lon,
+                  key: str) -> Shard:
     """Admit a peer and place it in the shard covering its location.
 
     Duplicate peer ids or keys are rejected (one identity per key), and a
@@ -307,8 +306,7 @@ def register_peer(topology: Topology, peer_id: str, lat, lon, key: str,
     shard = topology.shard_for(lat, lon)
     if shard is None:
         raise RegistrationError(f"location ({lat}, {lon}) outside all zones")
-    master.validators[peer_id] = PeerRecord(peer_id=peer_id, lat=lat, lon=lon,
-                                            key=key, stake=stake)
+    master.validators[peer_id] = PeerRecord(peer_id=peer_id, lat=lat, lon=lon, key=key)
     shard.peers.append(peer_id)
     return shard
 

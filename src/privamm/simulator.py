@@ -165,10 +165,8 @@ class Simulator:
         )
         self._log_block(0, "master", self.topology.master.chain.headers[0])
         for peer in self.config.peers:
-            shard = register_peer(
-                self.topology, peer.peer_id, peer.lat, peer.lon,
-                key=peer.key, stake=peer.stake,
-            )
+            shard = register_peer(self.topology, peer.peer_id, peer.lat,
+                                  peer.lon, key=peer.key)
             self.accounts[peer.peer_id] = AccountLeaf(nonce=0,
                                                       balance=peer.balance)
             self.log.emit(0, peer.peer_id, "peer_registered",

@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from privamm.scenario import (ScenarioError, load_scenario, parse_quantity,
                               parse_scenario)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = {
     "seed": 7,
@@ -232,6 +235,53 @@ def test_adversary_accepts_single_object():
     assert adv.pool_b_m == Fraction(400)
 
 
+#: The smallest balance on the 1e-6 grid whose scaled value needs 257 bits.
+TOO_RICH = str(-(-2**256 // 10**6))
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda s: s.update(freshness=[1]), "$.freshness"),
+    (lambda s: s.update(latency="0"), "$.latency"),
+    (lambda s: s.update(thresholds=[]), "$.thresholds"),
+    (lambda s: s.update(workchains=5), "$.workchains"),
+    (lambda s: s.update(workchains=[5]), "$.workchains[0]"),
+    (lambda s: s.update(trades={"a": 1}), "$.trades"),
+    (lambda s: s["peers"][0].update(peer_id=[1]), "$.peers[0].peer_id"),
+    (lambda s: s["peers"][0].update(peer_id=7), "$.peers[0].peer_id"),
+    (lambda s: s["peers"][0].update(key=5), "$.peers[0].key"),
+    (lambda s: s.update(reveal_after_trade="false"), "$.reveal_after_trade"),
+    (lambda s: s["workchains"][0]["zone"].update(west=False),
+     "$.workchains[0].zone.west"),
+    (lambda s: s["trades"][0].update(quantity_e="0"), "$.trades[0].quantity_e"),
+    (lambda s: s["trades"][0].update(quantity_e="-5"), "$.trades[0].quantity_e"),
+    (lambda s: s["peers"][0].update(balance="-1"), "$.peers[0].balance"),
+    (lambda s: s["peers"][0].update(balance=TOO_RICH), "$.peers[0].balance"),
+    (lambda s: s["lps"].append({"lp_id": "p1", "liquidity_e": "1"}),
+     "$.lps[3].lp_id"),
+    (lambda s: s.update(failures=[{"tick": 3, "shard_id": 5}]),
+     "$.failures[0].shard_id"),
+], ids=["freshness-a-list", "latency-a-string", "thresholds-a-list",
+        "workchains-an-int", "workchain-an-int", "trades-an-object",
+        "peer-id-a-list", "peer-id-an-int", "key-an-int", "reveal-a-string",
+        "zone-west-false", "zero-trade", "negative-trade", "negative-balance",
+        "balance-past-256-bits", "second-deposit", "shard-id-an-int"])
+def test_each_field_is_checked_where_it_is_read(edit, field):
+    """Each of these edits of smoke.json once ended in a traceback, ran
+    with a misread value, or named another field."""
+    smoke = json.loads((SCENARIOS / "smoke.json").read_text())
+    edit(smoke)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(smoke)
+    assert info.value.field_path == field
+
+
+def test_balance_bounds():
+    top = 2**256 - 1
+    for balance, scaled in (("0", 0), (f"{top // 10**6}.{top % 10**6:06d}", top)):
+        peers = [{"peer_id": "p1", "lat": 1, "lon": 1, "balance": balance}]
+        assert parse_scenario(scenario(peers=peers)).peers[0].balance == scaled
+
+
 def test_thresholds_window_minimum():
     with pytest.raises(ScenarioError, match="window_blocks"):
         parse_scenario(scenario(thresholds={"window_blocks": 0}))
@@ -249,6 +299,20 @@ def test_load_scenario_round_trip(tmp_path):
 def test_load_scenario_missing_file():
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("/nonexistent/path.json")
+
+
+@pytest.mark.parametrize("content", [
+    None, b'{"seed": "\xff"}', b'{"seed": ' + b"1" * 5000 + b"}"],
+    ids=["a-directory", "not-utf8", "past-the-int-digit-limit"])
+def test_load_scenario_unreadable_file(tmp_path, content):
+    path = tmp_path / "s.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(str(path))
+    assert info.value.field_path == "$"
 
 
 def test_load_scenario_bad_json_points_at_location(tmp_path):

@@ -13,10 +13,11 @@ import pytest
 
 from privamm import balance_proof
 from privamm import keccak as keccak_mod
-from privamm.cli import (EVENT_FIELDS, _decimal, main, read_log,
-                         verify_artifacts, write_artifacts)
+from privamm.cli import (EVENT_FIELDS, main, read_log, verify_artifacts,
+                         write_artifacts)
 from privamm.keccak import keccak256
 from privamm.protocol import RunLog
+from privamm.rlp import canonical_int
 from privamm.scenario import load_scenario, parse_scenario
 from privamm.sharding import anchor_root
 from privamm.simulator import SimulationError, Simulator
@@ -201,6 +202,20 @@ def test_orders_past_the_nonce_limit_rejected_not_fatal(tmp_path):
     assert kept == within
 
 
+def test_withheld_openings_are_not_logged_and_verify(smoke_run, tmp_path):
+    """With ``"reveal_after_trade": false`` every settled trade keeps its
+    commitment closed: the default run opens one per settled trade, this
+    run opens none, and its artifacts verify."""
+    out = smoke_with(tmp_path, lambda s: s.update(reveal_after_trade=False))
+    events = run_events(out)
+    opened = [ev for ev in run_events(smoke_run)
+              if ev["event"] == "commitment_opened"]
+    settled = [ev for ev in events if ev["event"] == "trade_settled"]
+    assert opened and len(opened) == len(settled)
+    assert not any(ev["event"] == "commitment_opened" for ev in events)
+    assert verify_artifacts(str(out))[0] == 0
+
+
 def test_verify_passes_on_fresh_run(small_run):
     code, lines = verify_artifacts(str(small_run))
     assert code == 0
@@ -323,6 +338,43 @@ def test_adversary_missing_field_is_a_configuration_error(
     assert err.startswith("configuration error: ")
     assert f"$.adversary[{index}].{field}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s.update(freshness=[1]),
+    lambda s: s.update(workchains=5),
+    lambda s: s["peers"][0].update(peer_id=[1]),
+    lambda s: s.update(reveal_after_trade="false"),
+    lambda s: s["trades"][0].update(quantity_e="0"),
+    lambda s: s["peers"][0].update(balance="-1"),
+    lambda s: s.update(failures=[{"tick": 3, "shard_id": 5}]),
+], ids=["freshness-a-list", "workchains-an-int", "peer-id-a-list",
+        "reveal-a-string", "zero-trade", "negative-balance",
+        "shard-id-an-int"])
+def test_a_mistyped_or_out_of_range_field_is_a_configuration_error(
+        tmp_path, capsys, edit):
+    smoke = json.loads((SCENARIOS / "smoke.json").read_text())
+    edit(smoke)
+    assert run_cli(smoke, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: $.")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [None, b"{\"seed\": \"\xff\"}"],
+                         ids=["a-directory", "not-utf8"])
+def test_an_unreadable_scenario_file_is_a_configuration_error(
+        tmp_path, capsys, content):
+    path = tmp_path / "scenario"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: $: ")
+    assert "Traceback" not in err
 
 
 def test_verify_on_non_directory_exits_1(tmp_path):
@@ -831,7 +883,7 @@ def upper_hex(text):
 
 @pytest.mark.parametrize("edit, cause", [
     (lambda proof: proof.update(threshold=" +" + proof["threshold"] + "\n"),
-     "threshold must be a canonical decimal integer"),
+     "not a canonical decimal integer"),
     (lambda proof: proof.update(vk="0X" + proof["vk"][2:].upper()),
      "vk must be 0x and 64 lowercase hex digits"),
     (lambda proof: proof["account"].update(
@@ -902,6 +954,15 @@ def summary_with(**fields):
     return edit
 
 
+def garble_group_g(data):
+    """g as ``int()`` reads it, but not as ``str(n)`` writes it."""
+    summary = json.loads(data)
+    g = summary["group"]["g"]
+    summary["group"]["g"] = f" +{g[:3]}_{g[3:]}"
+    assert int(summary["group"]["g"]) == int(g)
+    return json.dumps(summary).encode()
+
+
 def short_second_row(data):
     lines = data.splitlines()
     lines[2] = lines[2].rsplit(b",", 1)[0]
@@ -917,6 +978,8 @@ def short_second_row(data):
     ("summary.json", lambda data: b"[1, 2]",
      "FAIL: summary.json well-formed (list indices must be integers or "
      "slices, not str)"),
+    ("summary.json", garble_group_g,
+     "FAIL: summary.json well-formed (not a canonical decimal integer)"),
     ("metrics.csv", short_second_row,
      "FAIL: metrics.csv well-formed (2 rows) (row 2: 5 fields)"),
     ("metrics.csv", lambda data: data + b"\xff\r\n",
@@ -926,7 +989,7 @@ def short_second_row(data):
      "FAIL: attack_report.csv well-formed ('utf-8' codec can't decode byte "
      "0xfe"),
 ], ids=["group-not-an-object", "vk-a-list", "summary-a-list",
-        "metrics-short-row", "metrics-not-utf8", "attack-report-not-utf8"])
+        "group-g-not-canonical", "metrics-short-row", "metrics-not-utf8", "attack-report-not-utf8"])
 def test_verify_reports_a_malformed_artifact_without_a_traceback(
         small_run, tmp_path, capsys, name, edit, fail):
     out = tampered_copy(small_run, tmp_path / "t", garble_artifact(name, edit))
@@ -982,7 +1045,7 @@ def field_edits():
         for field, parse in fields.items():
             edits = {"missing": without(field),
                      "list": lambda ev, f=field: ev.update({f: [ev[f]]})}
-            if parse is _decimal:
+            if parse is canonical_int:
                 edits["leading-zero"] = lambda ev, f=field: ev.update(
                     {f: "0" + ev[f]})
             for how, edit in edits.items():
